@@ -25,8 +25,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .core import Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, sample_unit_sphere
-from .frames import (build_frame, estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
-                     probe, subspace_estimate)
+from .frames import (_unit_prior, build_frame, cos_sq, estimate_Dt, estimate_grad_norm_sq,
+                     g2_unbiased, probe, subspace_estimate)
 from .trace import RunTrace
 
 VARIANTS = ("ars", "pars_naive", "pars_est", "pars_impl", "history_pars")
@@ -141,17 +141,10 @@ def maybe_restart(state: ArsState, f_y_current: float, config: ArsConfig) -> boo
     return restarted
 
 
-def _cos_sq(a: Array, b: Array) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return float("nan")
-    return float((a @ b) ** 2 / (na * na * nb * nb))
-
-
 def _diagnose(state: ArsState, oracle: OracleHandle, y: Array, g1: Array, p: Optional[Array]):
     grad = oracle.gradient_at(y)
-    state.last_C = _cos_sq(grad, g1)
-    state.last_D = _cos_sq(grad, p) if p is not None else float("nan")
+    state.last_C = cos_sq(grad, g1)
+    state.last_D = cos_sq(grad, p) if p is not None else float("nan")
 
 
 def _apply_updates(state: ArsState, config: ArsConfig, y: Array, alpha: float,
@@ -193,8 +186,7 @@ def _step_ars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: Rng
 def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
                     prior: Array, diagnostics: bool = False):
     d = oracle.objective.dim
-    p = np.asarray(prior, dtype=float)
-    p = p / np.linalg.norm(p)
+    p = _unit_prior(prior)
     avg = float(np.mean(state.norm_sq_history)) if state.norm_sq_history else 0.0
 
     def clipped_dhat(deriv: float) -> float:
@@ -233,8 +225,7 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
 def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
                    prior: Array, diagnostics: bool = False):
     d = oracle.objective.dim
-    p = np.asarray(prior, dtype=float)
-    p = p / np.linalg.norm(p)
+    p = _unit_prior(prior)
     pass_cost = config.q + 1
 
     def conservative_theta_at(point: Array) -> float:

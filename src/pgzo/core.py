@@ -91,6 +91,8 @@ class OracleHandle:
     f(x) is cached per base point so all probes sharing a base pay for it
     once. ``mode="exact"`` answers queries from ``true_gradient`` instead of
     finite differences (the idealized oracle); dd accounting is unchanged.
+    ``last_base_f`` is the f(x) the latest ``directional_derivatives`` call
+    differenced against, None after an exact-mode call.
     """
 
     objective: ObjectiveSpec
@@ -101,6 +103,7 @@ class OracleHandle:
     _base_x: Optional[Array] = field(default=None, repr=False)
     _base_f: float = field(default=np.nan, repr=False)
     _base_grad: Optional[Array] = field(default=None, repr=False)
+    last_base_f: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.mu <= 0.0:
@@ -113,7 +116,16 @@ class OracleHandle:
     # -- base-point caching ------------------------------------------------
 
     def _is_cached(self, x: Array) -> bool:
-        return self._base_x is not None and np.array_equal(self._base_x, x)
+        # Value equality, as np.array_equal: -0.0 hits 0.0, NaN never hits, and
+        # an array changed in place since it was cached misses. A new base
+        # point nearly always differs in shape or first element already.
+        b = self._base_x
+        if b is None:
+            return False
+        x = np.asarray(x)
+        if b.shape != x.shape or (b.size and b.item(0) != x.item(0)):
+            return False
+        return np.array_equal(b, x)
 
     def _eval_raw(self, x: Array) -> float:
         v = float(self.objective.eval(x))
@@ -159,15 +171,18 @@ class OracleHandle:
         if self.mode == "exact":
             g = self.gradient_at(x)
             vals = directions @ g
+            self.last_base_f = None
         else:
             base = self.function_value(x)
-            pts = x[None, :] + self.mu * directions
+            self.last_base_f = base
+            pts = self.mu * directions
+            pts += x
             if self.objective.eval_batch is not None:
                 fv = np.asarray(self.objective.eval_batch(pts), dtype=float)
             else:
                 fv = np.array([self.objective.eval(p) for p in pts], dtype=float)
             self.fn_evals += n
-            if not np.all(np.isfinite(fv)):
+            if not np.isfinite(fv).all():
                 bad = pts[int(np.argmax(~np.isfinite(fv)))]
                 raise OracleFailureError("objective returned non-finite value", bad)
             vals = (fv - base) / self.mu

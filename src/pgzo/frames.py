@@ -1,12 +1,14 @@
 """Orthonormal probe frames and the gradient estimators built on them.
 
 A frame holds an optional prior direction plus q random orthonormal
-directions spanning the probe subspace. Directions are stored as rows of a
-(q, d) array so probing an entire frame is one vectorized oracle call.
+directions spanning the probe subspace. All of them are rows of one
+(q+1, d) array, prior first, or (q, d) without a prior, so probing an entire
+frame is one vectorized oracle call on that array as it stands.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,13 +21,34 @@ from .core import Array, ConfigError, InvalidPriorError, OracleHandle, RngHandle
 RESIDUAL_EPS = 1e-12
 
 
-@dataclass
 class OrthonormalFrame:
-    """Prior direction (optional) plus q orthonormal random directions."""
+    """Prior direction (optional) plus q orthonormal random directions.
 
-    directions: Array          # (q, d), orthonormal rows
-    prior: Optional[Array]     # (d,) unit vector, orthogonal to all rows
-    dim: int
+    ``directions`` (q, d) and ``prior`` (d,) are views of one row block, the
+    prior in row 0; ``stacked()`` returns that block itself.
+    """
+
+    def __init__(self, directions: Array, prior: Optional[Array], dim: int):
+        rows = np.asarray(directions, dtype=float)
+        if prior is not None:
+            rows = np.vstack([np.asarray(prior, dtype=float)[None, :], rows])
+        self._bind(rows, prior is not None, dim)
+
+    @classmethod
+    def from_rows(cls, rows: Array, with_prior: bool, dim: int) -> "OrthonormalFrame":
+        """Frame over ``rows`` as given, without a copy; row 0 is the prior
+        when ``with_prior``."""
+        frame = cls.__new__(cls)
+        frame._bind(rows, with_prior, dim)
+        return frame
+
+    def _bind(self, rows: Array, with_prior: bool, dim: int):
+        self._rows = rows
+        self.dim = dim
+        if with_prior:
+            self.prior, self.directions = rows[0], rows[1:]
+        else:
+            self.prior, self.directions = None, rows
 
     @property
     def q(self) -> int:
@@ -33,18 +56,30 @@ class OrthonormalFrame:
 
     def stacked(self) -> Array:
         """All probe directions as rows, prior first when present."""
-        if self.prior is None:
-            return self.directions
-        return np.vstack([self.prior[None, :], self.directions])
+        return self._rows
 
 
 @dataclass
 class ProbeSet:
-    """Directional derivatives measured along a frame at one point."""
+    """Directional derivatives measured along a frame at one point.
+
+    ``base_f`` is the f(x) the finite differences were taken from, or None
+    when the oracle answered exactly.
+    """
 
     frame: OrthonormalFrame
     prior_deriv: Optional[float]
     dir_derivs: Array          # (q,)
+    base_f: Optional[float] = None
+
+
+def _unit_prior(prior: Array) -> Array:
+    """``prior`` scaled to unit norm; InvalidPriorError unless its norm is
+    finite and at least RESIDUAL_EPS (a NaN norm fails the comparison)."""
+    pn = np.linalg.norm(prior)
+    if not pn >= RESIDUAL_EPS or not math.isfinite(pn):
+        raise InvalidPriorError(f"prior must have a finite norm >= {RESIDUAL_EPS}, got {pn}")
+    return np.asarray(prior, dtype=float) / pn
 
 
 def _gram_schmidt_rows(raw: Array, prior: Optional[Array], rng: RngHandle) -> Array:
@@ -81,29 +116,34 @@ def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -
         raise ConfigError(f"q must be >= 1, got {q}")
     p = None
     if prior is not None:
-        pn = np.linalg.norm(prior)
-        if pn < RESIDUAL_EPS:
-            raise InvalidPriorError(f"prior has near-zero norm {pn}")
-        p = np.asarray(prior, dtype=float) / pn
+        p = _unit_prior(prior)
         if q > d - 1:
             raise ConfigError(f"q={q} with a prior requires q <= d-1={d - 1}")
     elif q > d:
         raise ConfigError(f"q={q} exceeds dimension d={d}")
 
     raw = rng.gen.standard_normal((q, d))
-    if p is not None:
-        raw -= np.outer(raw @ p, p)
+    if p is None:
+        rows = np.empty((q, d))
+        dirs = rows
+    else:
+        rows = np.empty((q + 1, d))
+        rows[0] = p
+        dirs = rows[1:]
+        raw -= (raw @ p)[:, None] * p
     # Cholesky-QR: identical to Gram-Schmidt in exact arithmetic, one LAPACK
     # call instead of q passes. The Cholesky diagonal equals the per-direction
     # Gram-Schmidt residual norms; anywhere near degeneracy (where CholQR's
     # conditioning degrades) falls back to the stable explicit construction.
     gram = raw @ raw.T
     chol, info = lapack.dpotrf(gram, lower=1)
-    if info == 0 and np.min(np.diagonal(chol)) >= 1e-6:
+    if info == 0 and chol.diagonal().min() >= 1e-6:
         inv_l, info2 = lapack.dtrtri(chol, lower=1)
         if info2 == 0:
-            return OrthonormalFrame(directions=inv_l @ raw, prior=p, dim=d)
-    return OrthonormalFrame(directions=_gram_schmidt_rows(raw, p, rng), prior=p, dim=d)
+            np.matmul(inv_l, raw, out=dirs)
+            return OrthonormalFrame.from_rows(rows, p is not None, d)
+    dirs[...] = _gram_schmidt_rows(raw, p, rng)
+    return OrthonormalFrame.from_rows(rows, p is not None, d)
 
 
 def probe(oracle: OracleHandle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
@@ -112,15 +152,15 @@ def probe(oracle: OracleHandle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
         raise ConfigError(f"frame dim {frame.dim} != oracle dim {oracle.objective.dim}")
     vals = oracle.directional_derivatives(x, frame.stacked())
     if frame.prior is None:
-        return ProbeSet(frame=frame, prior_deriv=None, dir_derivs=vals)
-    return ProbeSet(frame=frame, prior_deriv=float(vals[0]), dir_derivs=vals[1:])
+        return ProbeSet(frame, None, vals, oracle.last_base_f)
+    return ProbeSet(frame, float(vals[0]), vals[1:], oracle.last_base_f)
 
 
 def subspace_estimate(probes: ProbeSet) -> Array:
     """g1: the projection of the gradient onto the probed subspace."""
     g = probes.dir_derivs @ probes.frame.directions
     if probes.prior_deriv is not None:
-        g = g + probes.prior_deriv * probes.frame.prior
+        g += probes.prior_deriv * probes.frame.prior
     return g
 
 
@@ -141,14 +181,19 @@ def g2_variance_reduced(probes_plain: ProbeSet, prior_orig: Array, prior_deriv_o
     """
     if probes_plain.frame.prior is not None:
         raise ConfigError("g2_variance_reduced expects a frame without a prior")
-    pn = np.linalg.norm(prior_orig)
-    if pn < RESIDUAL_EPS:
-        raise InvalidPriorError(f"prior has near-zero norm {pn}")
-    p = np.asarray(prior_orig, dtype=float) / pn
+    p = _unit_prior(prior_orig)
     d, q = probes_plain.frame.dim, probes_plain.frame.q
     u = probes_plain.frame.directions
     corrected = probes_plain.dir_derivs - prior_deriv_orig * (u @ p)
     return (d / q) * (corrected @ u) + prior_deriv_orig * p
+
+
+def cos_sq(a: Array, b: Array) -> float:
+    """Squared cosine between a and b; NaN when either is zero."""
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return float("nan")
+    return float((a @ b) ** 2 / (na * na * nb * nb))
 
 
 def estimate_grad_norm_sq(probes: ProbeSet) -> float:

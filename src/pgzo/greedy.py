@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, sample_unit_sphere
-from .frames import build_frame, probe, subspace_estimate
+from .frames import build_frame, cos_sq, probe, subspace_estimate
 from .trace import RunTrace
 
 PRIOR_SOURCES = ("none", "historical", "external")
@@ -46,15 +46,9 @@ class GreedyState:
     prior: Optional[Array] = None
     iteration: int = 0
     last_g1: Optional[Array] = field(default=None, repr=False)
+    last_f: Optional[float] = None    # f at the last step's start, if its probes paid for it
     last_C: float = float("nan")
     last_D: float = float("nan")
-
-
-def _cos_sq(a: Array, b: Array) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return float("nan")
-    return float((a @ b) ** 2 / (na * na * nb * nb))
 
 
 def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
@@ -74,8 +68,8 @@ def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
 
     if diagnostics:
         grad = oracle.gradient_at(state.x)
-        state.last_C = _cos_sq(grad, g1)
-        state.last_D = _cos_sq(grad, frame.prior) if frame.prior is not None else float("nan")
+        state.last_C = cos_sq(grad, g1)
+        state.last_D = cos_sq(grad, frame.prior) if frame.prior is not None else float("nan")
 
     state.x = state.x - g1 / config.L_hat
     if config.prior_source == "historical":
@@ -83,6 +77,7 @@ def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
         if n > 0.0:  # zero estimate: keep the old prior
             state.prior = g1 / n
     state.last_g1 = g1
+    state.last_f = probes.base_f
     state.iteration += 1
     return state
 
@@ -125,7 +120,9 @@ def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
         dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
         greedy_step(state, oracle, config, rng, prior_feed, diagnostics)
         t = state.iteration - 1  # index of the iterate the step started from
-        f_here = oracle.peek_function_value(x_here)  # cached by the step's probes
+        f_here = state.last_f
+        if f_here is None:  # exact oracle: an uncharged read
+            f_here = oracle.peek_function_value(x_here)
         if t % log_every == 0:
             trace.append(t, dd_before, fn_before, f_here, state.last_C, state.last_D)
         if target_log10 is not None:

@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pgzo.ars import (ArsConfig, ArsState, alpha_beta_gamma, maybe_restart, run_ars,
                       theta_floor, theta_from_D)
-from pgzo.core import ConfigError, RngHandle
+from pgzo.core import ConfigError, InvalidPriorError, RngHandle
+from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function, biased_prior_feed
 
 
@@ -207,6 +209,23 @@ def test_prior_feed_required():
     cfg = ArsConfig(L_hat=2.0, q=5, variant="pars_impl", budget=100)
     with pytest.raises(ConfigError):
         run_ars(fn.as_objective(), cfg, seed=0)
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+@pytest.mark.parametrize("algo", ["prgf", "pars_naive", "pars_impl", "pars_est"])
+def test_invalid_prior_reported_as_such(algo, bad):
+    fn = bench_function("f1", 50)
+    q = 5
+    feed = lambda x: np.full(50, bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidPriorError):
+            if algo == "prgf":
+                cfg = GreedyConfig(L_hat=fn.L, q=q, prior_source="external", budget=600)
+                run_greedy(fn.as_objective(), cfg, 0, feed)
+            else:
+                cfg = ArsConfig(L_hat=fn.L, q=q, variant=algo, budget=600)
+                run_ars(fn.as_objective(), cfg, 0, feed)
 
 
 def test_config_validation():

@@ -66,6 +66,40 @@ def test_query_accounting_and_base_cache():
     assert (oracle.dd_queries, oracle.fn_evals) == (3, 5)
 
 
+def test_base_cache_hits_equal_values_not_identity():
+    oracle = OracleHandle(half_norm_sq(3), mu=1e-6)
+    x = np.array([1.0, 2.0, 3.0])
+    oracle.function_value(x)
+    assert oracle.function_value(x.copy()) == 7.0
+    assert oracle.fn_evals == 1
+    x[2] = 4.0  # changed in place behind the cache's back: a new point
+    assert oracle.function_value(x) == 10.5
+    assert oracle.fn_evals == 2
+    x[0] = 0.0
+    assert oracle.function_value(x) == 10.0
+    assert oracle.fn_evals == 3
+
+
+def test_base_cache_signed_zero_hits():
+    oracle = OracleHandle(half_norm_sq(2), mu=1e-6)
+    oracle.function_value(np.array([0.0, 0.0]))
+    oracle.function_value(np.array([-0.0, 0.0]))
+    oracle.function_value(np.array([0.0, -0.0]))
+    assert oracle.fn_evals == 1
+
+
+@pytest.mark.parametrize("nan_at", [0, 1])
+def test_base_cache_nan_never_hits(nan_at):
+    obj = ObjectiveSpec(dim=2, eval=lambda x: 1.0, x0=np.zeros(2))
+    oracle = OracleHandle(obj, mu=1e-6)
+    x = np.ones(2)
+    x[nan_at] = np.nan
+    oracle.function_value(x)
+    oracle.function_value(x)
+    oracle.function_value(x.copy())
+    assert oracle.fn_evals == 3
+
+
 def test_peek_does_not_count():
     oracle = OracleHandle(half_norm_sq(), mu=1e-6)
     assert oracle.peek_function_value(np.array([3.0, 0.0])) == pytest.approx(4.5)

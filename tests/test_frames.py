@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from pgzo.core import ConfigError, InvalidPriorError, OracleHandle, RngHandle
-from pgzo.frames import (ProbeSet, _gram_schmidt_rows, build_frame, estimate_Dt,
-                         estimate_grad_norm_sq, g2_unbiased, g2_variance_reduced,
-                         probe, subspace_estimate)
+from pgzo.frames import (OrthonormalFrame, ProbeSet, _gram_schmidt_rows, build_frame,
+                         estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
+                         g2_variance_reduced, probe, subspace_estimate)
 from pgzo.testfns import bench_function
 
 
@@ -53,6 +54,62 @@ def test_fast_path_matches_reference_gram_schmidt():
     ref = _gram_schmidt_rows(projected, prior, rng2)
     fast = build_frame(RngHandle(11), 8, 4, prior=prior)
     np.testing.assert_allclose(fast.directions, ref, atol=1e-9)
+
+
+def reference_cholqr_frame(seed, d, q, prior):
+    """build_frame written out step by step, one temporary per operation:
+    draw, np.outer projection, Gram, dpotrf, dtrtri, matmul."""
+    raw = RngHandle(seed).gen.standard_normal((q, d))
+    p = None
+    if prior is not None:
+        p = np.asarray(prior, dtype=float) / np.linalg.norm(prior)
+        raw -= np.outer(raw @ p, p)
+    chol, info = lapack.dpotrf(raw @ raw.T, lower=1)
+    assert info == 0 and np.min(np.diagonal(chol)) >= 1e-6
+    inv_l, info = lapack.dtrtri(chol, lower=1)
+    assert info == 0
+    return inv_l @ raw, p
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d,q", [(8, 4), (500, 11)])
+@pytest.mark.parametrize("with_prior", [False, True])
+def test_build_frame_bit_identical_to_reference(seed, d, q, with_prior):
+    prior = RngHandle(1000 + seed).gen.standard_normal(d) if with_prior else None
+    q = q - 1 if with_prior else q
+    ref_dirs, ref_prior = reference_cholqr_frame(seed, d, q, prior)
+    frame = build_frame(RngHandle(seed), d, q, prior=prior)
+    np.testing.assert_array_equal(frame.directions, ref_dirs)
+    if with_prior:
+        np.testing.assert_array_equal(frame.prior, ref_prior)
+        np.testing.assert_array_equal(frame.stacked(), np.vstack([ref_prior, ref_dirs]))
+        assert np.shares_memory(frame.stacked(), frame.directions)
+        assert np.shares_memory(frame.stacked(), frame.prior)
+    else:
+        assert frame.prior is None and frame.stacked() is frame.directions
+
+
+def test_frame_from_directions_and_prior():
+    dirs = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    prior = np.array([1.0, 0.0, 0.0])
+    frame = OrthonormalFrame(directions=dirs, prior=prior, dim=3)
+    assert frame.q == 2 and frame.dim == 3
+    np.testing.assert_array_equal(frame.stacked(), np.eye(3))
+    np.testing.assert_array_equal(frame.prior, prior)
+    np.testing.assert_array_equal(frame.directions, dirs)
+    plain = OrthonormalFrame(directions=dirs, prior=None, dim=3)
+    assert plain.prior is None and plain.q == 2
+    np.testing.assert_array_equal(plain.stacked(), dirs)
+
+
+def test_probe_carries_fd_base_value():
+    fn = bench_function("f2", 20)
+    frame = build_frame(RngHandle(1), 20, 5, prior=np.ones(20))
+    x = fn.x0 + 0.5
+    fd = probe(OracleHandle(fn.as_objective(), mu=1e-6), x, frame)
+    assert fd.base_f == fn.eval(x)
+    exact = probe(OracleHandle(fn.as_objective(), mode="exact"), x, frame)
+    assert exact.base_f is None
 
 
 def test_zero_prior_rejected():
