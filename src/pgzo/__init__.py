@@ -6,9 +6,8 @@ accelerated random search family, benchmark objectives, Monte-Carlo
 diagnostics, and a CLI benchmark harness.
 """
 
-from .ars import (ArsConfig, ArsState, alpha_beta_gamma, ars_step, history_pars_step,
-                  maybe_restart, pars_est_step, pars_impl_step, pars_naive_step,
-                  run_ars, theta_floor, theta_from_D)
+from .ars import (ArsConfig, ArsState, alpha_beta_gamma, maybe_restart, run_ars,
+                  theta_floor, theta_from_D)
 from .core import (ConfigError, InvalidPriorError, ObjectiveSpec, OracleFailureError,
                    OracleHandle, RngHandle, UnsupportedDiagnosticError,
                    directional_derivative, exact_directional_derivative,
@@ -28,11 +27,10 @@ __all__ = [
     "GreedyConfig", "GreedyState", "InvalidPriorError", "ObjectiveSpec",
     "OracleFailureError", "OracleHandle", "OrthonormalFrame", "ProbeSet",
     "RngHandle", "RunTrace", "UnsupportedDiagnosticError", "alpha_beta_gamma",
-    "ars_step", "bench_function", "biased_prior_feed", "build_frame",
+    "bench_function", "biased_prior_feed", "build_frame",
     "directional_derivative", "estimate_Dt", "estimate_grad_norm_sq",
     "exact_directional_derivative", "g2_unbiased", "g2_variance_reduced",
-    "greedy_step", "history_pars_step", "maybe_restart", "pars_est_step",
-    "pars_impl_step", "pars_naive_step", "probe", "run_ars", "run_greedy",
+    "greedy_step", "maybe_restart", "probe", "run_ars", "run_greedy",
     "sample_unit_sphere", "smoothness_constants", "subspace_estimate",
     "theta_floor", "theta_from_D",
 ]

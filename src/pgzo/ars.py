@@ -24,7 +24,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .core import Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, sample_unit_sphere
+from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l2_norm,
+                   sample_unit_sphere)
 from .frames import (_unit_prior, build_frame, cos_sq, estimate_Dt, estimate_grad_norm_sq,
                      g2_unbiased, probe, subspace_estimate)
 from .trace import RunTrace
@@ -120,6 +121,7 @@ class ArsState:
     norm_sq_history: List[float] = field(default_factory=list)
     last_f_y: Optional[float] = None
     iteration: int = 0
+    last_f: Optional[float] = None    # f at the last step's start, if the step paid for it
     # per-step bookkeeping for traces and tests
     last_theta: float = float("nan")
     last_Dhat: float = float("nan")
@@ -187,7 +189,9 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
                     prior: Array, diagnostics: bool = False):
     d = oracle.objective.dim
     p = _unit_prior(prior)
-    avg = float(np.mean(state.norm_sq_history)) if state.norm_sq_history else 0.0
+    hist = state.norm_sq_history
+    # np.mean's own arithmetic: one reduction, then a division by the count
+    avg = float(np.add.reduce(np.array(hist)) / len(hist)) if hist else 0.0
 
     def clipped_dhat(deriv: float) -> float:
         if avg <= 0.0:
@@ -196,6 +200,7 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
 
     # fixed-point pass 1: evaluate the prior derivative at y^(0) = x_t
     d0 = float(oracle.directional_derivatives(state.x, p[None, :])[0])
+    state.last_f = oracle.last_base_f
     theta = theta_from_D(clipped_dhat(d0), config.q, d, config.L_hat)
     # fixed-point pass 2: re-evaluate at the y this theta induces
     _, beta, _ = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
@@ -234,6 +239,7 @@ def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng
         return theta_from_D(estimate_Dt(probes, conservative=True), config.q, d, config.L_hat)
 
     theta_bound = conservative_theta_at(state.x)  # theta=0 implies y = x_t
+    state.last_f = oracle.last_base_f
     theta = None
     passes = 0
     for _ in range(config.max_guess):
@@ -282,7 +288,7 @@ def _step_history_pars(state: ArsState, oracle: OracleHandle, config: ArsConfig,
         _diagnose(state, oracle, y, g1, frame.prior)
     state.last_theta = state.theta_prev
     _apply_updates(state, config, y, alpha, gamma_next, theta_used, g1, g2)
-    n = np.linalg.norm(g1)
+    n = l2_norm(g1)
     if n > 0.0:
         state.v_prev = g1 / n
     _finish(state, oracle, config, y)
@@ -296,13 +302,6 @@ _STEPPERS: dict[str, Callable] = {
     "pars_est": _step_pars_est,
     "history_pars": _step_history_pars,
 }
-
-ars_step = _step_ars
-pars_impl_step = _step_pars_impl
-pars_est_step = _step_pars_est
-history_pars_step = _step_history_pars
-pars_naive_step = _step_ars
-
 
 def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
             prior_feed: Optional[Callable[[Array], Array]] = None, *,
@@ -339,7 +338,9 @@ def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
         prior = prior_feed(state.x) if needs_prior else None
         step(state, oracle, config, rng, prior, diagnostics)
         t = state.iteration - 1
-        f_here = oracle.peek_function_value(x_here)
+        f_here = state.last_f
+        if f_here is None:  # the step did not pay for f(x_t): an uncharged read
+            f_here = oracle.peek_function_value(x_here)
         if t % log_every == 0:
             trace.append(t, dd_before, fn_before, f_here,
                          state.last_C, state.last_D, state.last_theta)

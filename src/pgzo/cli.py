@@ -1,8 +1,8 @@
 """Command-line benchmark runner.
 
 Configuration comes from an optional flat ``key = value`` file plus CLI
-flags; flags win. Exit codes: 0 success, 2 bad configuration, 3 oracle
-failure, 4 I/O failure.
+flags; flags win. Exit codes: 0 success, 2 bad configuration or invalid prior,
+3 oracle failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import sys
 from typing import List, Optional
 
 from .bench import (BatchResult, RunConfig, emit_csv, emit_svg, preset, run_batch)
-from .core import ConfigError, OracleFailureError
+from .core import ConfigError, InvalidPriorError, OracleFailureError
 
 EXIT_OK, EXIT_CONFIG, EXIT_ORACLE, EXIT_IO = 0, 2, 3, 4
 
@@ -136,6 +136,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         results = run_from_settings(settings)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except InvalidPriorError as exc:
+        print(f"invalid prior: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OracleFailureError as exc:
         print(f"oracle failure: {exc}", file=sys.stderr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -71,13 +72,19 @@ class RngHandle:
         self.gen = np.random.Generator(np.random.SFC64(self.seed))
 
 
+def l2_norm(v: Array) -> float:
+    """Euclidean norm of a 1-D real vector: the sqrt(v . v) that
+    ``np.linalg.norm`` computes, without its Python-level dispatch."""
+    return math.sqrt(v @ v)
+
+
 def sample_unit_sphere(rng: RngHandle, d: int) -> Array:
     """Uniform draw from the unit sphere via a normalized Gaussian vector."""
     if d < 1:
         raise ConfigError(f"d must be >= 1, got {d}")
     while True:
         v = rng.gen.standard_normal(d)
-        n = np.linalg.norm(v)
+        n = l2_norm(v)
         if n > 0.0:  # all-zero draw has probability zero; resample
             return v / n
 
@@ -129,7 +136,7 @@ class OracleHandle:
 
     def _eval_raw(self, x: Array) -> float:
         v = float(self.objective.eval(x))
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise OracleFailureError(f"objective returned non-finite value {v}", x)
         return v
 
@@ -182,7 +189,9 @@ class OracleHandle:
             else:
                 fv = np.array([self.objective.eval(p) for p in pts], dtype=float)
             self.fn_evals += n
-            if not np.isfinite(fv).all():
+            # A finite sum means every value is finite; only an overflowing
+            # or non-finite sum needs the elementwise test.
+            if not math.isfinite(np.add.reduce(fv)) and not np.isfinite(fv).all():
                 bad = pts[int(np.argmax(~np.isfinite(fv)))]
                 raise OracleFailureError("objective returned non-finite value", bad)
             vals = (fv - base) / self.mu

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import Array, ConfigError, InvalidPriorError, OracleHandle, RngHandle
+from .core import Array, ConfigError, InvalidPriorError, OracleHandle, RngHandle, l2_norm
 
 # Gram-Schmidt residuals below this trigger a resample of the direction.
 RESIDUAL_EPS = 1e-12
@@ -76,10 +76,11 @@ class ProbeSet:
 def _unit_prior(prior: Array) -> Array:
     """``prior`` scaled to unit norm; InvalidPriorError unless its norm is
     finite and at least RESIDUAL_EPS (a NaN norm fails the comparison)."""
-    pn = np.linalg.norm(prior)
+    prior = np.asarray(prior, dtype=float)
+    pn = l2_norm(prior)
     if not pn >= RESIDUAL_EPS or not math.isfinite(pn):
         raise InvalidPriorError(f"prior must have a finite norm >= {RESIDUAL_EPS}, got {pn}")
-    return np.asarray(prior, dtype=float) / pn
+    return prior / pn
 
 
 def _gram_schmidt_rows(raw: Array, prior: Optional[Array], rng: RngHandle) -> Array:
@@ -190,7 +191,7 @@ def g2_variance_reduced(probes_plain: ProbeSet, prior_orig: Array, prior_deriv_o
 
 def cos_sq(a: Array, b: Array) -> float:
     """Squared cosine between a and b; NaN when either is zero."""
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na, nb = l2_norm(a), l2_norm(b)
     if na == 0.0 or nb == 0.0:
         return float("nan")
     return float((a @ b) ** 2 / (na * na * nb * nb))
@@ -201,7 +202,7 @@ def estimate_grad_norm_sq(probes: ProbeSet) -> float:
     if probes.prior_deriv is None:
         raise ConfigError("estimate_grad_norm_sq requires a frame with a prior")
     d, q = probes.frame.dim, probes.frame.q
-    return float(probes.prior_deriv ** 2 + (d - 1) / q * np.sum(probes.dir_derivs ** 2))
+    return float(probes.prior_deriv ** 2 + (d - 1) / q * np.add.reduce(probes.dir_derivs ** 2))
 
 
 def estimate_Dt(probes: ProbeSet, conservative: bool = False) -> float:
@@ -215,7 +216,7 @@ def estimate_Dt(probes: ProbeSet, conservative: bool = False) -> float:
     d, q = probes.frame.dim, probes.frame.q
     factor = (2.0 if conservative else 1.0) * (d - 1) / q
     num = probes.prior_deriv ** 2
-    denom = num + factor * float(np.sum(probes.dir_derivs ** 2))
+    denom = num + factor * float(np.add.reduce(probes.dir_derivs ** 2))
     if denom == 0.0:
         return 0.0  # gradient may genuinely vanish; callers take a zero step
     return float(num / denom)

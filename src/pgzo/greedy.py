@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, sample_unit_sphere
+from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l2_norm,
+                   sample_unit_sphere)
 from .frames import build_frame, cos_sq, probe, subspace_estimate
 from .trace import RunTrace
 
@@ -73,7 +74,7 @@ def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
 
     state.x = state.x - g1 / config.L_hat
     if config.prior_source == "historical":
-        n = np.linalg.norm(g1)
+        n = l2_norm(g1)
         if n > 0.0:  # zero estimate: keep the old prior
             state.prior = g1 / n
     state.last_g1 = g1

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solveh_banded
 
-from .core import Array, ConfigError, ObjectiveSpec, RngHandle, sample_unit_sphere
+from .core import Array, ConfigError, ObjectiveSpec, RngHandle, l2_norm, sample_unit_sphere
 
 FUNCTION_IDS = ("f1", "f2", "f3", "f4")
 
@@ -41,10 +41,14 @@ class BenchFunction:
 
 def _make_f1(d: int) -> BenchFunction:
     def f(x: Array) -> float:
-        return float(0.5 * x[0] ** 2 + 0.5 * np.sum(np.diff(x) ** 2) + 0.5 * x[-1] ** 2 - x[0])
+        # x[1:] - x[:-1] and np.add.reduce are what np.diff and np.sum
+        # compute, without their Python wrappers (same bits).
+        return float(0.5 * x[0] ** 2 + 0.5 * np.add.reduce((x[1:] - x[:-1]) ** 2)
+                     + 0.5 * x[-1] ** 2 - x[0])
 
     def f_batch(pts: Array) -> Array:
-        return (0.5 * pts[:, 0] ** 2 + 0.5 * np.sum(np.diff(pts, axis=1) ** 2, axis=1)
+        diff = pts[:, 1:] - pts[:, :-1]
+        return (0.5 * pts[:, 0] ** 2 + 0.5 * np.add.reduce(diff ** 2, axis=1)
                 + 0.5 * pts[:, -1] ** 2 - pts[:, 0])
 
     def g(x: Array) -> Array:
@@ -89,11 +93,11 @@ def _make_f2(d: int) -> BenchFunction:
 
 def _make_f3(d: int) -> BenchFunction:
     def f(x: Array) -> float:
-        return float(np.sum(100.0 * (x[:-1] ** 2 - x[1:]) ** 2 + (x[:-1] - 1.0) ** 2))
+        return float(np.add.reduce(100.0 * (x[:-1] ** 2 - x[1:]) ** 2 + (x[:-1] - 1.0) ** 2))
 
     def f_batch(pts: Array) -> Array:
         a, b = pts[:, :-1], pts[:, 1:]
-        return np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2, axis=1)
+        return np.add.reduce(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2, axis=1)
 
     def g(x: Array) -> Array:
         out = np.zeros_like(x)
@@ -167,9 +171,9 @@ class BiasedPriorGen:
 
     def __call__(self, grad: Array) -> Array:
         n = self.noise_norm * sample_unit_sphere(self.rng, self.dim)
-        gn = np.linalg.norm(grad)
+        gn = l2_norm(grad)
         v = (self.b + n) if gn == 0.0 else (grad / gn + self.b + n)
-        nv = np.linalg.norm(v)
+        nv = l2_norm(v)
         if nv == 0.0:  # measure-zero cancellation: fall back to the bias
             return self.b.copy()
         return v / nv

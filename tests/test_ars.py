@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from pgzo import ars
 from pgzo.ars import (ArsConfig, ArsState, alpha_beta_gamma, maybe_restart, run_ars,
                       theta_floor, theta_from_D)
-from pgzo.core import ConfigError, InvalidPriorError, RngHandle
+from pgzo.core import ConfigError, InvalidPriorError, OracleHandle, RngHandle
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function, biased_prior_feed
 
@@ -202,6 +203,56 @@ def test_full_basis_ars_matches_first_order_momentum():
         x = y - g / 2.0
         m = m - (theta / alpha) * (d / d) * g
     assert trace.final_f == pytest.approx(fn.eval(x), rel=1e-10)
+
+
+# -- trace values the step already paid for -------------------------------------
+
+def _count_peeks(monkeypatch):
+    calls = []
+    peek = OracleHandle.peek_function_value
+
+    def counting(self, x):
+        calls.append(1)
+        return peek(self, x)
+    monkeypatch.setattr(OracleHandle, "peek_function_value", counting)
+    return calls
+
+
+def _pars_run(variant, oracle_mode):
+    fn = bench_function("f1", 40)
+    q = 8 if variant == "pars_impl" else 10
+    cfg = ArsConfig(L_hat=fn.L, q=q, variant=variant, budget=40 * 3 * (q + 1))
+    return run_ars(fn.as_objective(), cfg, seed=3, prior_feed=biased_feed(fn),
+                   oracle_mode=oracle_mode, diagnostics=False)
+
+
+@pytest.mark.parametrize("variant", ["pars_impl", "pars_est"])
+def test_fd_trace_reuses_base_value_of_first_query(monkeypatch, variant):
+    # Row t logs the f(x_t) the step's first query at x_t differenced
+    # against. Forgetting it after every step forces a fresh read instead;
+    # both runs must log identical rows, counters included.
+    peeks = _count_peeks(monkeypatch)
+    reused = _pars_run(variant, "fd")
+    assert len(peeks) == 2  # f0 and the final row
+    step = ars._STEPPERS[variant]
+
+    def forgetful(state, *args):
+        step(state, *args)
+        state.last_f = None
+    monkeypatch.setitem(ars._STEPPERS, variant, forgetful)
+    peeks.clear()
+    reread = _pars_run(variant, "fd")
+    iterations = int(reread.rows[-1][0])
+    assert iterations > 10
+    assert len(peeks) == iterations + 2
+    assert reused.rows == reread.rows
+
+
+@pytest.mark.parametrize("variant", ["pars_impl", "pars_est"])
+def test_exact_mode_trace_reads_every_iterate(monkeypatch, variant):
+    peeks = _count_peeks(monkeypatch)
+    trace = _pars_run(variant, "exact")
+    assert len(peeks) == int(trace.rows[-1][0]) + 2
 
 
 def test_prior_feed_required():

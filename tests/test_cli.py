@@ -1,6 +1,8 @@
 import os
 
+import pgzo.cli as cli
 from pgzo.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from pgzo.core import InvalidPriorError
 
 
 def test_single_run_writes_outputs(tmp_path, capsys):
@@ -84,3 +86,15 @@ def test_oracle_failure_exit_code(tmp_path, capsys):
                    "--oracle-mode", "exact", "--out", str(tmp_path / "boom")])
     assert rc == cli.EXIT_ORACLE
     assert "oracle failure" in capsys.readouterr().err
+
+
+def test_invalid_prior_exit_code(monkeypatch, capsys):
+    def bad_prior(settings):
+        raise InvalidPriorError("prior must have a finite norm >= 1e-12, got nan")
+    monkeypatch.setattr(cli, "run_from_settings", bad_prior)
+    rc = main(["--function", "f1", "--dim", "10", "--algo", "pars_impl", "--q", "3",
+               "--prior", "biased", "--lhat-scale", "1", "--budget", "100"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("invalid prior:") and "got nan" in err
+    assert len(err.splitlines()) == 1

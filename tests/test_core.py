@@ -3,7 +3,7 @@ import pytest
 
 from pgzo.core import (ConfigError, ObjectiveSpec, OracleFailureError, OracleHandle,
                        RngHandle, UnsupportedDiagnosticError, directional_derivative,
-                       exact_directional_derivative, sample_unit_sphere)
+                       exact_directional_derivative, l2_norm, sample_unit_sphere)
 from pgzo.testfns import bench_function
 
 
@@ -113,6 +113,71 @@ def test_non_finite_value_raises():
     with pytest.raises(OracleFailureError) as exc:
         directional_derivative(oracle, np.zeros(1), np.array([1.0]))
     assert exc.value.point is not None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_non_finite_batch_row_reported(bad, row):
+    def eval_batch(pts):
+        out = pts.sum(axis=1)
+        out[row] = bad
+        return out
+
+    obj = ObjectiveSpec(dim=5, eval=lambda x: float(x.sum()), eval_batch=eval_batch,
+                        x0=np.zeros(5))
+    x, dirs = np.arange(5.0), np.eye(5)
+    with pytest.raises(OracleFailureError) as exc:
+        OracleHandle(obj, mu=1e-3).directional_derivatives(x, dirs)
+    np.testing.assert_array_equal(exc.value.point, 1e-3 * dirs[row] + x)
+
+
+def test_finite_batch_with_overflowing_sum_accepted():
+    # Each value is finite but their sum is not; the check must look at the
+    # values themselves before failing. numpy reports the overflow of that
+    # sum as a RuntimeWarning, silenced here.
+    big = np.finfo(float).max / 2
+    obj = ObjectiveSpec(dim=3, eval=lambda x: big, eval_batch=lambda pts: np.full(len(pts), big),
+                        x0=np.zeros(3))
+    oracle = OracleHandle(obj, mu=1.0)
+    with np.errstate(over="ignore"):
+        vals = oracle.directional_derivatives(np.zeros(3), np.eye(3))
+    np.testing.assert_array_equal(vals, np.zeros(3))
+    assert (oracle.dd_queries, oracle.fn_evals) == (3, 4)
+
+
+def _norm_cases():
+    gen = RngHandle(5).gen
+    cases = {f"random{d}": gen.standard_normal(d) for d in (1, 2, 7, 256, 500)}
+    cases["strided"] = gen.standard_normal(40)[::3]
+    cases["scaled"] = 1e-160 * gen.standard_normal(30)
+    cases["overflow"] = np.full(4, 1e160)
+    cases["zero"] = np.zeros(6)
+    cases["neg_zero"] = np.full(3, -0.0)
+    for name, v in (("inf", np.inf), ("-inf", -np.inf), ("nan", np.nan)):
+        w = gen.standard_normal(9)
+        w[4] = v
+        cases[name] = w
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_norm_cases()))
+def test_l2_norm_bit_identical_to_linalg_norm(case):
+    v = _norm_cases()[case]
+    with np.errstate(over="ignore", under="ignore"):
+        got, ref = l2_norm(v), np.linalg.norm(v)
+    if np.isnan(ref):
+        assert np.isnan(got)
+    else:
+        assert got == ref
+
+
+def test_l2_norm_bit_identical_on_many_lengths():
+    # Summation order is what differs between candidate norm formulas, and
+    # it shows only on some inputs: check hundreds of lengths.
+    gen = RngHandle(6).gen
+    for n in range(1, 601, 2):
+        v = gen.standard_normal(n)
+        assert l2_norm(v) == np.linalg.norm(v)
 
 
 def test_non_unit_direction_rejected():

@@ -182,3 +182,55 @@ def test_prior_feed_closure():
     p = feed(fn.x0 + 1.0)
     assert p.shape == (12,)
     assert abs(np.linalg.norm(p) - 1.0) < 1e-12
+
+
+# -- bit identity with the np.diff / np.sum formulas ---------------------------
+
+def _f1_wrapped(x):
+    return float(0.5 * x[0] ** 2 + 0.5 * np.sum(np.diff(x) ** 2) + 0.5 * x[-1] ** 2 - x[0])
+
+
+def _f1_batch_wrapped(pts):
+    return (0.5 * pts[:, 0] ** 2 + 0.5 * np.sum(np.diff(pts, axis=1) ** 2, axis=1)
+            + 0.5 * pts[:, -1] ** 2 - pts[:, 0])
+
+
+def _f3_wrapped(x):
+    return float(np.sum(100.0 * (x[:-1] ** 2 - x[1:]) ** 2 + (x[:-1] - 1.0) ** 2))
+
+
+def _f3_batch_wrapped(pts):
+    a, b = pts[:, :-1], pts[:, 1:]
+    return np.sum(100.0 * (a * a - b) ** 2 + (a - 1.0) ** 2, axis=1)
+
+
+def _edge_rows(d, seed):
+    """Gaussian rows plus rows of signed zeros, values near 1e150 and ones."""
+    gen = RngHandle(seed).gen
+    pts = 3.0 * gen.standard_normal((7, d))
+    pts[1] = 0.0
+    pts[1, 1::2] = -0.0
+    pts[2] = 1e150 * gen.uniform(0.5, 1.5, d)
+    pts[3] = -pts[2]
+    pts[4, ::2] = -0.0
+    pts[4, 1::2] = 1e150
+    pts[5] = 1.0
+    pts[6, 0] = -0.0
+    return pts
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("d", [2, 3, 256])
+@pytest.mark.parametrize("name,scalar_ref,batch_ref", [
+    ("f1", _f1_wrapped, _f1_batch_wrapped), ("f3", _f3_wrapped, _f3_batch_wrapped)])
+def test_objective_bit_identical_to_wrapper_formulas(name, scalar_ref, batch_ref, d):
+    fn = bench_function(name, d)
+    pts = _edge_rows(d, seed=d)
+    with np.errstate(over="ignore", invalid="ignore"):  # f3 overflows to inf at 1e150
+        _assert_same_bits([fn.eval(p) for p in pts], [scalar_ref(p) for p in pts])
+        _assert_same_bits(fn.eval_batch(pts), batch_ref(pts))
