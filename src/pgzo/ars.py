@@ -28,7 +28,7 @@ from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l
                    sample_unit_sphere)
 from .frames import (_unit_prior, build_frame, cos_sq, estimate_Dt, estimate_grad_norm_sq,
                      g2_unbiased, probe, subspace_estimate)
-from .trace import RunTrace
+from .trace import RunTrace, run_loop
 
 VARIANTS = ("ars", "pars_naive", "pars_est", "pars_impl", "history_pars")
 
@@ -127,7 +127,7 @@ class ArsState:
     last_Dhat: float = float("nan")
     last_C: float = float("nan")
     last_D: float = float("nan")
-    last_guess_passes: int = 0
+    guess_passes: List[int] = field(default_factory=list)  # pars_est, one entry per step
     restarts: int = 0
 
 
@@ -143,46 +143,45 @@ def maybe_restart(state: ArsState, f_y_current: float, config: ArsConfig) -> boo
     return restarted
 
 
-def _diagnose(state: ArsState, oracle: OracleHandle, y: Array, g1: Array, p: Optional[Array]):
-    grad = oracle.gradient_at(y)
-    state.last_C = cos_sq(grad, g1)
-    state.last_D = cos_sq(grad, p) if p is not None else float("nan")
-
-
-def _apply_updates(state: ArsState, config: ArsConfig, y: Array, alpha: float,
-                   gamma_next: float, theta_for_m: float, g1: Array, g2: Array):
+def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
+             theta: float, prior: Optional[Array], diagnostics: bool,
+             diag_prior: Optional[Array] = None):
+    """The step every variant takes once it has chosen theta: mix y, probe a
+    frame around ``prior`` at y, move x along g1 and m along g2, then test for
+    a restart. D_t is measured against ``diag_prior``, or the frame's prior
+    when None. Returns the probes and g1 for the variant's own bookkeeping."""
+    d = oracle.objective.dim
+    alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
+    y = (1.0 - beta) * state.x + beta * state.m
+    frame = build_frame(rng, d, config.q, prior=prior)
+    probes = probe(oracle, y, frame)
+    g1 = subspace_estimate(probes)
+    if config.variant in ("ars", "pars_naive"):
+        g2 = (d / config.q) * g1
+    else:
+        g2 = g2_unbiased(probes)
+    if diagnostics:
+        grad = oracle.gradient_at(y)
+        state.last_C = cos_sq(grad, g1)
+        p = frame.prior if diag_prior is None else diag_prior
+        state.last_D = cos_sq(grad, p) if p is not None else float("nan")
+    state.last_theta = theta
     state.x = y - g1 / config.L_hat
     lam = config.tau_hat * alpha / gamma_next
-    coef = theta_for_m / alpha if alpha > 0.0 else 0.0  # theta=0 limit
+    coef = theta / alpha if alpha > 0.0 else 0.0  # theta=0 limit
     state.m = (1.0 - lam) * state.m + lam * y - coef * g2
     state.gamma = gamma_next
     state.iteration += 1
-
-
-def _finish(state: ArsState, oracle: OracleHandle, config: ArsConfig, y: Array):
     if config.restart:
         maybe_restart(state, oracle.function_value(y), config)
+    return probes, g1
 
 
 def _step_ars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
               prior: Optional[Array] = None, diagnostics: bool = False):
     d = oracle.objective.dim
     theta = config.q ** 2 / (config.L_hat * d * d)
-    alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
-    y = (1.0 - beta) * state.x + beta * state.m
-    if config.variant == "pars_naive":
-        frame = build_frame(rng, d, config.q, prior=prior)
-    else:
-        frame = build_frame(rng, d, config.q)
-    probes = probe(oracle, y, frame)
-    g1 = subspace_estimate(probes)
-    g2 = (d / config.q) * g1
-    if diagnostics:
-        _diagnose(state, oracle, y, g1, frame.prior)
-    state.last_theta = theta
-    _apply_updates(state, config, y, alpha, gamma_next, theta, g1, g2)
-    _finish(state, oracle, config, y)
-    return state
+    _descend(state, oracle, config, rng, theta, prior, diagnostics)
 
 
 def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
@@ -206,25 +205,14 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
     _, beta, _ = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
     y1 = (1.0 - beta) * state.x + beta * state.m
     d1 = float(oracle.directional_derivatives(y1, p[None, :])[0])
-    dhat = clipped_dhat(d1)
-    theta = theta_from_D(dhat, config.q, d, config.L_hat)
+    state.last_Dhat = clipped_dhat(d1)
+    theta = theta_from_D(state.last_Dhat, config.q, d, config.L_hat)
 
-    alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
-    y = (1.0 - beta) * state.x + beta * state.m
-    frame = build_frame(rng, d, config.q, prior=p)
-    probes = probe(oracle, y, frame)
-    g1 = subspace_estimate(probes)
-    g2 = g2_unbiased(probes)
+    # p, not the frame's re-normalised copy of it, is the prior D_t measures
+    probes, _ = _descend(state, oracle, config, rng, theta, p, diagnostics, diag_prior=p)
     state.norm_sq_history.append(estimate_grad_norm_sq(probes))
     if len(state.norm_sq_history) > config.avg_window_k:
         state.norm_sq_history.pop(0)
-    if diagnostics:
-        _diagnose(state, oracle, y, g1, p)
-    state.last_theta = theta
-    state.last_Dhat = dhat
-    _apply_updates(state, config, y, alpha, gamma_next, theta, g1, g2)
-    _finish(state, oracle, config, y)
-    return state
 
 
 def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
@@ -255,44 +243,22 @@ def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng
             break
     if theta is None:
         theta = theta_floor(config.q, d, config.L_hat)
-    alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
-    y = (1.0 - beta) * state.x + beta * state.m
-
-    frame = build_frame(rng, d, config.q, prior=p)  # fresh frame for the estimates
-    probes = probe(oracle, y, frame)
-    g1 = subspace_estimate(probes)
-    g2 = g2_unbiased(probes)
-    if diagnostics:
-        _diagnose(state, oracle, y, g1, p)
-    state.last_theta = theta
-    state.last_guess_passes = passes
-    _apply_updates(state, config, y, alpha, gamma_next, theta, g1, g2)
-    _finish(state, oracle, config, y)
-    return state
+    state.guess_passes.append(passes)
+    # a fresh frame for the estimates; D_t against p as in _step_pars_impl
+    _descend(state, oracle, config, rng, theta, p, diagnostics, diag_prior=p)
 
 
 def _step_history_pars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
                        prior: Optional[Array] = None, diagnostics: bool = False):
     d = oracle.objective.dim
-    theta_used = state.theta_prev
-    alpha, beta, gamma_next = alpha_beta_gamma(theta_used, state.gamma, config.tau_hat)
-    y = (1.0 - beta) * state.x + beta * state.m
-    p = state.v_prev
-    frame = build_frame(rng, d, config.q, prior=p)
-    probes = probe(oracle, y, frame)
-    g1 = subspace_estimate(probes)
-    g2 = g2_unbiased(probes)
+    probes, g1 = _descend(state, oracle, config, rng, state.theta_prev, state.v_prev,
+                          diagnostics)
     # theta for the *next* iteration, from this iteration's probes
     state.theta_prev = theta_from_D(estimate_Dt(probes), config.q, d, config.L_hat)
-    if diagnostics:
-        _diagnose(state, oracle, y, g1, frame.prior)
     state.last_theta = state.theta_prev
-    _apply_updates(state, config, y, alpha, gamma_next, theta_used, g1, g2)
     n = l2_norm(g1)
     if n > 0.0:
         state.v_prev = g1 / n
-    _finish(state, oracle, config, y)
-    return state
 
 
 _STEPPERS: dict[str, Callable] = {
@@ -302,6 +268,7 @@ _STEPPERS: dict[str, Callable] = {
     "pars_est": _step_pars_est,
     "history_pars": _step_history_pars,
 }
+
 
 def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
             prior_feed: Optional[Callable[[Array], Array]] = None, *,
@@ -313,46 +280,23 @@ def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
     needs_prior = config.variant in ("pars_naive", "pars_impl", "pars_est")
     if needs_prior and prior_feed is None:
         raise ConfigError(f"variant {config.variant!r} requires a prior_feed callable")
-    min_cost = config.min_queries_per_iteration
-    if config.budget < min_cost:
-        raise ConfigError(f"budget {config.budget} is below one iteration's cost {min_cost}")
     if diagnostics is None:
         diagnostics = objective.true_gradient is not None
+    stepper = _STEPPERS[config.variant]
 
-    rng = RngHandle(seed)
-    oracle = OracleHandle(objective, mu=mu, mode=oracle_mode)
-    x0 = np.array(objective.x0, dtype=float)
-    state = ArsState(x=x0, m=x0.copy(), gamma=config.gamma0)
-    if config.variant == "history_pars":
-        state.v_prev = sample_unit_sphere(rng, objective.dim)
-    step = _STEPPERS[config.variant]
+    def start(rng: RngHandle, x0: Array) -> ArsState:
+        state = ArsState(x=x0, m=x0.copy(), gamma=config.gamma0)
+        if config.variant == "history_pars":
+            state.v_prev = sample_unit_sphere(rng, objective.dim)
+        return state
 
-    f0 = oracle.peek_function_value(state.x)
-    trace = RunTrace(seed=seed, f0=f0, f_star=objective.f_star)
-    if target_log10 is not None:
-        trace.mark_reached(target_log10, f0, 0)
-
-    while oracle.dd_queries + min_cost <= config.budget:
-        x_here = state.x
-        dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
+    def step(state: ArsState, oracle: OracleHandle, rng: RngHandle):
         prior = prior_feed(state.x) if needs_prior else None
-        step(state, oracle, config, rng, prior, diagnostics)
-        t = state.iteration - 1
-        f_here = state.last_f
-        if f_here is None:  # the step did not pay for f(x_t): an uncharged read
-            f_here = oracle.peek_function_value(x_here)
-        if t % log_every == 0:
-            trace.append(t, dd_before, fn_before, f_here,
-                         state.last_C, state.last_D, state.last_theta)
-        if config.variant == "pars_est":
-            trace.guess_passes.append(state.last_guess_passes)
-        if target_log10 is not None:
-            trace.mark_reached(target_log10, f_here, dd_before)
-            if stop_on_target and trace.reached_queries is not None:
-                break
-    f_final = oracle.peek_function_value(state.x)
-    trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
-    if target_log10 is not None:
-        trace.mark_reached(target_log10, f_final, oracle.dd_queries)
+        stepper(state, oracle, config, rng, prior, diagnostics)
+
+    trace, state = run_loop(objective, seed, config.min_queries_per_iteration, config.budget,
+                            start, step, oracle_mode=oracle_mode, mu=mu, log_every=log_every,
+                            target_log10=target_log10, stop_on_target=stop_on_target)
     trace.restarts = state.restarts
+    trace.guess_passes = state.guess_passes
     return trace

@@ -8,6 +8,7 @@ flags; flags win. Exit codes: 0 success, 2 bad configuration or invalid prior,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
@@ -101,10 +102,8 @@ def _configs_from_settings(settings: dict) -> tuple[List[RunConfig], str]:
         overrides = {k: v for k, v in settings.items()
                      if k in ("budget", "seeds", "mu", "log_every", "diagnostics",
                               "oracle_mode", "dim")}
-        for cfg in configs:
-            for k, v in overrides.items():
-                setattr(cfg, k, v)
-        return configs, out_prefix
+        # replace() re-runs RunConfig's validation on the overridden values
+        return [dataclasses.replace(cfg, **overrides) for cfg in configs], out_prefix
     required = ("function", "dim", "algo", "q", "budget")
     missing = [k for k in required if k not in settings]
     if missing:

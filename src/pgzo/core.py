@@ -47,8 +47,6 @@ class ObjectiveSpec:
     eval: Callable[[Array], float]
     eval_batch: Optional[Callable[[Array], Array]] = None
     true_gradient: Optional[Callable[[Array], Array]] = None
-    smoothness_L: Optional[float] = None
-    strong_convexity_tau: Optional[float] = None
     f_star: Optional[float] = None
     x0: Optional[Array] = None
 
@@ -189,9 +187,7 @@ class OracleHandle:
             else:
                 fv = np.array([self.objective.eval(p) for p in pts], dtype=float)
             self.fn_evals += n
-            # A finite sum means every value is finite; only an overflowing
-            # or non-finite sum needs the elementwise test.
-            if not math.isfinite(np.add.reduce(fv)) and not np.isfinite(fv).all():
+            if not np.isfinite(fv).all():
                 bad = pts[int(np.argmax(~np.isfinite(fv)))]
                 raise OracleFailureError("objective returned non-finite value", bad)
             vals = (fv - base) / self.mu

@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .core import Array, ConfigError, RngHandle, sample_unit_sphere
-from .frames import (ProbeSet, build_frame, g2_unbiased, g2_variance_reduced,
+from .frames import (ProbeSet, build_frame, cos_sq, g2_unbiased, g2_variance_reduced,
                      subspace_estimate)
 from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function
@@ -43,10 +43,6 @@ def _exact_probes(frame, grad: Array) -> ProbeSet:
     return ProbeSet(frame=frame, prior_deriv=pd, dir_derivs=frame.directions @ grad)
 
 
-def _cos_sq(a: Array, b: Array) -> float:
-    return float((a @ b) ** 2 / ((a @ a) * (b @ b)))
-
-
 def _prior_with_quality(grad: Array, D: float, rng: RngHandle) -> Array:
     """Unit vector whose squared cosine with ``grad`` is exactly D."""
     g_hat = grad / np.linalg.norm(grad)
@@ -70,7 +66,7 @@ def mc_rgf_drift(d: int, q: int, n_samples: int, rng: RngHandle) -> tuple[float,
     cs = np.empty(n_samples)
     for i in range(n_samples):
         frame = build_frame(rng, d, q)
-        cs[i] = _cos_sq(grad, subspace_estimate(_exact_probes(frame, grad)))
+        cs[i] = cos_sq(grad, subspace_estimate(_exact_probes(frame, grad)))
     return float(cs.mean()), float(cs.std(ddof=1) / np.sqrt(n_samples))
 
 
@@ -86,7 +82,7 @@ def mc_prgf_drift(d: int, q: int, D_fixed: float, n_samples: int,
     cs = np.empty(n_samples)
     for i in range(n_samples):
         frame = build_frame(rng, d, q, prior=prior)
-        cs[i] = _cos_sq(grad, subspace_estimate(_exact_probes(frame, grad)))
+        cs[i] = cos_sq(grad, subspace_estimate(_exact_probes(frame, grad)))
     return float(cs.mean()), float(cs.std(ddof=1) / np.sqrt(n_samples))
 
 
@@ -128,7 +124,7 @@ def subspace_optimality_margin(d: int, q: int, n_vectors: int, rng: RngHandle,
         grad = sample_unit_sphere(rng, d) * rng.gen.uniform(0.5, 2.0)
         frame = build_frame(rng, d, q)
         g1 = subspace_estimate(_exact_probes(frame, grad))
-        best = _cos_sq(grad, g1)
+        best = cos_sq(grad, g1)
         z = rng.gen.standard_normal((n_vectors, q))
         w = z @ frame.directions
         w /= np.linalg.norm(w, axis=1, keepdims=True)

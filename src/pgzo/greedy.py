@@ -11,12 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-import numpy as np
-
 from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l2_norm,
                    sample_unit_sphere)
 from .frames import build_frame, cos_sq, probe, subspace_estimate
-from .trace import RunTrace
+from .trace import RunTrace, run_loop
 
 PRIOR_SOURCES = ("none", "historical", "external")
 
@@ -50,6 +48,7 @@ class GreedyState:
     last_f: Optional[float] = None    # f at the last step's start, if its probes paid for it
     last_C: float = float("nan")
     last_D: float = float("nan")
+    last_theta: float = float("nan")  # greedy has no step coefficient; logged as NaN
 
 
 def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
@@ -97,41 +96,21 @@ def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
     ``target_log10`` marks (and with ``stop_on_target`` ends at) the first
     crossing of a relative-error level.
     """
-    cost = config.queries_per_iteration
-    if config.budget < cost:
-        raise ConfigError(f"budget {config.budget} is below one iteration's cost {cost}")
     if config.prior_source == "external" and prior_feed is None:
         raise ConfigError("prior_source='external' requires a prior_feed callable")
     if diagnostics is None:
         diagnostics = objective.true_gradient is not None
 
-    rng = RngHandle(seed)
-    oracle = OracleHandle(objective, mu=mu, mode=oracle_mode)
-    state = GreedyState(x=np.array(objective.x0, dtype=float))
-    if config.prior_source == "historical":
-        state.prior = sample_unit_sphere(rng, objective.dim)
+    def start(rng: RngHandle, x0: Array) -> GreedyState:
+        state = GreedyState(x=x0)
+        if config.prior_source == "historical":
+            state.prior = sample_unit_sphere(rng, objective.dim)
+        return state
 
-    f0 = oracle.peek_function_value(state.x)
-    trace = RunTrace(seed=seed, f0=f0, f_star=objective.f_star)
-    if target_log10 is not None:
-        trace.mark_reached(target_log10, f0, 0)
-
-    while oracle.dd_queries + cost <= config.budget:
-        x_here = state.x
-        dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
+    def step(state: GreedyState, oracle: OracleHandle, rng: RngHandle):
         greedy_step(state, oracle, config, rng, prior_feed, diagnostics)
-        t = state.iteration - 1  # index of the iterate the step started from
-        f_here = state.last_f
-        if f_here is None:  # exact oracle: an uncharged read
-            f_here = oracle.peek_function_value(x_here)
-        if t % log_every == 0:
-            trace.append(t, dd_before, fn_before, f_here, state.last_C, state.last_D)
-        if target_log10 is not None:
-            trace.mark_reached(target_log10, f_here, dd_before)
-            if stop_on_target and trace.reached_queries is not None:
-                break
-    f_final = oracle.peek_function_value(state.x)
-    trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
-    if target_log10 is not None:
-        trace.mark_reached(target_log10, f_final, oracle.dd_queries)
+
+    trace, _ = run_loop(objective, seed, config.queries_per_iteration, config.budget,
+                        start, step, oracle_mode=oracle_mode, mu=mu, log_every=log_every,
+                        target_log10=target_log10, stop_on_target=stop_on_target)
     return trace

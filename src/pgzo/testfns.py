@@ -34,9 +34,7 @@ class BenchFunction:
 
     def as_objective(self) -> ObjectiveSpec:
         return ObjectiveSpec(dim=self.dim, eval=self.eval, eval_batch=self.eval_batch,
-                             true_gradient=self.grad, smoothness_L=self.L,
-                             strong_convexity_tau=self.tau, f_star=self.f_star,
-                             x0=self.x0)
+                             true_gradient=self.grad, f_star=self.f_star, x0=self.x0)
 
 
 def _make_f1(d: int) -> BenchFunction:

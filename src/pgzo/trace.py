@@ -1,14 +1,14 @@
-"""Per-iteration run traces shared by the optimizers and the bench harness."""
+"""Per-iteration run traces and the budgeted run loop shared by the optimizers."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array
+from .core import Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle
 
 COLUMNS = ("iteration", "dd_queries", "fn_evals", "f_value",
            "log10_rel_err", "C_t", "D_t", "theta_t")
@@ -59,3 +59,50 @@ class RunTrace:
     def mark_reached(self, target_log10: float, f_value: float, dd_queries: int):
         if self.reached_queries is None and self.log10_rel_err(f_value) <= target_log10:
             self.reached_queries = dd_queries
+
+
+def run_loop(objective: ObjectiveSpec, seed: int, cost: int, budget: int,
+             start: Callable, step: Callable, *, oracle_mode: str, mu: float,
+             log_every: int, target_log10: Optional[float],
+             stop_on_target: bool) -> tuple[RunTrace, object]:
+    """Step from x0 while another iteration of ``cost`` queries fits the budget.
+
+    ``start(rng, x0)`` builds the optimizer state and ``step(state, oracle,
+    rng)`` advances it by one iteration. The state carries ``x``,
+    ``iteration`` and the step's ``last_C``/``last_D``/``last_theta``;
+    ``last_f`` is f(x_t) when the step's own queries paid for it, else None
+    and row t reads f(x_t) uncharged. Returns the trace and the final state.
+    """
+    if budget < cost:
+        raise ConfigError(f"budget {budget} is below one iteration's cost {cost}")
+    if log_every < 1:
+        raise ConfigError(f"log_every must be >= 1, got {log_every}")
+    rng = RngHandle(seed)
+    oracle = OracleHandle(objective, mu=mu, mode=oracle_mode)
+    state = start(rng, np.array(objective.x0, dtype=float))
+
+    f0 = oracle.peek_function_value(state.x)
+    trace = RunTrace(seed=seed, f0=f0, f_star=objective.f_star)
+    if target_log10 is not None:
+        trace.mark_reached(target_log10, f0, 0)
+
+    while oracle.dd_queries + cost <= budget:
+        x_here = state.x
+        dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
+        step(state, oracle, rng)
+        t = state.iteration - 1  # index of the iterate the step started from
+        f_here = state.last_f
+        if f_here is None:
+            f_here = oracle.peek_function_value(x_here)
+        if t % log_every == 0:
+            trace.append(t, dd_before, fn_before, f_here,
+                         state.last_C, state.last_D, state.last_theta)
+        if target_log10 is not None:
+            trace.mark_reached(target_log10, f_here, dd_before)
+            if stop_on_target and trace.reached_queries is not None:
+                break
+    f_final = oracle.peek_function_value(state.x)
+    trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
+    if target_log10 is not None:
+        trace.mark_reached(target_log10, f_final, oracle.dd_queries)
+    return trace, state

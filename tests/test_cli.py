@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 import pgzo.cli as cli
 from pgzo.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from pgzo.core import InvalidPriorError
@@ -97,4 +99,18 @@ def test_invalid_prior_exit_code(monkeypatch, capsys):
     assert rc == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("invalid prior:") and "got nan" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (["--function", "f1", "--dim", "10", "--algo", "rgf", "--q", "2", "--budget", "100",
+      "--lhat-scale", "1", "--log-every", "0"], "log_every"),
+    (["--preset", "fig1_f1", "--log-every", "0"], "log_every"),
+    (["--preset", "fig1_f1", "--seeds", ""], "seed"),  # overrides are re-validated
+])
+def test_bad_setting_exit_code(tmp_path, capsys, argv, reason):
+    rc = main(argv + ["--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and reason in err
     assert len(err.splitlines()) == 1

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from pgzo.testfns import bench_function
 def half_norm_sq(d=2):
     return ObjectiveSpec(dim=d, eval=lambda x: 0.5 * float(x @ x),
                          true_gradient=lambda x: x.copy(),
-                         smoothness_L=1.0, f_star=0.0, x0=np.zeros(d))
+                         f_star=0.0, x0=np.zeros(d))
 
 
 def test_forward_difference_quadratic():
@@ -132,14 +134,14 @@ def test_non_finite_batch_row_reported(bad, row):
 
 
 def test_finite_batch_with_overflowing_sum_accepted():
-    # Each value is finite but their sum is not; the check must look at the
-    # values themselves before failing. numpy reports the overflow of that
-    # sum as a RuntimeWarning, silenced here.
+    # Each value is finite but their sum is not; the check must pass such a
+    # batch silently, with no overflow warning and no FloatingPointError.
     big = np.finfo(float).max / 2
     obj = ObjectiveSpec(dim=3, eval=lambda x: big, eval_batch=lambda pts: np.full(len(pts), big),
                         x0=np.zeros(3))
     oracle = OracleHandle(obj, mu=1.0)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
         vals = oracle.directional_derivatives(np.zeros(3), np.eye(3))
     np.testing.assert_array_equal(vals, np.zeros(3))
     assert (oracle.dd_queries, oracle.fn_evals) == (3, 4)

@@ -9,7 +9,7 @@ from pgzo.testfns import bench_function
 def half_norm_sq(d=2):
     return ObjectiveSpec(dim=d, eval=lambda x: 0.5 * float(x @ x),
                          true_gradient=lambda x: x.copy(),
-                         smoothness_L=1.0, f_star=0.0, x0=np.zeros(d))
+                         f_star=0.0, x0=np.zeros(d))
 
 
 def manual_step_along(v, x, obj, L_hat):

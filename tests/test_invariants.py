@@ -1,10 +1,14 @@
 """Cross-module invariants: accounting details, drift compensation, and the
 smooth-convex greedy bound at the documented iteration counts."""
 
+import dataclasses
+
 import numpy as np
+import pytest
 
 from pgzo.ars import ArsConfig, run_ars
-from pgzo.core import OracleHandle, RngHandle
+from pgzo.bench import RunConfig, run_single
+from pgzo.core import ConfigError, OracleHandle, RngHandle
 from pgzo.diagnostics import BoundCheck, bound_report_csv, check_theorem_bounds
 from pgzo.frames import build_frame, estimate_grad_norm_sq, probe
 from pgzo.greedy import GreedyConfig, run_greedy
@@ -176,3 +180,57 @@ def test_probe_base_cache_shared_within_iteration():
     assert oracle.fn_evals == 5
     probe(oracle, x, build_frame(rng, 15, 4))  # same base point: no new base eval
     assert oracle.fn_evals == 9
+
+
+# -- the run driver both families share ----------------------------------------
+
+_ALGO_PRIORS = {"rgf": "none", "prgf": "biased", "history_prgf": "historical",
+                "ars": "none", "pars_naive": "biased", "pars_impl": "biased",
+                "pars_est": "biased", "history_pars": "historical"}
+
+
+@pytest.mark.parametrize("mode", ["fd", "exact"])
+@pytest.mark.parametrize("algo", list(_ALGO_PRIORS))
+def test_run_driver_contract(monkeypatch, algo, mode):
+    spent = []
+    dd = OracleHandle.directional_derivatives
+
+    def counting(self, x, directions):
+        spent.append(directions.shape[0])
+        return dd(self, x, directions)
+    monkeypatch.setattr(OracleHandle, "directional_derivatives", counting)
+
+    fn = bench_function("f2", 20)
+    cfg = RunConfig(function="f2", dim=20, algo=algo, q=4, budget=600, lhat_scale=1.0,
+                    prior=_ALGO_PRIORS[algo], oracle_mode=mode, diagnostics=True)
+    full = run_single(cfg, 5)
+    iterations = full.rows[-1][0]
+    assert iterations == len(full.rows) - 1 > 6
+    assert full.rows[0][:2] == (0, 0) and full.rows[0][3] == full.f0 == fn.eval(fn.x0)
+    assert full.final_queries == sum(spent)
+    assert len(full.guess_passes) == (iterations if algo == "pars_est" else 0)
+
+    thinned = run_single(dataclasses.replace(cfg, log_every=3), 5)
+    # repr: exact for floats, and NaN diagnostics compare equal
+    kept = [r for r in full.rows[:-1] if r[0] % 3 == 0] + [full.rows[-1]]
+    assert repr(thinned.rows) == repr(kept)
+
+    # stop at the first row whose error reaches that of a row midway through
+    target = full.rows[iterations // 2][4]
+    first = next(i for i, r in enumerate(full.rows) if r[4] <= target)
+    stopped = run_single(dataclasses.replace(cfg, target_log10=target, stop_on_target=True), 5)
+    assert stopped.reached_queries == full.rows[first][1]
+    assert repr(stopped.rows[:-1]) == repr(full.rows[:first + 1])
+    assert repr(stopped.rows[-1][:5]) == repr(full.rows[first + 1][:5])
+    assert len(stopped.guess_passes) == (first + 1 if algo == "pars_est" else 0)
+
+
+@pytest.mark.parametrize("log_every", [0, -1])
+def test_log_every_below_one_rejected(log_every):
+    fn = bench_function("f2", 10)
+    with pytest.raises(ConfigError, match="log_every"):
+        run_greedy(fn.as_objective(), GreedyConfig(L_hat=2.0, q=3, budget=30), 0,
+                   log_every=log_every)
+    with pytest.raises(ConfigError, match="log_every"):
+        run_ars(fn.as_objective(), ArsConfig(L_hat=2.0, q=3, budget=30), 0,
+                log_every=log_every)

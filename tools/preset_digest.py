@@ -10,10 +10,16 @@ one SHA-256 over every CSV's file name and bytes, in file-name order. A
 change that keeps every trace bit-identical prints the same digest as its
 parent.
 
-No preset runs ``pars_est``. ``--extended`` adds one small ``pars_est`` run
-(f1, d=256, biased prior, fixed seeds) to the hashed CSVs and prints that
-digest instead. pgzo is imported from the ``src`` of this checkout, or from
-``--src DIR``, so the same tool can hash another checkout's traces.
+No preset runs ``pars_est``, and the CSVs hold neither the target crossing
+nor the ARS restart and guess-pass counts. ``--extended`` adds one small
+``pars_est`` run (f1, d=256, biased prior, fixed seeds) to the hashed CSVs,
+plus a run matrix hashed from the traces themselves: all eight algorithms on
+f1 and f2 at d=40, fd and exact oracles, diagnostics on, every third row,
+a stopping target of log10 error -3 and restarts on for the ARS family,
+seeds 0 and 1; each run hashes its rows, ``reached_queries``, ``restarts``
+and ``guess_passes``. It prints that digest instead (about 10 s). pgzo is
+imported from the ``src`` of this checkout, or from ``--src DIR``, so the
+same tool can hash another checkout's traces.
 """
 
 from __future__ import annotations
@@ -29,6 +35,26 @@ SEEDS = (0, 1)
 BUDGET = 11 * 300
 PARS_EST = {"function": "f1", "dim": 256, "algo": "pars_est", "q": 10, "prior": "biased",
             "lhat_scale": 1.0, "label": "PARS-Est"}
+MATRIX_PRIORS = {"rgf": "none", "prgf": "biased", "history_prgf": "historical",
+                 "ars": "none", "pars_naive": "biased", "pars_impl": "biased",
+                 "pars_est": "biased", "history_pars": "historical"}
+
+
+def hash_matrix(digest) -> None:
+    from pgzo.bench import ARS_ALGOS, RunConfig, run_single
+
+    for algo, prior in MATRIX_PRIORS.items():
+        for function in ("f1", "f2"):
+            for mode in ("fd", "exact"):
+                cfg = RunConfig(function=function, dim=40, algo=algo, q=5, budget=2400,
+                                lhat_scale=1.0, prior=prior, oracle_mode=mode,
+                                diagnostics=True, log_every=3, target_log10=-3.0,
+                                stop_on_target=True, restart=algo in ARS_ALGOS)
+                for seed in SEEDS:
+                    tr = run_single(cfg, seed)
+                    # repr round-trips every float exactly
+                    digest.update(repr((algo, function, mode, seed, tr.rows, tr.reached_queries,
+                                        tr.restarts, tr.guess_passes)).encode())
 
 
 def preset_digest(extended: bool = False) -> str:
@@ -44,12 +70,15 @@ def preset_digest(extended: bool = False) -> str:
                                    out=str(Path(tmp) / name)))
         for csv in sorted(Path(tmp).glob("*.csv")):
             digest.update(csv.name.encode() + b"\0" + csv.read_bytes())
+    if extended:
+        hash_matrix(digest)
     return digest.hexdigest()
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--extended", action="store_true", help="also hash one pars_est run")
+    ap.add_argument("--extended", action="store_true",
+                    help="also hash one pars_est run and the run matrix")
     ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                     help="directory that holds the pgzo package (default: this checkout's src)")
     args = ap.parse_args()
