@@ -31,6 +31,10 @@ from .frames import (_unit_prior, build_frame, cos_sq, estimate_Dt, estimate_gra
 from .trace import RunTrace, run_loop
 
 VARIANTS = ("ars", "pars_naive", "pars_est", "pars_impl", "history_pars")
+B_UB = 0.6          # pars_impl: upper clip on the estimated prior quality D̂
+AVG_WINDOW_K = 10   # pars_impl: gradient-norm estimates in the running average
+KAPPA = 0.9         # pars_est: guess discount on the conservative theta bound
+MAX_GUESS = 8       # pars_est: guess/verify passes per step
 
 
 def theta_from_D(D: float, q: int, d: int, L_hat: float) -> float:
@@ -73,12 +77,8 @@ class ArsConfig:
     variant: str = "ars"
     tau_hat: float = 0.0
     gamma0: Optional[float] = None   # defaults to L_hat
-    B_ub: float = 0.6
-    avg_window_k: int = 10
     restart: bool = False
     budget: int = 0
-    kappa: float = 0.9               # pars_est guess discount
-    max_guess: int = 8
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -93,12 +93,6 @@ class ArsConfig:
             self.gamma0 = self.L_hat
         if self.gamma0 < self.tau_hat or self.gamma0 <= 0.0:
             raise ConfigError(f"gamma0 must be positive and >= tau_hat, got {self.gamma0}")
-        if not 0.0 < self.B_ub <= 1.0:
-            raise ConfigError(f"B_ub must lie in (0, 1], got {self.B_ub}")
-        if self.avg_window_k < 1:
-            raise ConfigError(f"avg_window_k must be >= 1, got {self.avg_window_k}")
-        if not 0.0 < self.kappa <= 1.0:
-            raise ConfigError(f"kappa must lie in (0, 1], got {self.kappa}")
 
     @property
     def min_queries_per_iteration(self) -> int:
@@ -195,7 +189,7 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
     def clipped_dhat(deriv: float) -> float:
         if avg <= 0.0:
             return 0.0  # no norm history yet: fall back to the theta floor
-        return min(deriv * deriv / avg, config.B_ub)
+        return min(deriv * deriv / avg, B_UB)
 
     # fixed-point pass 1: evaluate the prior derivative at y^(0) = x_t
     d0 = float(oracle.directional_derivatives(state.x, p[None, :])[0])
@@ -211,7 +205,7 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
     # p, not the frame's re-normalised copy of it, is the prior D_t measures
     probes, _ = _descend(state, oracle, config, rng, theta, p, diagnostics, diag_prior=p)
     state.norm_sq_history.append(estimate_grad_norm_sq(probes))
-    if len(state.norm_sq_history) > config.avg_window_k:
+    if len(state.norm_sq_history) > AVG_WINDOW_K:
         state.norm_sq_history.pop(0)
 
 
@@ -230,10 +224,10 @@ def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng
     state.last_f = oracle.last_base_f
     theta = None
     passes = 0
-    for _ in range(config.max_guess):
+    for _ in range(MAX_GUESS):
         if oracle.dd_queries + 2 * pass_cost > config.budget:
             break  # keep the verify pass plus the final resample affordable
-        guess = config.kappa * theta_bound
+        guess = KAPPA * theta_bound
         _, beta, _ = alpha_beta_gamma(guess, state.gamma, config.tau_hat)
         y_guess = (1.0 - beta) * state.x + beta * state.m
         passes += 1

@@ -44,7 +44,6 @@ class RunConfig:
     target_log10: Optional[float] = None
     stop_on_target: bool = False
     label: str = ""
-    out: Optional[str] = None
 
     def __post_init__(self):
         if self.algo not in GREEDY_ALGOS + ARS_ALGOS:
@@ -83,9 +82,6 @@ class BatchResult:
 
     def mean_final_log10(self) -> float:
         return float(np.mean([t.rows[-1][4] for t in self.traces]))
-
-    def reach_queries(self) -> List[Optional[int]]:
-        return [t.reached_queries for t in self.traces]
 
 
 def run_single(config: RunConfig, seed: int) -> RunTrace:
@@ -128,11 +124,11 @@ def _values_for_aggregation(trace: RunTrace) -> np.ndarray:
 
 
 def aggregate_traces(traces: List[RunTrace], label: str = "") -> Aggregate:
-    """Resample traces onto the first trace's query grid (last value carried
+    """Resample traces onto the union of their query grids (last value carried
     forward) and form the seed mean with a 95% t-interval."""
     if not traces:
         raise ConfigError("no traces to aggregate")
-    grid = traces[0].column("dd_queries")
+    grid = np.unique(np.concatenate([tr.column("dd_queries") for tr in traces]))
     n = len(traces)
     mat = np.empty((n, len(grid)))
     for i, tr in enumerate(traces):

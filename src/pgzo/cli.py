@@ -85,12 +85,7 @@ def _merge_settings(args: argparse.Namespace) -> dict:
     settings: dict = {}
     if args.config:
         settings.update(_parse_config_file(args.config))
-    for key in ("preset", "function", "dim", "algo", "q", "lhat", "lhat_scale",
-                "tau_hat", "mu", "budget", "seeds", "prior", "restart", "gamma0",
-                "oracle_mode", "log_every", "diagnostics", "out"):
-        val = getattr(args, key)
-        if val is not None:
-            settings[key] = val
+    settings.update((k, v) for k, v in vars(args).items() if k != "config" and v is not None)
     return {k: _coerce(k, v) for k, v in settings.items()}
 
 

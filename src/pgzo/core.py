@@ -107,7 +107,6 @@ class OracleHandle:
     fn_evals: int = 0
     _base_x: Optional[Array] = field(default=None, repr=False)
     _base_f: float = field(default=np.nan, repr=False)
-    _base_grad: Optional[Array] = field(default=None, repr=False)
     last_base_f: Optional[float] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -143,7 +142,6 @@ class OracleHandle:
         if not self._is_cached(x):
             self._base_x = np.array(x, dtype=float, copy=True)
             self._base_f = self._eval_raw(x)
-            self._base_grad = None
             self.fn_evals += 1
         return self._base_f
 
@@ -154,15 +152,10 @@ class OracleHandle:
         return self._eval_raw(x)
 
     def gradient_at(self, x: Array) -> Array:
-        """True gradient at x (diagnostics / exact mode); cached per base point."""
+        """True gradient at x (diagnostics / exact mode); never counted."""
         if self.objective.true_gradient is None:
             raise UnsupportedDiagnosticError("objective has no true_gradient")
-        if self._is_cached(x) and self._base_grad is not None:
-            return self._base_grad
-        g = np.asarray(self.objective.true_gradient(x), dtype=float)
-        if self._is_cached(x):
-            self._base_grad = g
-        return g
+        return np.asarray(self.objective.true_gradient(x), dtype=float)
 
     # -- query paths ---------------------------------------------------------
 

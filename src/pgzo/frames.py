@@ -17,7 +17,7 @@ from scipy.linalg import lapack
 
 from .core import Array, ConfigError, InvalidPriorError, OracleHandle, RngHandle, l2_norm
 
-# Gram-Schmidt residuals below this trigger a resample of the direction.
+# Smallest prior norm a frame accepts.
 RESIDUAL_EPS = 1e-12
 
 
@@ -83,29 +83,6 @@ def _unit_prior(prior: Array) -> Array:
     return prior / pn
 
 
-def _gram_schmidt_rows(raw: Array, prior: Optional[Array], rng: RngHandle) -> Array:
-    """Reference construction: project each draw against the prior and all
-    earlier directions, normalize, resample on near-zero residuals."""
-    q, d = raw.shape
-    out = np.empty((q, d))
-    for j in range(q):
-        v = raw[j]
-        for _ in range(64):
-            w = v.copy()
-            if prior is not None:
-                w -= (prior @ w) * prior
-            for k in range(j):
-                w -= (out[k] @ w) * out[k]
-            n = np.linalg.norm(w)
-            if n >= RESIDUAL_EPS:
-                out[j] = w / n
-                break
-            v = rng.gen.standard_normal(d)  # probability-zero degenerate draw
-        else:
-            raise ConfigError("could not build an orthonormal frame (d too small?)")
-    return out
-
-
 def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -> OrthonormalFrame:
     """Sample q directions uniformly and orthonormalize them (and the prior).
 
@@ -123,28 +100,27 @@ def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -
     elif q > d:
         raise ConfigError(f"q={q} exceeds dimension d={d}")
 
-    raw = rng.gen.standard_normal((q, d))
     if p is None:
-        rows = np.empty((q, d))
-        dirs = rows
+        rows = dirs = np.empty((q, d))
     else:
         rows = np.empty((q + 1, d))
         rows[0] = p
         dirs = rows[1:]
-        raw -= (raw @ p)[:, None] * p
     # Cholesky-QR: identical to Gram-Schmidt in exact arithmetic, one LAPACK
     # call instead of q passes. The Cholesky diagonal equals the per-direction
-    # Gram-Schmidt residual norms; anywhere near degeneracy (where CholQR's
-    # conditioning degrades) falls back to the stable explicit construction.
-    gram = raw @ raw.T
-    chol, info = lapack.dpotrf(gram, lower=1)
-    if info == 0 and chol.diagonal().min() >= 1e-6:
-        inv_l, info2 = lapack.dtrtri(chol, lower=1)
-        if info2 == 0:
-            np.matmul(inv_l, raw, out=dirs)
-            return OrthonormalFrame.from_rows(rows, p is not None, d)
-    dirs[...] = _gram_schmidt_rows(raw, p, rng)
-    return OrthonormalFrame.from_rows(rows, p is not None, d)
+    # Gram-Schmidt residual norms; a draw anywhere near degeneracy (where
+    # CholQR's conditioning degrades) is discarded and the whole block redrawn.
+    for _ in range(64):
+        raw = rng.gen.standard_normal((q, d))
+        if p is not None:
+            raw -= (raw @ p)[:, None] * p
+        chol, info = lapack.dpotrf(raw @ raw.T, lower=1)
+        if info == 0 and chol.diagonal().min() >= 1e-6:
+            inv_l, info2 = lapack.dtrtri(chol, lower=1)
+            if info2 == 0:
+                np.matmul(inv_l, raw, out=dirs)
+                return OrthonormalFrame.from_rows(rows, p is not None, d)
+    raise ConfigError("could not build an orthonormal frame (d too small?)")
 
 
 def probe(oracle: OracleHandle, x: Array, frame: OrthonormalFrame) -> ProbeSet:

@@ -132,9 +132,9 @@ def test_theta_floor_across_run():
 
 def test_pars_impl_dhat_clipped():
     fn = bench_function("f2", 30)
-    cfg = ArsConfig(L_hat=2.0, q=8, variant="pars_impl", budget=11 * 60, B_ub=0.6)
+    cfg = ArsConfig(L_hat=2.0, q=8, variant="pars_impl", budget=11 * 60)
     obj = fn.as_objective()
-    # perfect prior: estimated quality must still be clipped at B_ub
+    # perfect prior: estimated quality must still be clipped at B_UB = 0.6
     feed = lambda x: fn.grad(x)
     trace = run_ars(obj, cfg, seed=0, prior_feed=feed, diagnostics=False)
     assert trace.final_queries == 11 * 60
@@ -286,5 +286,3 @@ def test_config_validation():
         ArsConfig(L_hat=1.0, q=5, variant="nope", budget=100)
     with pytest.raises(ConfigError):
         ArsConfig(L_hat=1.0, q=5, tau_hat=2.0, gamma0=1.0, budget=100)
-    with pytest.raises(ConfigError):
-        ArsConfig(L_hat=1.0, q=5, B_ub=0.0, budget=100)

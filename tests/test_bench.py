@@ -138,3 +138,29 @@ def test_emit_csv_bad_path_raises_oserror():
     res = run_batch(small_config(seeds=(0,)))
     with pytest.raises(OSError, match="no/such/dir"):
         emit_csv(res.traces, "/no/such/dir/out.csv")
+
+
+def hand_trace(seed, points):
+    tr = RunTrace(seed=seed, f0=1.0, f_star=0.0)
+    for it, (q, f) in enumerate(points):
+        tr.append(it, q, q, f)
+    return tr
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_aggregate_uses_union_of_query_grids(order):
+    short = hand_trace(0, [(0, 1.0), (10, 0.1), (20, 0.01)])
+    long = hand_trace(1, [(0, 1.0), (5, 0.1), (15, 0.001), (25, 1e-5)])
+    agg = aggregate_traces([short, long][::order])
+    np.testing.assert_array_equal(agg.grid, [0, 5, 10, 15, 20, 25])
+    # each trace carries its last value forward past its own end
+    np.testing.assert_allclose(agg.mean, [0.0, -0.5, -1.0, -2.0, -2.5, -3.5], atol=1e-12)
+
+
+def test_band_reaches_target_when_every_seed_does():
+    res = run_batch(RunConfig(function="f2", dim=64, algo="rgf", q=11, budget=33000,
+                              lhat_scale=1.0, seeds=(2, 0, 1), target_log10=-1.0,
+                              stop_on_target=True))
+    assert all(tr.reached_queries is not None for tr in res.traces)
+    assert res.aggregate.grid[-1] == max(tr.final_queries for tr in res.traces)
+    assert res.aggregate.mean[-1] <= -1.0

@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
 from pgzo.core import ConfigError, InvalidPriorError, OracleHandle, RngHandle
-from pgzo.frames import (OrthonormalFrame, ProbeSet, _gram_schmidt_rows, build_frame,
-                         estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
-                         g2_variance_reduced, probe, subspace_estimate)
+from pgzo.frames import (OrthonormalFrame, ProbeSet, build_frame, estimate_Dt,
+                         estimate_grad_norm_sq, g2_unbiased, g2_variance_reduced, probe,
+                         subspace_estimate)
 from pgzo.testfns import bench_function
 
 
@@ -46,14 +48,70 @@ def test_frame_prior_kept_unrotated():
     np.testing.assert_allclose(frame.prior, prior / 5.0, atol=1e-15)
 
 
+def gram_schmidt_rows(raw, prior):
+    """Reference construction: project each draw against the prior and all
+    earlier directions, then normalize."""
+    q, d = raw.shape
+    out = np.empty((q, d))
+    for j in range(q):
+        w = raw[j].copy()
+        if prior is not None:
+            w -= (prior @ w) * prior
+        for k in range(j):
+            w -= (out[k] @ w) * out[k]
+        n = np.linalg.norm(w)
+        assert n >= 1e-12, "degenerate draw"
+        out[j] = w / n
+    return out
+
+
 def test_fast_path_matches_reference_gram_schmidt():
-    rng1, rng2 = RngHandle(11), RngHandle(11)
     prior = np.ones(8) / np.sqrt(8)
-    raw = rng1.gen.standard_normal((4, 8))
+    raw = RngHandle(11).gen.standard_normal((4, 8))
     projected = raw - np.outer(raw @ prior, prior)
-    ref = _gram_schmidt_rows(projected, prior, rng2)
+    ref = gram_schmidt_rows(projected, prior)
     fast = build_frame(RngHandle(11), 8, 4, prior=prior)
     np.testing.assert_allclose(fast.directions, ref, atol=1e-9)
+
+
+class ScriptedGen:
+    """Generator stand-in: hands out ``blocks`` in order, then draws from
+    ``then`` (a numpy Generator) when given."""
+
+    def __init__(self, blocks, then=None):
+        self.blocks, self.then, self.calls = list(blocks), then, 0
+
+    def standard_normal(self, shape):
+        self.calls += 1
+        if self.blocks:
+            return self.blocks.pop(0)
+        if self.then is not None:
+            return self.then.standard_normal(shape)
+        return np.zeros(shape)
+
+
+@pytest.mark.parametrize("with_prior", [False, True])
+def test_rank_deficient_draw_is_redrawn(with_prior):
+    d, q = 9, 4
+    prior = RngHandle(5).gen.standard_normal(d) if with_prior else None
+    equal_rows = np.tile(RngHandle(6).gen.standard_normal(d), (q, 1))
+    gen = ScriptedGen([equal_rows], then=RngHandle(3).gen)
+    frame = build_frame(SimpleNamespace(gen=gen), d, q, prior=prior)
+    assert gen.calls == 2
+    stacked = frame.stacked()
+    n = stacked.shape[0]
+    assert np.abs(stacked @ stacked.T - np.eye(n)).max() < 1e-10
+    # the second block is used exactly as a first successful draw would be
+    np.testing.assert_array_equal(stacked, build_frame(RngHandle(3), d, q, prior=prior).stacked())
+
+
+@pytest.mark.parametrize("with_prior", [False, True])
+def test_all_zero_draws_raise_config_error(with_prior):
+    prior = np.ones(6) if with_prior else None
+    gen = ScriptedGen([])
+    with pytest.raises(ConfigError, match="orthonormal frame"):
+        build_frame(SimpleNamespace(gen=gen), 6, 3, prior=prior)
+    assert gen.calls == 64
 
 
 def reference_cholqr_frame(seed, d, q, prior):

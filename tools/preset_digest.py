@@ -17,9 +17,13 @@ plus a run matrix hashed from the traces themselves: all eight algorithms on
 f1 and f2 at d=40, fd and exact oracles, diagnostics on, every third row,
 a stopping target of log10 error -3 and restarts on for the ARS family,
 seeds 0 and 1; each run hashes its rows, ``reached_queries``, ``restarts``
-and ``guess_passes``. It prints that digest instead (about 10 s). pgzo is
-imported from the ``src`` of this checkout, or from ``--src DIR``, so the
-same tool can hash another checkout's traces.
+and ``guess_passes``. It also hashes the results of small Monte-Carlo
+checks whose frames have q at or near d: ``mc_rgf_drift`` at (d, q) = (3, 3)
+and (10, 3), ``mc_prgf_drift`` at (4, 3), ``mc_g2_moments`` at (6, 2), plain
+and variance-reduced, ``subspace_optimality_margin`` at (3, 2) and
+``check_lemma36`` at (20, 4). It prints that digest instead (about 10 s).
+pgzo is imported from the ``src`` of this checkout, or from ``--src DIR``,
+so the same tool can hash another checkout's traces.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ PARS_EST = {"function": "f1", "dim": 256, "algo": "pars_est", "q": 10, "prior": 
 MATRIX_PRIORS = {"rgf": "none", "prgf": "biased", "history_prgf": "historical",
                  "ars": "none", "pars_naive": "biased", "pars_impl": "biased",
                  "pars_est": "biased", "history_pars": "historical"}
+MC_SAMPLES = 1000
 
 
 def hash_matrix(digest) -> None:
@@ -57,6 +62,21 @@ def hash_matrix(digest) -> None:
                                         tr.restarts, tr.guess_passes)).encode())
 
 
+def hash_monte_carlo(digest) -> None:
+    from pgzo import diagnostics as dg
+    from pgzo.core import RngHandle
+
+    n = MC_SAMPLES
+    results = (dg.mc_rgf_drift(3, 3, n, RngHandle(0)),
+               dg.mc_rgf_drift(10, 3, n, RngHandle(0)),
+               dg.mc_prgf_drift(4, 3, 0.5, n, RngHandle(0)),
+               dg.mc_g2_moments(6, 2, 0.5, n, RngHandle(0)),
+               dg.mc_g2_moments(6, 2, 0.5, n, RngHandle(0), variance_reduced=True),
+               dg.subspace_optimality_margin(3, 2, 100, RngHandle(0)),
+               dg.check_lemma36(20, 4, 10.0, 100, seed=0))
+    digest.update(repr(results).encode())
+
+
 def preset_digest(extended: bool = False) -> str:
     from pgzo.cli import run_from_settings
 
@@ -72,13 +92,15 @@ def preset_digest(extended: bool = False) -> str:
             digest.update(csv.name.encode() + b"\0" + csv.read_bytes())
     if extended:
         hash_matrix(digest)
+        hash_monte_carlo(digest)
     return digest.hexdigest()
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--extended", action="store_true",
-                    help="also hash one pars_est run and the run matrix")
+                    help="also hash one pars_est run, the run matrix and small "
+                         "Monte-Carlo checks")
     ap.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"),
                     help="directory that holds the pgzo package (default: this checkout's src)")
     args = ap.parse_args()
