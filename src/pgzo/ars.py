@@ -155,7 +155,7 @@ def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngH
     else:
         g2 = g2_unbiased(probes)
     if diagnostics:
-        grad = oracle.gradient_at(y)
+        grad = probes.grad if probes.grad is not None else oracle.gradient_at(y)
         state.last_C = cos_sq(grad, g1)
         p = frame.prior if diag_prior is None else diag_prior
         state.last_D = cos_sq(grad, p) if p is not None else float("nan")

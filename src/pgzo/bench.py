@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .ars import ArsConfig, run_ars
 from .core import ConfigError, RngHandle
@@ -139,7 +139,9 @@ def aggregate_traces(traces: List[RunTrace], label: str = "") -> Aggregate:
         mat[i] = vals[idx]
     mean = mat.mean(axis=0)
     if n > 1:
-        half = stats.t.ppf(0.975, n - 1) * mat.std(axis=0, ddof=1) / math.sqrt(n)
+        # stdtrit is the Student-t inverse CDF that stats.t.ppf wraps (same
+        # bits); scipy.stats itself would double pgzo's import time.
+        half = stdtrit(n - 1, 0.975) * mat.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         half = np.zeros_like(mean)
     return Aggregate(grid=grid, mean=mean, lo=mean - half, hi=mean + half, label=label)

@@ -97,7 +97,8 @@ class OracleHandle:
     once. ``mode="exact"`` answers queries from ``true_gradient`` instead of
     finite differences (the idealized oracle); dd accounting is unchanged.
     ``last_base_f`` is the f(x) the latest ``directional_derivatives`` call
-    differenced against, None after an exact-mode call.
+    differenced against, None after an exact-mode call; ``last_grad`` is the
+    true gradient an exact-mode call answered from, None after an fd call.
     """
 
     objective: ObjectiveSpec
@@ -108,6 +109,7 @@ class OracleHandle:
     _base_x: Optional[Array] = field(default=None, repr=False)
     _base_f: float = field(default=np.nan, repr=False)
     last_base_f: Optional[float] = field(default=None, init=False, repr=False)
+    last_grad: Optional[Array] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.mu <= 0.0:
@@ -170,9 +172,11 @@ class OracleHandle:
             g = self.gradient_at(x)
             vals = directions @ g
             self.last_base_f = None
+            self.last_grad = g
         else:
             base = self.function_value(x)
             self.last_base_f = base
+            self.last_grad = None
             pts = self.mu * directions
             pts += x
             if self.objective.eval_batch is not None:

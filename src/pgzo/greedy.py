@@ -67,7 +67,7 @@ def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
     g1 = subspace_estimate(probes)
 
     if diagnostics:
-        grad = oracle.gradient_at(state.x)
+        grad = probes.grad if probes.grad is not None else oracle.gradient_at(state.x)
         state.last_C = cos_sq(grad, g1)
         state.last_D = cos_sq(grad, frame.prior) if frame.prior is not None else float("nan")
 

@@ -207,14 +207,14 @@ def test_full_basis_ars_matches_first_order_momentum():
 
 # -- trace values the step already paid for -------------------------------------
 
-def _count_peeks(monkeypatch):
+def _count_calls(monkeypatch, method="peek_function_value"):
     calls = []
-    peek = OracleHandle.peek_function_value
+    wrapped = getattr(OracleHandle, method)
 
     def counting(self, x):
         calls.append(1)
-        return peek(self, x)
-    monkeypatch.setattr(OracleHandle, "peek_function_value", counting)
+        return wrapped(self, x)
+    monkeypatch.setattr(OracleHandle, method, counting)
     return calls
 
 
@@ -231,7 +231,7 @@ def test_fd_trace_reuses_base_value_of_first_query(monkeypatch, variant):
     # Row t logs the f(x_t) the step's first query at x_t differenced
     # against. Forgetting it after every step forces a fresh read instead;
     # both runs must log identical rows, counters included.
-    peeks = _count_peeks(monkeypatch)
+    peeks = _count_calls(monkeypatch)
     reused = _pars_run(variant, "fd")
     assert len(peeks) == 2  # f0 and the final row
     step = ars._STEPPERS[variant]
@@ -250,9 +250,28 @@ def test_fd_trace_reuses_base_value_of_first_query(monkeypatch, variant):
 
 @pytest.mark.parametrize("variant", ["pars_impl", "pars_est"])
 def test_exact_mode_trace_reads_every_iterate(monkeypatch, variant):
-    peeks = _count_peeks(monkeypatch)
+    peeks = _count_calls(monkeypatch)
     trace = _pars_run(variant, "exact")
     assert len(peeks) == int(trace.rows[-1][0]) + 2
+
+
+@pytest.mark.parametrize("oracle_mode", ["fd", "exact"])
+@pytest.mark.parametrize("variant,exact_queries", [("ars", 0), ("pars_naive", 0),
+                                                   ("history_pars", 0), ("pars_impl", 2)])
+def test_diagnostics_compute_each_gradient_once(monkeypatch, variant, exact_queries,
+                                                oracle_mode):
+    # With diagnostics on, C_t/D_t reuse the gradient an exact probe answered
+    # from; only fd runs ask for it separately. pars_impl's two fixed-point
+    # queries along the prior read the exact gradient at their own points.
+    grads = _count_calls(monkeypatch, "gradient_at")
+    fn = bench_function("f1", 40)
+    cfg = ArsConfig(L_hat=fn.L, q=5, variant=variant, budget=1200)
+    trace = run_ars(fn.as_objective(), cfg, seed=3, prior_feed=biased_feed(fn),
+                    oracle_mode=oracle_mode, diagnostics=True)
+    iterations = int(trace.rows[-1][0])
+    assert iterations > 10
+    per_iteration = 1 + (exact_queries if oracle_mode == "exact" else 0)
+    assert len(grads) == per_iteration * iterations
 
 
 def test_prior_feed_required():

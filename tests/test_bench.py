@@ -1,4 +1,10 @@
+import ast
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,3 +170,58 @@ def test_band_reaches_target_when_every_seed_does():
     assert all(tr.reached_queries is not None for tr in res.traces)
     assert res.aggregate.grid[-1] == max(tr.final_queries for tr in res.traces)
     assert res.aggregate.mean[-1] <= -1.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_band_half_width_is_the_t_quantile_bit_for_bit(n):
+    # aggregate_traces takes the quantile from scipy.special, not scipy.stats;
+    # the band must not move by a bit.
+    from scipy import stats
+    res = run_batch(small_config(seeds=tuple(range(n))))
+    agg = res.aggregate
+    mat = np.array([tr.column("log10_rel_err") for tr in res.traces])
+    half = stats.t.ppf(0.975, n - 1) * mat.std(axis=0, ddof=1) / math.sqrt(n)
+    np.testing.assert_array_equal(agg.mean, mat.mean(axis=0))
+    np.testing.assert_array_equal(agg.hi, agg.mean + half)
+    np.testing.assert_array_equal(agg.lo, agg.mean - half)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+IMPORT_GUARD = """
+import json, sys
+import pgzo, pgzo.bench, pgzo.cli, pgzo.diagnostics
+after_import = "scipy.stats" in sys.modules
+pgzo.cli.run_from_settings({"function": "f2", "dim": 12, "algo": "rgf", "q": 3,
+                            "lhat_scale": 1.0, "budget": 60, "seeds": (0, 1),
+                            "out": sys.argv[1]})
+print(json.dumps([after_import, "scipy.stats" in sys.modules]))
+"""
+
+
+def test_scipy_stats_never_loaded(tmp_path):
+    # A fresh interpreter, so that no other test's import counts; the CLI run
+    # aggregates two seeds, which would execute any lazy import of it.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    child = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "run")],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    after_import, after_run = json.loads(child.stdout)
+    assert not after_import, "importing pgzo loaded scipy.stats"
+    assert not after_run, "a CLI run loaded scipy.stats"
+    assert (tmp_path / "run.csv").is_file()
+
+
+def test_no_module_imports_scipy_stats():
+    # Also an import inside a function that no test reaches.
+    for path in sorted((SRC / "pgzo").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            assert not any(n.startswith("scipy.stats") for n in names), \
+                f"{path.name}:{node.lineno} imports scipy.stats"

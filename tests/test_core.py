@@ -56,6 +56,19 @@ def test_exact_requires_gradient():
         OracleHandle(obj, mode="exact")
 
 
+def test_last_grad_set_by_exact_queries_only():
+    obj = half_norm_sq()
+    x, dirs = np.array([3.0, 4.0]), np.eye(2)
+    exact = OracleHandle(obj, mode="exact")
+    assert exact.last_grad is None
+    exact.directional_derivatives(x, dirs)
+    np.testing.assert_array_equal(exact.last_grad, x)
+    fd = OracleHandle(obj, mode="fd")
+    fd.last_grad = x
+    fd.directional_derivatives(x, dirs)
+    assert fd.last_grad is None
+
+
 def test_query_accounting_and_base_cache():
     oracle = OracleHandle(half_norm_sq(), mu=1e-6)
     x = np.array([1.0, 2.0])

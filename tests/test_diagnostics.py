@@ -1,6 +1,6 @@
 import pytest
 
-from pgzo.core import ConfigError, RngHandle
+from pgzo.core import ConfigError, OracleHandle, RngHandle
 from pgzo.diagnostics import (check_lemma36, check_theorem_bounds, mc_g2_moments,
                               mc_prgf_drift, mc_rgf_drift, subspace_optimality_margin)
 
@@ -58,6 +58,20 @@ def test_lemma36_zero_violations_when_lhat_ok():
     violations, samples = check_lemma36(40, 4, 10.0, 200, seed=0)
     assert violations == 0
     assert len(samples) == 199
+
+
+def test_lemma36_computes_each_gradient_once(monkeypatch):
+    # The exact oracle's gradient at x_t serves both the probe and the C_t/D_t
+    # diagnostic of the same step: one gradient_at call per iteration.
+    calls = []
+    gradient_at = OracleHandle.gradient_at
+
+    def counting(self, x):
+        calls.append(1)
+        return gradient_at(self, x)
+    monkeypatch.setattr(OracleHandle, "gradient_at", counting)
+    check_lemma36(20, 4, 10.0, 100, seed=0)
+    assert len(calls) == 100
 
 
 def test_lemma36_reports_out_of_hypothesis_runs():
