@@ -19,6 +19,7 @@ g2 construction they use:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -61,6 +62,9 @@ def alpha_beta_gamma(theta: float, gamma: float, tau_hat: float) -> tuple[float,
         raise ConfigError(f"need theta >= 0 and gamma > 0, got {theta}, {gamma}")
     if theta == 0.0:
         return 0.0, 0.0, gamma
+    if theta * gamma < sys.float_info.min:
+        # subnormal theta*gamma loses the root; at zero it is 0/0
+        raise ConfigError(f"theta*gamma = {theta * gamma!r} is below the normal float range")
     # gamma >= tau_hat is maintained by the recursion, so b >= 0 and the
     # cancellation-free form of the quadratic root applies.
     b = theta * (gamma - tau_hat)

@@ -72,6 +72,8 @@ class Aggregate:
     lo: np.ndarray        # 95% t-interval
     hi: np.ndarray
     label: str = ""
+    # seeds whose trace has not ended at each grid point (aggregate_traces)
+    n_running: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -125,18 +127,22 @@ def _values_for_aggregation(trace: RunTrace) -> np.ndarray:
 
 def aggregate_traces(traces: List[RunTrace], label: str = "") -> Aggregate:
     """Resample traces onto the union of their query grids (last value carried
-    forward) and form the seed mean with a 95% t-interval."""
+    forward) and form the seed mean with a 95% t-interval. A trace that
+    ended before a grid point enters its mean with its final value and is
+    not counted in ``n_running`` there."""
     if not traces:
         raise ConfigError("no traces to aggregate")
     grid = np.unique(np.concatenate([tr.column("dd_queries") for tr in traces]))
     n = len(traces)
     mat = np.empty((n, len(grid)))
+    n_running = np.zeros(len(grid), dtype=int)
     for i, tr in enumerate(traces):
         qs = tr.column("dd_queries")
         vals = _values_for_aggregation(tr)
         idx = np.searchsorted(qs, grid, side="right") - 1
         idx = np.clip(idx, 0, len(qs) - 1)
         mat[i] = vals[idx]
+        n_running += grid <= qs[-1]
     mean = mat.mean(axis=0)
     if n > 1:
         # stdtrit is the Student-t inverse CDF that stats.t.ppf wraps (same
@@ -144,7 +150,8 @@ def aggregate_traces(traces: List[RunTrace], label: str = "") -> Aggregate:
         half = stdtrit(n - 1, 0.975) * mat.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         half = np.zeros_like(mean)
-    return Aggregate(grid=grid, mean=mean, lo=mean - half, hi=mean + half, label=label)
+    return Aggregate(grid=grid, mean=mean, lo=mean - half, hi=mean + half,
+                     n_running=n_running, label=label)
 
 
 def run_batch(config: RunConfig) -> BatchResult:

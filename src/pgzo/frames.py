@@ -113,7 +113,7 @@ def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -
     # Gram-Schmidt residual norms; a draw anywhere near degeneracy (where
     # CholQR's conditioning degrades) is discarded and the whole block redrawn.
     for _ in range(64):
-        raw = rng.gen.standard_normal((q, d))
+        raw = rng.normal((q, d))
         if p is not None:
             raw -= (raw @ p)[:, None] * p
         chol, info = lapack.dpotrf(raw @ raw.T, lower=1)

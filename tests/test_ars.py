@@ -49,6 +49,14 @@ def test_alpha_zero_theta():
     assert alpha_beta_gamma(0.0, 3.0, 0.0) == (0.0, 0.0, 3.0)
 
 
+@pytest.mark.parametrize("theta,gamma,tau", [(2.5e-298, 2.5e-298, 2.5e-298),
+                                             (5e-324, 1.0, 0.0), (1e-200, 1e-200, 0.0)])
+def test_alpha_rejects_underflowing_theta_gamma(theta, gamma, tau):
+    # theta*gamma below the normal range: the root is lost (0/0 at zero)
+    with pytest.raises(ConfigError, match="normal float range"):
+        alpha_beta_gamma(theta, gamma, tau)
+
+
 def test_gamma_fixed_point_at_critical_coupling():
     # tau = gamma: gamma_next = (1-a)g + a*g = g for any alpha
     alpha, _, gamma_next = alpha_beta_gamma(0.3, 1.5, 1.5)

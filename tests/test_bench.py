@@ -161,6 +161,8 @@ def test_aggregate_uses_union_of_query_grids(order):
     np.testing.assert_array_equal(agg.grid, [0, 5, 10, 15, 20, 25])
     # each trace carries its last value forward past its own end
     np.testing.assert_allclose(agg.mean, [0.0, -0.5, -1.0, -2.0, -2.5, -3.5], atol=1e-12)
+    # ... but counts as running only up to its own last row
+    np.testing.assert_array_equal(agg.n_running, [2, 2, 2, 2, 2, 1])
 
 
 def test_band_reaches_target_when_every_seed_does():
@@ -170,6 +172,13 @@ def test_band_reaches_target_when_every_seed_does():
     assert all(tr.reached_queries is not None for tr in res.traces)
     assert res.aggregate.grid[-1] == max(tr.final_queries for tr in res.traces)
     assert res.aggregate.mean[-1] <= -1.0
+    # the seeds stopped at different query counts: the count falls from 3 to
+    # the number of seeds that ran longest
+    finals = sorted(tr.final_queries for tr in res.traces)
+    n_running = res.aggregate.n_running
+    assert n_running[0] == 3 and np.all(np.diff(n_running) <= 0)
+    assert n_running[-1] == finals.count(finals[-1])
+    np.testing.assert_array_equal(n_running[res.aggregate.grid > finals[0]] < 3, True)
 
 
 @pytest.mark.parametrize("n", [2, 3, 10])

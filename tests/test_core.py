@@ -1,10 +1,14 @@
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from pgzo.core import (ConfigError, ObjectiveSpec, OracleFailureError, OracleHandle,
-                       RngHandle, UnsupportedDiagnosticError, directional_derivative,
+from pgzo import core
+from pgzo.core import (ConfigError, NormalStream, ObjectiveSpec, OracleFailureError,
+                       OracleHandle, RngHandle, UnsupportedDiagnosticError, directional_derivative,
                        exact_directional_derivative, l2_norm, sample_unit_sphere)
 from pgzo.testfns import bench_function
 
@@ -254,3 +258,91 @@ def test_prop21_bound_random_points():
         fd = directional_derivative(oracle, x, v)
         exact = exact_directional_derivative(obj, x, v)
         assert abs(fd - exact) <= 0.5 * fn.L * mu + 1e-15
+
+
+# -- normal draws and the read-ahead stream ----------------------------------------
+
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name == "pgzo-normals"]
+
+
+def test_direct_normal_draws_split_like_one_draw():
+    rng = RngHandle(5)
+    parts = [rng.normal(n) for n in (0, 1, 13, 500)] + [rng.normal((2, 3)).ravel()]
+    np.testing.assert_array_equal(np.concatenate(parts),
+                                  RngHandle(5).gen.standard_normal(520))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 32])
+def test_stream_split_equals_one_draw_at_every_chunk_offset(monkeypatch, chunk):
+    monkeypatch.setattr(core, "READ_AHEAD_CHUNK", chunk)
+    sizes = sorted({max(1, chunk - 1), chunk, chunk + 1, 3 * chunk + 2})
+    for offset in range(chunk + 1):
+        for n in sizes:
+            rng = RngHandle(11)
+            rng.stream = NormalStream(rng.gen.bit_generator)
+            try:
+                got = [rng.normal(offset), rng.normal(n), rng.normal((2, 3)).ravel()]
+            finally:
+                rng.stream.close()
+            want = RngHandle(11).gen.standard_normal(offset + n + 6)
+            np.testing.assert_array_equal(np.concatenate(got), want)
+    assert not helper_threads()
+
+
+def test_stream_threads_under_fast_switching_stay_bit_identical(monkeypatch):
+    # more consumers than cores, each with its own stream and helper thread;
+    # a chunk lost or handed over twice would shift every later value
+    monkeypatch.setattr(core, "READ_AHEAD_CHUNK", 3)
+    sizes = np.random.default_rng(0).integers(1, 10, 300)
+    failures = []
+
+    def consume(seed):
+        rng = RngHandle(seed)
+        rng.stream = NormalStream(rng.gen.bit_generator)
+        try:
+            got = np.concatenate([rng.normal(int(n)) for n in sizes])
+        finally:
+            rng.stream.close()
+        if not np.array_equal(got, RngHandle(seed).gen.standard_normal(int(sizes.sum()))):
+            failures.append(seed)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=consume, args=(s,)) for s in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert failures == []
+    assert not helper_threads()
+
+
+def test_stream_close_returns_with_a_full_queue(monkeypatch):
+    monkeypatch.setattr(core, "READ_AHEAD_CHUNK", 4)
+    stream = NormalStream(np.random.SFC64(0))
+    stream.take(2)
+    for _ in range(10_000):
+        if stream._queue.full():  # the helper now waits on its next put
+            break
+        time.sleep(0.001)
+    assert stream._queue.full()
+    closer = threading.Thread(target=stream.close)
+    closer.start()
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    assert not helper_threads()
+
+
+def test_stream_failure_reaches_the_consumer(monkeypatch):
+    # a negative chunk size makes the helper's draw raise
+    monkeypatch.setattr(core, "READ_AHEAD_CHUNK", -1)
+    stream = NormalStream(np.random.SFC64(0))
+    with pytest.raises(ValueError, match="negative"):
+        stream.take(3)
+    stream.close()
+    assert not helper_threads()

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -90,13 +88,20 @@ class ScriptedGen:
         return np.zeros(shape)
 
 
+def scripted_rng(gen: ScriptedGen) -> RngHandle:
+    """An RngHandle whose normal draws come from ``gen``."""
+    rng = RngHandle(0)
+    rng.gen = gen
+    return rng
+
+
 @pytest.mark.parametrize("with_prior", [False, True])
 def test_rank_deficient_draw_is_redrawn(with_prior):
     d, q = 9, 4
     prior = RngHandle(5).gen.standard_normal(d) if with_prior else None
     equal_rows = np.tile(RngHandle(6).gen.standard_normal(d), (q, 1))
     gen = ScriptedGen([equal_rows], then=RngHandle(3).gen)
-    frame = build_frame(SimpleNamespace(gen=gen), d, q, prior=prior)
+    frame = build_frame(scripted_rng(gen), d, q, prior=prior)
     assert gen.calls == 2
     stacked = frame.stacked()
     n = stacked.shape[0]
@@ -110,7 +115,7 @@ def test_all_zero_draws_raise_config_error(with_prior):
     prior = np.ones(6) if with_prior else None
     gen = ScriptedGen([])
     with pytest.raises(ConfigError, match="orthonormal frame"):
-        build_frame(SimpleNamespace(gen=gen), 6, 3, prior=prior)
+        build_frame(scripted_rng(gen), 6, 3, prior=prior)
     assert gen.calls == 64
 
 

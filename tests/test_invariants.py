@@ -2,13 +2,16 @@
 smooth-convex greedy bound at the documented iteration counts."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
 
+import pgzo.core
+import pgzo.trace
 from pgzo.ars import ArsConfig, run_ars
-from pgzo.bench import RunConfig, run_single
-from pgzo.core import ConfigError, OracleHandle, RngHandle
+from pgzo.bench import ARS_ALGOS, RunConfig, run_single
+from pgzo.core import ConfigError, OracleFailureError, OracleHandle, RngHandle
 from pgzo.diagnostics import BoundCheck, bound_report_csv, check_theorem_bounds
 from pgzo.frames import build_frame, estimate_grad_norm_sq, probe
 from pgzo.greedy import GreedyConfig, run_greedy
@@ -234,3 +237,99 @@ def test_log_every_below_one_rejected(log_every):
     with pytest.raises(ConfigError, match="log_every"):
         run_ars(fn.as_objective(), ArsConfig(L_hat=2.0, q=3, budget=30), 0,
                 log_every=log_every)
+
+
+# -- normal read-ahead -----------------------------------------------------------
+
+def force_read_ahead(monkeypatch, on: bool) -> list:
+    """Read ahead in every run (on) or in none; a 7-value chunk makes frame
+    draws cross chunk boundaries at every offset. Returns the streams started."""
+    started = []
+
+    class Counted(pgzo.core.NormalStream):
+        def __init__(self, bit_generator):
+            started.append(self)
+            super().__init__(bit_generator)
+    monkeypatch.setattr(pgzo.trace, "READ_AHEAD_MIN_BLOCK", 0 if on else 1 << 62)
+    monkeypatch.setattr(pgzo.trace, "NormalStream", Counted)
+    monkeypatch.setattr(pgzo.core, "READ_AHEAD_CHUNK", 7)
+    return started
+
+
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name == "pgzo-normals"]
+
+
+@pytest.mark.parametrize("mode", ["fd", "exact"])
+@pytest.mark.parametrize("algo", list(_ALGO_PRIORS))
+def test_read_ahead_keeps_traces_bit_identical(monkeypatch, algo, mode):
+    cfg = RunConfig(function="f2", dim=20, algo=algo, q=4, budget=600, lhat_scale=1.0,
+                    prior=_ALGO_PRIORS[algo], oracle_mode=mode, diagnostics=True,
+                    restart=algo in ARS_ALGOS)
+
+    def runs(on):
+        started = force_read_ahead(monkeypatch, on)
+        full = run_single(cfg, 5)
+        target = full.rows[len(full.rows) // 2][4]
+        stopped = run_single(dataclasses.replace(cfg, target_log10=target,
+                                                 stop_on_target=True), 5)
+        assert len(started) == (2 if on else 0)
+        # repr: exact for floats, and NaN diagnostics compare equal
+        return repr([(tr.rows, tr.reached_queries, tr.restarts, tr.guess_passes)
+                     for tr in (full, stopped)])
+
+    assert runs(True) == runs(False)
+    assert not helper_threads()
+
+
+def test_read_ahead_matrix_covers_restarts_and_early_stops():
+    # the cases above are not vacuous: ARS restarts happen and the target
+    # run stops early
+    cfg = RunConfig(function="f2", dim=20, algo="ars", q=4, budget=600, lhat_scale=1.0,
+                    diagnostics=True, restart=True)
+    full = run_single(cfg, 5)
+    assert full.restarts > 0
+    stopped = run_single(dataclasses.replace(cfg, target_log10=full.rows[len(full.rows) // 2][4],
+                                             stop_on_target=True), 5)
+    assert stopped.final_queries < full.final_queries
+
+
+def _watched_f2(seen, fail_after=None):
+    """f2 at d=20 whose batch evaluation records whether a helper thread is
+    alive, and returns NaN from call ``fail_after`` on."""
+    fn = bench_function("f2", 20)
+
+    def eval_batch(pts):
+        seen.append(bool(helper_threads()))
+        if fail_after is not None and len(seen) > fail_after:
+            return np.full(len(pts), np.nan)
+        return fn.eval_batch(pts)
+    return fn, dataclasses.replace(fn.as_objective(), eval_batch=eval_batch)
+
+
+@pytest.mark.parametrize("family", ["greedy", "ars"])
+def test_no_helper_thread_outlives_a_run(monkeypatch, family):
+    force_read_ahead(monkeypatch, True)
+
+    def run(obj, fn, **kw):
+        if family == "greedy":
+            return run_greedy(obj, GreedyConfig(L_hat=fn.L, q=4, budget=4 * 60), 0, **kw)
+        return run_ars(obj, ArsConfig(L_hat=fn.L, q=4, budget=4 * 60, restart=True), 0, **kw)
+
+    seen = []
+    fn, obj = _watched_f2(seen)
+    full = run(obj, fn)                      # the budget runs out
+    assert full.final_queries == 240 and seen and all(seen)
+    assert not helper_threads()
+
+    seen.clear()
+    stopped = run(obj, fn, target_log10=full.rows[10][4], stop_on_target=True)
+    assert stopped.final_queries < 240 and all(seen)
+    assert not helper_threads()
+
+    seen.clear()
+    fn, obj = _watched_f2(seen, fail_after=5)
+    with pytest.raises(OracleFailureError):
+        run(obj, fn)
+    assert len(seen) == 6 and all(seen)
+    assert not helper_threads()
