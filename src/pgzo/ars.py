@@ -25,8 +25,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l2_norm,
-                   sample_unit_sphere)
+from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
+                   l2_norm, require_finite_positive, sample_unit_sphere)
 from .frames import (_unit_prior, build_frame, cos_sq, estimate_Dt, estimate_grad_norm_sq,
                      g2_unbiased, probe, subspace_estimate)
 from .trace import RunTrace, run_loop
@@ -87,16 +87,16 @@ class ArsConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.L_hat <= 0.0:
-            raise ConfigError(f"L_hat must be positive, got {self.L_hat}")
+        require_finite_positive("L_hat", self.L_hat)
         if self.q < 1:
             raise ConfigError(f"q must be >= 1, got {self.q}")
-        if self.tau_hat < 0.0:
-            raise ConfigError(f"tau_hat must be nonnegative, got {self.tau_hat}")
+        if not 0.0 <= self.tau_hat < math.inf:
+            raise ConfigError(f"tau_hat must be finite and nonnegative, got {self.tau_hat}")
         if self.gamma0 is None:
             self.gamma0 = self.L_hat
-        if self.gamma0 < self.tau_hat or self.gamma0 <= 0.0:
-            raise ConfigError(f"gamma0 must be positive and >= tau_hat, got {self.gamma0}")
+        require_finite_positive("gamma0", self.gamma0)
+        if self.gamma0 < self.tau_hat:
+            raise ConfigError(f"gamma0 must be >= tau_hat, got {self.gamma0}")
 
     @property
     def min_queries_per_iteration(self) -> int:
@@ -270,7 +270,7 @@ _STEPPERS: dict[str, Callable] = {
 
 def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
             prior_feed: Optional[Callable[[Array], Array]] = None, *,
-            oracle_mode: str = "fd", mu: float = 1e-6,
+            oracle_mode: str = "fd", mu: float = DEFAULT_MU,
             diagnostics: Optional[bool] = None, log_every: int = 1,
             target_log10: Optional[float] = None,
             stop_on_target: bool = False) -> RunTrace:

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .ars import ArsConfig, run_ars
-from .core import ConfigError, RngHandle
+from .core import DEFAULT_MU, ConfigError, RngHandle, require_finite_positive
 from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function, biased_prior_feed
 from .trace import COLUMNS, RunTrace
@@ -33,7 +33,7 @@ class RunConfig:
     lhat: Optional[float] = None          # absolute; or use lhat_scale
     lhat_scale: Optional[float] = None    # multiple of the true L
     tau_hat: Union[float, str] = 0.0      # "true" resolves to the function's tau
-    mu: float = 1e-6
+    mu: float = DEFAULT_MU
     seeds: Sequence[int] = (0,)
     prior: str = "none"
     restart: bool = False
@@ -52,8 +52,10 @@ class RunConfig:
             raise ConfigError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
         if len(self.seeds) < 1:
             raise ConfigError("need at least one seed")
-        if self.lhat is None and self.lhat_scale is None:
-            raise ConfigError("one of lhat / lhat_scale is required")
+        if (self.lhat is None) == (self.lhat_scale is None):
+            raise ConfigError("exactly one of lhat / lhat_scale is required")
+        name = "lhat" if self.lhat_scale is None else "lhat_scale"
+        require_finite_positive(name, getattr(self, name))
         needs_biased = self.algo in ("prgf", "pars_naive", "pars_impl", "pars_est")
         if needs_biased and self.prior != "biased":
             raise ConfigError(f"algo {self.algo!r} requires prior='biased'")
@@ -114,7 +116,6 @@ def run_single(config: RunConfig, seed: int) -> RunTrace:
         acfg = ArsConfig(L_hat=lhat, q=config.q, variant=config.algo, tau_hat=tau_hat,
                          gamma0=config.gamma0, restart=config.restart, budget=config.budget)
         trace = run_ars(obj, acfg, seed, prior_feed, **common)
-    trace.label = config.label
     return trace
 
 

@@ -20,6 +20,8 @@ EXIT_OK, EXIT_CONFIG, EXIT_ORACLE, EXIT_IO = 0, 2, 3, 4
 _BOOL_KEYS = {"restart", "diagnostics", "stop_on_target"}
 _INT_KEYS = {"dim", "q", "budget", "log_every"}
 _FLOAT_KEYS = {"lhat", "lhat_scale", "mu", "gamma0", "target_log10"}
+# the settings a preset run takes besides "preset" and "out"
+_PRESET_OVERRIDES = {"budget", "seeds", "mu", "log_every", "diagnostics", "oracle_mode", "dim"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,14 +72,17 @@ def _coerce(key: str, val):
         if val.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {val!r}")
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key == "seeds":
-        return tuple(int(s) for s in val.split(",") if s.strip())
-    if key == "tau_hat":
-        return val if val == "true" else float(val)
+    try:
+        if key in _INT_KEYS:
+            return int(val)
+        if key in _FLOAT_KEYS:
+            return float(val)
+        if key == "seeds":
+            return tuple(int(s) for s in val.split(",") if s.strip())
+        if key == "tau_hat":
+            return val if val == "true" else float(val)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: cannot parse {val!r}") from exc
     return val
 
 
@@ -93,12 +98,11 @@ def _configs_from_settings(settings: dict) -> tuple[List[RunConfig], str]:
     out_prefix = settings.pop("out", "pgzo_out")
     preset_name = settings.pop("preset", None)
     if preset_name:
-        configs = preset(preset_name)
-        overrides = {k: v for k, v in settings.items()
-                     if k in ("budget", "seeds", "mu", "log_every", "diagnostics",
-                              "oracle_mode", "dim")}
+        ignored = sorted(set(settings) - _PRESET_OVERRIDES)
+        if ignored:
+            raise ConfigError(f"preset {preset_name!r} does not take {', '.join(ignored)}")
         # replace() re-runs RunConfig's validation on the overridden values
-        return [dataclasses.replace(cfg, **overrides) for cfg in configs], out_prefix
+        return [dataclasses.replace(cfg, **settings) for cfg in preset(preset_name)], out_prefix
     required = ("function", "dim", "algo", "q", "budget")
     missing = [k for k in required if k not in settings]
     if missing:

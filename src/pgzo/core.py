@@ -44,6 +44,13 @@ class ConfigError(ValueError):
     """An algorithm/benchmark configuration violates a precondition."""
 
 
+def require_finite_positive(name: str, value: float) -> None:
+    """ConfigError unless ``value`` is finite and above zero; NaN fails the
+    comparison."""
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """A d-dimensional objective with optional analytic side information.
@@ -66,6 +73,8 @@ class ObjectiveSpec:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.x0 is not None and len(self.x0) != self.dim:
             raise ConfigError(f"x0 has length {len(self.x0)}, expected {self.dim}")
+        if self.x0 is not None and not np.isfinite(self.x0).all():
+            raise ConfigError("x0 must be finite")
 
 
 class NormalStream:
@@ -193,16 +202,15 @@ class OracleHandle:
     objective: ObjectiveSpec
     mu: float = DEFAULT_MU
     mode: str = "fd"
-    dd_queries: int = 0
-    fn_evals: int = 0
-    _base_x: Optional[Array] = field(default=None, repr=False)
-    _base_f: float = field(default=np.nan, repr=False)
+    dd_queries: int = field(default=0, init=False)
+    fn_evals: int = field(default=0, init=False)
+    _base_x: Optional[Array] = field(default=None, init=False, repr=False)
+    _base_f: float = field(default=np.nan, init=False, repr=False)
     last_base_f: Optional[float] = field(default=None, init=False, repr=False)
     last_grad: Optional[Array] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ConfigError(f"mu must be positive, got {self.mu}")
+        require_finite_positive("mu", self.mu)
         if self.mode not in ("fd", "exact"):
             raise ConfigError(f"unknown oracle mode {self.mode!r}")
         if self.mode == "exact" and self.objective.true_gradient is None:

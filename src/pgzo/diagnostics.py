@@ -22,7 +22,6 @@ from .testfns import bench_function
 class DriftSample:
     C_t: float
     D_t: float
-    theta_t: Optional[float]
     iteration: int
 
 
@@ -56,18 +55,26 @@ def _prior_with_quality(grad: Array, D: float, rng: RngHandle) -> Array:
     return np.sqrt(D) * g_hat + np.sqrt(1.0 - D) * w
 
 
+def _mc_drift(d: int, q: int, n_samples: int, rng: RngHandle,
+              D_fixed: Optional[float]) -> tuple[float, float]:
+    """MC mean/stderr of C_t against a fixed random gradient, over plain
+    frames, or over prior-guided ones when ``D_fixed`` is the prior quality."""
+    if n_samples < 1000:
+        raise ConfigError("use at least 1000 samples")
+    grad = sample_unit_sphere(rng, d)
+    prior = None if D_fixed is None else _prior_with_quality(grad, D_fixed, rng)
+    cs = np.empty(n_samples)
+    for i in range(n_samples):
+        frame = build_frame(rng, d, q, prior=prior)
+        cs[i] = cos_sq(grad, subspace_estimate(_exact_probes(frame, grad)))
+    return float(cs.mean()), float(cs.std(ddof=1) / np.sqrt(n_samples))
+
+
 def mc_rgf_drift(d: int, q: int, n_samples: int, rng: RngHandle) -> tuple[float, float]:
     """MC mean/stderr of C_t for plain random frames against a fixed gradient."""
     if q > d:
         raise ConfigError(f"q={q} exceeds d={d}")
-    if n_samples < 1000:
-        raise ConfigError("use at least 1000 samples")
-    grad = sample_unit_sphere(rng, d)
-    cs = np.empty(n_samples)
-    for i in range(n_samples):
-        frame = build_frame(rng, d, q)
-        cs[i] = cos_sq(grad, subspace_estimate(_exact_probes(frame, grad)))
-    return float(cs.mean()), float(cs.std(ddof=1) / np.sqrt(n_samples))
+    return _mc_drift(d, q, n_samples, rng, None)
 
 
 def mc_prgf_drift(d: int, q: int, D_fixed: float, n_samples: int,
@@ -75,15 +82,7 @@ def mc_prgf_drift(d: int, q: int, D_fixed: float, n_samples: int,
     """MC mean/stderr of C_t for prior-guided frames at fixed prior quality D."""
     if q > d - 1:
         raise ConfigError(f"q={q} must satisfy q <= d-1={d - 1}")
-    if n_samples < 1000:
-        raise ConfigError("use at least 1000 samples")
-    grad = sample_unit_sphere(rng, d)
-    prior = _prior_with_quality(grad, D_fixed, rng)
-    cs = np.empty(n_samples)
-    for i in range(n_samples):
-        frame = build_frame(rng, d, q, prior=prior)
-        cs[i] = cos_sq(grad, subspace_estimate(_exact_probes(frame, grad)))
-    return float(cs.mean()), float(cs.std(ddof=1) / np.sqrt(n_samples))
+    return _mc_drift(d, q, n_samples, rng, D_fixed)
 
 
 def mc_g2_moments(d: int, q: int, D: float, n_samples: int, rng: RngHandle,
@@ -152,7 +151,7 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
         c_prev, d_t = c_col[t - 1], d_col[t]
         if np.isnan(c_prev) or np.isnan(d_t):
             continue
-        samples.append(DriftSample(C_t=float(c_col[t]), D_t=float(d_t), theta_t=None, iteration=t))
+        samples.append(DriftSample(C_t=float(c_col[t]), D_t=float(d_t), iteration=t))
         if d_t < a * c_prev - tol:
             violations += 1
     return violations, samples

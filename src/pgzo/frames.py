@@ -24,27 +24,14 @@ RESIDUAL_EPS = 1e-12
 class OrthonormalFrame:
     """Prior direction (optional) plus q orthonormal random directions.
 
-    ``directions`` (q, d) and ``prior`` (d,) are views of one row block, the
-    prior in row 0; ``stacked()`` returns that block itself.
+    Binds the row block ``rows`` without a copy: ``prior`` (d,) is row 0 when
+    ``with_prior``, ``directions`` (q, d) the rest; ``stacked()`` returns
+    ``rows`` itself.
     """
 
-    def __init__(self, directions: Array, prior: Optional[Array], dim: int):
-        rows = np.asarray(directions, dtype=float)
-        if prior is not None:
-            rows = np.vstack([np.asarray(prior, dtype=float)[None, :], rows])
-        self._bind(rows, prior is not None, dim)
-
-    @classmethod
-    def from_rows(cls, rows: Array, with_prior: bool, dim: int) -> "OrthonormalFrame":
-        """Frame over ``rows`` as given, without a copy; row 0 is the prior
-        when ``with_prior``."""
-        frame = cls.__new__(cls)
-        frame._bind(rows, with_prior, dim)
-        return frame
-
-    def _bind(self, rows: Array, with_prior: bool, dim: int):
+    def __init__(self, rows: Array, with_prior: bool):
         self._rows = rows
-        self.dim = dim
+        self.dim = rows.shape[1]
         if with_prior:
             self.prior, self.directions = rows[0], rows[1:]
         else:
@@ -121,7 +108,7 @@ def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -
             inv_l, info2 = lapack.dtrtri(chol, lower=1)
             if info2 == 0:
                 np.matmul(inv_l, raw, out=dirs)
-                return OrthonormalFrame.from_rows(rows, p is not None, d)
+                return OrthonormalFrame(rows, p is not None)
     raise ConfigError("could not build an orthonormal frame (d too small?)")
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l2_norm,
-                   sample_unit_sphere)
+from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
+                   l2_norm, require_finite_positive, sample_unit_sphere)
 from .frames import build_frame, cos_sq, probe, subspace_estimate
 from .trace import RunTrace, run_loop
 
@@ -27,8 +27,7 @@ class GreedyConfig:
     budget: int = 0            # total directional-derivative queries
 
     def __post_init__(self):
-        if self.L_hat <= 0.0:
-            raise ConfigError(f"L_hat must be positive, got {self.L_hat}")
+        require_finite_positive("L_hat", self.L_hat)
         if self.q < 1:
             raise ConfigError(f"q must be >= 1, got {self.q}")
         if self.prior_source not in PRIOR_SOURCES:
@@ -84,7 +83,7 @@ def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
 
 def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
                prior_feed: Optional[Callable[[Array], Array]] = None, *,
-               oracle_mode: str = "fd", mu: float = 1e-6,
+               oracle_mode: str = "fd", mu: float = DEFAULT_MU,
                diagnostics: Optional[bool] = None, log_every: int = 1,
                target_log10: Optional[float] = None,
                stop_on_target: bool = False) -> RunTrace:

@@ -16,9 +16,17 @@ from .core import Array, ConfigError, NormalStream, ObjectiveSpec, OracleHandle,
 # saving per iteration grows with the block. On a 2-vCPU host, 100-iteration
 # exact-oracle RGF runs took +0.45 ms at block 250 (d=50), about +0.1 to
 # +0.2 ms at blocks 800-1000, -0.3 ms at 1280 and -0.7 ms (-16 %) at 2048.
-# Every d=256 and d=500 preset run (block >= 2816) reads ahead; the runs of
-# the contract checks (d <= 100, q = 5, block <= 600) draw directly.
-READ_AHEAD_MIN_BLOCK = 2048
+# Below 4096 the saving is not steady either: a run that reads ahead needs
+# the host's second core. With it idle, perfbench ars_presets_d256 (mostly
+# d=256 fig1 runs, blocks 2816 to 3328) gained 13 % iters_per_s by reading
+# ahead at 2048. While other guests took CPU time from the 2-vCPU host, the
+# fig1_f1 runs took a median 1.5x and 2.1x as long reading ahead as drawing
+# directly (two sets of interleaved rounds), and five interleaved
+# ars_presets_d256 runs spread 0.11-0.15 s (IQR of job_s_p50, median
+# 0.19-0.23 s) at 2048 against 0.03 s at 4096. The d=500 preset runs (block
+# >= 5500) and d=256 PARS-Est (8448) read ahead; the d=256 fig1 runs and the
+# runs of the contract checks (d <= 100, q = 5, block <= 600) draw directly.
+READ_AHEAD_MIN_BLOCK = 4096
 
 COLUMNS = ("iteration", "dd_queries", "fn_evals", "f_value",
            "log10_rel_err", "C_t", "D_t", "theta_t")
@@ -34,7 +42,6 @@ class RunTrace:
     rows of long runs; the initial and final rows are always kept.
     """
 
-    label: str = ""
     seed: int = 0
     f0: Optional[float] = None
     f_star: Optional[float] = None
@@ -90,6 +97,10 @@ def run_loop(objective: ObjectiveSpec, seed: int, cost: int, budget: int,
         raise ConfigError(f"budget {budget} is below one iteration's cost {cost}")
     if log_every < 1:
         raise ConfigError(f"log_every must be >= 1, got {log_every}")
+    if objective.x0 is None:
+        raise ConfigError("the objective has no x0 to start from")
+    if target_log10 is not None and math.isnan(target_log10):
+        raise ConfigError("target_log10 must not be NaN")
     oracle = OracleHandle(objective, mu=mu, mode=oracle_mode)
     rng = RngHandle(seed)
     if cost * objective.dim >= READ_AHEAD_MIN_BLOCK:

@@ -1,0 +1,81 @@
+"""Bad numbers fail at the boundary as ConfigError: non-finite or
+non-positive settings, a missing or non-finite x0 and a NaN target."""
+
+import math
+
+import numpy as np
+import pytest
+
+from pgzo.ars import ArsConfig, run_ars
+from pgzo.bench import RunConfig
+from pgzo.core import ConfigError, ObjectiveSpec, OracleHandle, require_finite_positive
+from pgzo.greedy import GreedyConfig, run_greedy
+from pgzo.testfns import bench_function
+
+NON_FINITE = [math.nan, math.inf]
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, -math.inf] + NON_FINITE)
+def test_require_finite_positive_rejects(value):
+    with pytest.raises(ConfigError, match="x must be finite and positive"):
+        require_finite_positive("x", value)
+
+
+def test_require_finite_positive_accepts_the_extremes():
+    require_finite_positive("x", 5e-324)
+    require_finite_positive("x", 1.7e308)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_greedy_config_rejects_non_finite_L_hat(value):
+    with pytest.raises(ConfigError, match="L_hat"):
+        GreedyConfig(L_hat=value, q=2, budget=10)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["L_hat", "tau_hat", "gamma0"])
+def test_ars_config_rejects_non_finite(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        ArsConfig(**{"L_hat": 1.0, "q": 2, "budget": 10, name: value})
+
+
+@pytest.mark.parametrize("mu", NON_FINITE)
+def test_oracle_rejects_non_finite_mu(mu):
+    with pytest.raises(ConfigError, match="mu"):
+        OracleHandle(bench_function("f2", 3).as_objective(), mu=mu)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("name", ["lhat", "lhat_scale"])
+def test_run_config_rejects_non_finite_lhat(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        RunConfig(function="f2", dim=10, algo="rgf", q=3, budget=100, **{name: value})
+
+
+def test_run_config_takes_exactly_one_lhat():
+    with pytest.raises(ConfigError, match="exactly one"):
+        RunConfig(function="f2", dim=10, algo="rgf", q=3, budget=100, lhat=2.0,
+                  lhat_scale=50.0)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_objective_rejects_non_finite_x0(value):
+    with pytest.raises(ConfigError, match="x0"):
+        ObjectiveSpec(dim=2, eval=lambda x: 0.0, x0=np.array([0.0, value]))
+
+
+@pytest.mark.parametrize("family", ["greedy", "ars"])
+def test_run_without_x0_is_a_config_error(family):
+    obj = ObjectiveSpec(dim=3, eval=lambda x: float(x @ x))
+    with pytest.raises(ConfigError, match="x0"):
+        if family == "greedy":
+            run_greedy(obj, GreedyConfig(L_hat=1.0, q=2, budget=10), 0)
+        else:
+            run_ars(obj, ArsConfig(L_hat=1.0, q=2, budget=10), 0)
+
+
+def test_nan_target_is_a_config_error():
+    fn = bench_function("f2", 5)
+    with pytest.raises(ConfigError, match="target_log10"):
+        run_greedy(fn.as_objective(), GreedyConfig(L_hat=fn.L, q=2, budget=10), 0,
+                   target_log10=math.nan)

@@ -76,6 +76,15 @@ def test_bad_config_file_line(tmp_path, capsys):
     assert rc == EXIT_CONFIG
 
 
+def test_bad_config_file_value(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("dim = abc\n")
+    rc = main(["--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dim") and len(err.splitlines()) == 1
+
+
 def test_oracle_failure_exit_code(tmp_path, capsys):
     import numpy as np
     import pgzo.cli as cli
@@ -102,11 +111,28 @@ def test_invalid_prior_exit_code(monkeypatch, capsys):
     assert len(err.splitlines()) == 1
 
 
+ARS_F1 = ["--function", "f1", "--dim", "10", "--algo", "ars", "--q", "2", "--budget", "100"]
+
+
 @pytest.mark.parametrize("argv,reason", [
     (["--function", "f1", "--dim", "10", "--algo", "rgf", "--q", "2", "--budget", "100",
       "--lhat-scale", "1", "--log-every", "0"], "log_every"),
     (["--preset", "fig1_f1", "--log-every", "0"], "log_every"),
     (["--preset", "fig1_f1", "--seeds", ""], "seed"),  # overrides are re-validated
+    # malformed values
+    (["--preset", "fig1_f1", "--seeds", "0,x"], "seeds"),
+    (ARS_F1 + ["--lhat-scale", "1", "--tau-hat", "abc"], "tau_hat"),
+    # settings a preset would ignore, and lhat given twice
+    (["--preset", "fig1_f1", "--q", "5"], "does not take q"),
+    (["--preset", "fig1_f1", "--function", "f3"], "does not take function"),
+    (ARS_F1 + ["--lhat", "2", "--lhat-scale", "50"], "exactly one"),
+    # non-finite numbers
+    (ARS_F1 + ["--lhat", "nan"], "lhat must be finite"),
+    (ARS_F1 + ["--lhat", "inf"], "lhat must be finite"),
+    (ARS_F1 + ["--lhat-scale", "nan"], "lhat_scale must be finite"),
+    (ARS_F1 + ["--lhat-scale", "1", "--mu", "nan"], "mu must be finite"),
+    (ARS_F1 + ["--lhat-scale", "1", "--gamma0", "nan"], "gamma0 must be finite"),
+    (ARS_F1 + ["--lhat-scale", "1", "--tau-hat", "nan"], "tau_hat must be finite"),
 ])
 def test_bad_setting_exit_code(tmp_path, capsys, argv, reason):
     rc = main(argv + ["--out", str(tmp_path / "x")])

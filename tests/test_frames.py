@@ -155,12 +155,12 @@ def test_build_frame_bit_identical_to_reference(seed, d, q, with_prior):
 def test_frame_from_directions_and_prior():
     dirs = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     prior = np.array([1.0, 0.0, 0.0])
-    frame = OrthonormalFrame(directions=dirs, prior=prior, dim=3)
+    frame = OrthonormalFrame(np.vstack([prior, dirs]), with_prior=True)
     assert frame.q == 2 and frame.dim == 3
     np.testing.assert_array_equal(frame.stacked(), np.eye(3))
     np.testing.assert_array_equal(frame.prior, prior)
     np.testing.assert_array_equal(frame.directions, dirs)
-    plain = OrthonormalFrame(directions=dirs, prior=None, dim=3)
+    plain = OrthonormalFrame(dirs, with_prior=False)
     assert plain.prior is None and plain.q == 2
     np.testing.assert_array_equal(plain.stacked(), dirs)
 
