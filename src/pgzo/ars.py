@@ -27,11 +27,11 @@ import numpy as np
 
 from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
                    l2_norm, require_finite_positive, sample_unit_sphere)
-from .frames import (_unit_prior, build_frame, cos_sq, estimate_Dt, estimate_grad_norm_sq,
-                     g2_unbiased, probe, subspace_estimate)
+from .frames import (_unit_prior, build_frame, estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
+                     probe)
+from .greedy import descend
 from .trace import RunTrace, run_loop
 
-VARIANTS = ("ars", "pars_naive", "pars_est", "pars_impl", "history_pars")
 B_UB = 0.6          # pars_impl: upper clip on the estimated prior quality D̂
 AVG_WINDOW_K = 10   # pars_impl: gradient-norm estimates in the running average
 KAPPA = 0.9         # pars_est: guess discount on the conservative theta bound
@@ -85,8 +85,8 @@ class ArsConfig:
     budget: int = 0
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if self.variant not in _STEPPERS:
+            raise ConfigError(f"variant must be one of {tuple(_STEPPERS)}, got {self.variant!r}")
         require_finite_positive("L_hat", self.L_hat)
         if self.q < 1:
             raise ConfigError(f"q must be >= 1, got {self.q}")
@@ -144,32 +144,23 @@ def maybe_restart(state: ArsState, f_y_current: float, config: ArsConfig) -> boo
 def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
              theta: float, prior: Optional[Array], diagnostics: bool,
              diag_prior: Optional[Array] = None):
-    """The step every variant takes once it has chosen theta: mix y, probe a
-    frame around ``prior`` at y, move x along g1 and m along g2, then test for
-    a restart. D_t is measured against ``diag_prior``, or the frame's prior
-    when None. Returns the probes and g1 for the variant's own bookkeeping."""
+    """The step every variant takes once it has chosen theta: mix y, take the
+    greedy descent step from y (see ``greedy.descend``), move m along g2,
+    then test for a restart. Returns the probes and g1 for the variant's own
+    bookkeeping."""
     d = oracle.objective.dim
     alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
     y = (1.0 - beta) * state.x + beta * state.m
-    frame = build_frame(rng, d, config.q, prior=prior)
-    probes = probe(oracle, y, frame)
-    g1 = subspace_estimate(probes)
+    probes, g1 = descend(state, oracle, config, rng, y, prior, diagnostics, diag_prior)
     if config.variant in ("ars", "pars_naive"):
         g2 = (d / config.q) * g1
     else:
         g2 = g2_unbiased(probes)
-    if diagnostics:
-        grad = probes.grad if probes.grad is not None else oracle.gradient_at(y)
-        state.last_C = cos_sq(grad, g1)
-        p = frame.prior if diag_prior is None else diag_prior
-        state.last_D = cos_sq(grad, p) if p is not None else float("nan")
     state.last_theta = theta
-    state.x = y - g1 / config.L_hat
     lam = config.tau_hat * alpha / gamma_next
     coef = theta / alpha if alpha > 0.0 else 0.0  # theta=0 limit
     state.m = (1.0 - lam) * state.m + lam * y - coef * g2
     state.gamma = gamma_next
-    state.iteration += 1
     if config.restart:
         maybe_restart(state, oracle.function_value(y), config)
     return probes, g1

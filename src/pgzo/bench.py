@@ -10,15 +10,20 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy.special import stdtrit
 
-from .ars import ArsConfig, run_ars
+from .ars import _STEPPERS, ArsConfig, run_ars
 from .core import DEFAULT_MU, ConfigError, RngHandle, require_finite_positive
 from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function, biased_prior_feed
 from .trace import COLUMNS, RunTrace
 
-GREEDY_ALGOS = ("rgf", "prgf", "history_prgf")
-ARS_ALGOS = ("ars", "pars_naive", "pars_impl", "pars_est", "history_pars")
-PRIOR_MODES = ("none", "historical", "biased")
+# The prior each algorithm runs with: "biased" is the function's
+# biased-gradient feed, "historical" the run's own previous estimate.
+ALGO_PRIORS = {"rgf": "none", "prgf": "biased", "history_prgf": "historical",
+               "ars": "none", "pars_naive": "biased", "pars_impl": "biased",
+               "pars_est": "biased", "history_pars": "historical"}
+ARS_ALGOS = tuple(a for a in ALGO_PRIORS if a in _STEPPERS)
+# settings only the ARS family reads, with the defaults a greedy run keeps
+_ARS_SETTINGS = {"tau_hat": 0.0, "gamma0": None, "restart": False}
 
 CSV_HEADER = ("seed",) + COLUMNS
 
@@ -35,7 +40,7 @@ class RunConfig:
     tau_hat: Union[float, str] = 0.0      # "true" resolves to the function's tau
     mu: float = DEFAULT_MU
     seeds: Sequence[int] = (0,)
-    prior: str = "none"
+    prior: Optional[str] = None           # defaults to ALGO_PRIORS[algo]
     restart: bool = False
     gamma0: Optional[float] = None
     oracle_mode: str = "fd"
@@ -46,23 +51,23 @@ class RunConfig:
     label: str = ""
 
     def __post_init__(self):
-        if self.algo not in GREEDY_ALGOS + ARS_ALGOS:
+        if self.algo not in ALGO_PRIORS:
             raise ConfigError(f"unknown algo {self.algo!r}")
-        if self.prior not in PRIOR_MODES:
-            raise ConfigError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
+        implied = ALGO_PRIORS[self.algo]
+        if self.prior not in (None, implied):
+            raise ConfigError(f"algo {self.algo!r} runs with prior={implied!r}, got {self.prior!r}")
+        self.prior = implied
+        unread = [k for k, v in _ARS_SETTINGS.items() if getattr(self, k) != v]
+        if unread and self.algo not in ARS_ALGOS:
+            raise ConfigError(f"algo {self.algo!r} does not read {', '.join(unread)}")
         if len(self.seeds) < 1:
             raise ConfigError("need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"repeated seeds in {tuple(self.seeds)}")
         if (self.lhat is None) == (self.lhat_scale is None):
             raise ConfigError("exactly one of lhat / lhat_scale is required")
         name = "lhat" if self.lhat_scale is None else "lhat_scale"
         require_finite_positive(name, getattr(self, name))
-        needs_biased = self.algo in ("prgf", "pars_naive", "pars_impl", "pars_est")
-        if needs_biased and self.prior != "biased":
-            raise ConfigError(f"algo {self.algo!r} requires prior='biased'")
-        if self.algo in ("rgf", "ars") and self.prior != "none":
-            raise ConfigError(f"algo {self.algo!r} takes no prior")
-        if self.algo in ("history_prgf", "history_pars") and self.prior == "biased":
-            raise ConfigError(f"algo {self.algo!r} manages its own historical prior")
         if not self.label:
             self.label = self.algo
 
@@ -108,8 +113,8 @@ def run_single(config: RunConfig, seed: int) -> RunTrace:
                   diagnostics=config.diagnostics, log_every=config.log_every,
                   target_log10=config.target_log10,
                   stop_on_target=config.stop_on_target)
-    if config.algo in GREEDY_ALGOS:
-        source = {"rgf": "none", "prgf": "external", "history_prgf": "historical"}[config.algo]
+    if config.algo not in ARS_ALGOS:
+        source = "external" if config.prior == "biased" else config.prior
         gcfg = GreedyConfig(L_hat=lhat, q=config.q, prior_source=source, budget=config.budget)
         trace = run_greedy(obj, gcfg, seed, prior_feed, **common)
     else:
@@ -228,6 +233,8 @@ def emit_svg(aggregates: List[Aggregate], path: str, title: str = "",
         y_max += 1.0
     x_max = max(float(a.grid.max()) for a in aggregates)
     x_min = 0.0
+    if x_max == x_min:
+        x_max = 1.0
 
     def sx(x):
         return _ML + (x - x_min) / (x_max - x_min) * (_W - _ML - _MR)
@@ -308,10 +315,10 @@ def preset(name: str) -> List[RunConfig]:
                                     seeds=DEFAULT_SEEDS, **lhat, **kw)
         return [
             mk(algo="rgf", q=Q_PLAIN, label="RGF"),
-            mk(algo="prgf", q=Q_PRIOR, prior="biased", label="PRGF"),
+            mk(algo="prgf", q=Q_PRIOR, label="PRGF"),
             mk(algo="ars", q=Q_PLAIN, tau_hat=tau, label="ARS"),
-            mk(algo="pars_naive", q=Q_PRIOR, prior="biased", tau_hat=tau, label="PARS-Naive"),
-            mk(algo="pars_impl", q=Q_IMPL, prior="biased", tau_hat=tau, label="PARS"),
+            mk(algo="pars_naive", q=Q_PRIOR, tau_hat=tau, label="PARS-Naive"),
+            mk(algo="pars_impl", q=Q_IMPL, tau_hat=tau, label="PARS"),
         ]
     if name in fig2:
         fn = fig2[name]
@@ -321,8 +328,7 @@ def preset(name: str) -> List[RunConfig]:
         for scale, suffix in ((1.0, ""), (50.0, "-0.02")):
             out += [
                 mk(scale, algo="rgf", q=Q_PLAIN, label=f"RGF{suffix}"),
-                mk(scale, algo="history_prgf", q=Q_PRIOR, prior="historical",
-                   label=f"History-PRGF{suffix}"),
+                mk(scale, algo="history_prgf", q=Q_PRIOR, label=f"History-PRGF{suffix}"),
                 mk(scale, algo="ars", q=Q_PLAIN, restart=True, label=f"ARS{suffix}"),
                 mk(scale, algo="history_pars", q=Q_PRIOR, restart=True,
                    label=f"History-PARS{suffix}"),

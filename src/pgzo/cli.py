@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, help="finite-difference step")
     p.add_argument("--budget", type=int, help="directional-derivative query budget")
     p.add_argument("--seeds", help="comma-separated seed list, e.g. 0,1,2")
-    p.add_argument("--prior", help="none | historical | biased")
+    p.add_argument("--prior", help="none | historical | biased; follows from --algo")
     p.add_argument("--restart", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--gamma0", type=float)
     p.add_argument("--oracle-mode", choices=("fd", "exact"))

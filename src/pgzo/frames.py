@@ -48,18 +48,11 @@ class OrthonormalFrame:
 
 @dataclass
 class ProbeSet:
-    """Directional derivatives measured along a frame at one point.
-
-    ``base_f`` is the f(x) the finite differences were taken from, or None
-    when the oracle answered exactly; ``grad`` is the true gradient at x an
-    exact oracle answered from, or None after finite differences.
-    """
+    """Directional derivatives measured along a frame at one point."""
 
     frame: OrthonormalFrame
     prior_deriv: Optional[float]
     dir_derivs: Array          # (q,)
-    base_f: Optional[float] = None
-    grad: Optional[Array] = None
 
 
 def _unit_prior(prior: Array) -> Array:
@@ -118,8 +111,8 @@ def probe(oracle: OracleHandle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
         raise ConfigError(f"frame dim {frame.dim} != oracle dim {oracle.objective.dim}")
     vals = oracle.directional_derivatives(x, frame.stacked())
     if frame.prior is None:
-        return ProbeSet(frame, None, vals, oracle.last_base_f, oracle.last_grad)
-    return ProbeSet(frame, float(vals[0]), vals[1:], oracle.last_base_f, oracle.last_grad)
+        return ProbeSet(frame, None, vals)
+    return ProbeSet(frame, float(vals[0]), vals[1:])
 
 
 def subspace_estimate(probes: ProbeSet) -> Array:

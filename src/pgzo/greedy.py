@@ -8,12 +8,12 @@ direction), or external (a caller-supplied per-iterate callable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
                    l2_norm, require_finite_positive, sample_unit_sphere)
-from .frames import build_frame, cos_sq, probe, subspace_estimate
+from .frames import ProbeSet, build_frame, cos_sq, probe, subspace_estimate
 from .trace import RunTrace, run_loop
 
 PRIOR_SOURCES = ("none", "historical", "external")
@@ -43,41 +43,49 @@ class GreedyState:
     x: Array
     prior: Optional[Array] = None
     iteration: int = 0
-    last_g1: Optional[Array] = field(default=None, repr=False)
     last_f: Optional[float] = None    # f at the last step's start, if its probes paid for it
     last_C: float = float("nan")
     last_D: float = float("nan")
     last_theta: float = float("nan")  # greedy has no step coefficient; logged as NaN
 
 
+def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
+            prior: Optional[Array], diagnostics: bool,
+            diag_prior: Optional[Array] = None) -> tuple[ProbeSet, Array]:
+    """The descent step both families take: probe a frame around ``prior`` at
+    ``point``, record C_t/D_t when ``diagnostics``, set ``state.x = point -
+    g1/L̂`` and count the iteration. D_t is measured against ``diag_prior``,
+    or the frame's prior when None. Greedy descends from x_t, the ARS family
+    from y_t. Returns the probes and g1."""
+    frame = build_frame(rng, oracle.objective.dim, config.q, prior=prior)
+    probes = probe(oracle, point, frame)
+    g1 = subspace_estimate(probes)
+    if diagnostics:
+        grad = oracle.last_grad if oracle.last_grad is not None else oracle.gradient_at(point)
+        state.last_C = cos_sq(grad, g1)
+        p = frame.prior if diag_prior is None else diag_prior
+        state.last_D = cos_sq(grad, p) if p is not None else float("nan")
+    state.x = point - g1 / config.L_hat
+    state.iteration += 1
+    return probes, g1
+
+
 def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
                 rng: RngHandle, prior_feed: Optional[Callable[[Array], Array]] = None,
                 diagnostics: bool = False) -> GreedyState:
     """One frame probe and descent update; mutates and returns ``state``."""
-    d = oracle.objective.dim
     prior = None
     if config.prior_source == "historical":
         prior = state.prior
     elif config.prior_source == "external":
         prior = prior_feed(state.x)
 
-    frame = build_frame(rng, d, config.q, prior=prior)
-    probes = probe(oracle, state.x, frame)
-    g1 = subspace_estimate(probes)
-
-    if diagnostics:
-        grad = probes.grad if probes.grad is not None else oracle.gradient_at(state.x)
-        state.last_C = cos_sq(grad, g1)
-        state.last_D = cos_sq(grad, frame.prior) if frame.prior is not None else float("nan")
-
-    state.x = state.x - g1 / config.L_hat
+    _, g1 = descend(state, oracle, config, rng, state.x, prior, diagnostics)
+    state.last_f = oracle.last_base_f
     if config.prior_source == "historical":
         n = l2_norm(g1)
         if n > 0.0:  # zero estimate: keep the old prior
             state.prior = g1 / n
-    state.last_g1 = g1
-    state.last_f = probes.base_f
-    state.iteration += 1
     return state
 
 

@@ -114,6 +114,8 @@ def run_loop(objective: ObjectiveSpec, seed: int, cost: int, budget: int,
             trace.mark_reached(target_log10, f0, 0)
 
         while oracle.dd_queries + cost <= budget:
+            if stop_on_target and trace.reached_queries is not None:
+                break
             x_here = state.x
             dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
             step(state, oracle, rng)
@@ -126,8 +128,6 @@ def run_loop(objective: ObjectiveSpec, seed: int, cost: int, budget: int,
                              state.last_C, state.last_D, state.last_theta)
             if target_log10 is not None:
                 trace.mark_reached(target_log10, f_here, dd_before)
-                if stop_on_target and trace.reached_queries is not None:
-                    break
     finally:
         if rng.stream is not None:
             rng.stream.close()

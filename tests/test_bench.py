@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgzo.bench import (CSV_HEADER, Aggregate, RunConfig, aggregate_traces, emit_csv,
-                        emit_svg, preset, read_csv, run_batch, run_single)
+from pgzo.bench import (ALGO_PRIORS, CSV_HEADER, Aggregate, RunConfig, aggregate_traces,
+                        emit_csv, emit_svg, preset, read_csv, run_batch, run_single)
 from pgzo.core import ConfigError
 from pgzo.trace import RunTrace
 
@@ -45,18 +45,31 @@ def test_aggregation_permutation_invariant():
 
 
 def test_invalid_combos_rejected_with_reason():
-    with pytest.raises(ConfigError, match="prior"):
-        RunConfig(function="f2", dim=10, algo="prgf", q=3, budget=100, lhat=1.0)
     with pytest.raises(ConfigError, match="lhat"):
         RunConfig(function="f2", dim=10, algo="rgf", q=3, budget=100)
     with pytest.raises(ConfigError, match="algo"):
         RunConfig(function="f2", dim=10, algo="sgd", q=3, budget=100, lhat=1.0)
-    with pytest.raises(ConfigError, match="no prior"):
+    with pytest.raises(ConfigError, match="runs with prior='none', got 'biased'"):
         RunConfig(function="f2", dim=10, algo="ars", q=3, budget=100, lhat=1.0,
                   prior="biased")
     with pytest.raises(ConfigError, match="absolute lhat"):
         run_single(RunConfig(function="f3", dim=10, algo="rgf", q=3, budget=100,
                              lhat_scale=1.0), 0)
+
+
+@pytest.mark.parametrize("algo", list(ALGO_PRIORS))
+def test_prior_follows_from_algo(algo):
+    base = dict(function="f2", dim=10, algo=algo, q=3, budget=100, lhat=1.0)
+    assert RunConfig(**base).prior == ALGO_PRIORS[algo]
+    for other in {"none", "historical", "biased"} - {ALGO_PRIORS[algo]}:
+        with pytest.raises(ConfigError, match=f"runs with prior='{ALGO_PRIORS[algo]}'"):
+            RunConfig(**base, prior=other)
+
+
+def test_target_met_at_start_stops_before_first_step():
+    tr = run_single(small_config(target_log10=math.inf, stop_on_target=True), 0)
+    assert len(tr.rows) == 1 and tr.rows[0][:3] == (0, 0, 0)
+    assert tr.reached_queries == 0
 
 
 def test_csv_round_trip_statistics(tmp_path):

@@ -38,6 +38,16 @@ def test_config_file_with_flag_override(tmp_path):
     assert final_queries == 240  # flag overrode the file's 120
 
 
+def test_config_file_target_met_at_start(tmp_path):
+    cfg = tmp_path / "met.cfg"
+    cfg.write_text("function = f2\ndim = 10\nalgo = rgf\nq = 2\nlhat_scale = 1\n"
+                   "budget = 100\ntarget_log10 = inf\nstop_on_target = true\n")
+    out = str(tmp_path / "met")
+    assert main(["--config", str(cfg), "--out", out]) == EXIT_OK
+    assert os.path.exists(out + ".svg")
+    assert len(open(out + ".csv").read().splitlines()) == 2  # header and x0
+
+
 def test_preset_run(tmp_path):
     out = str(tmp_path / "fig")
     rc = main(["--preset", "fig1_f2", "--budget", "110", "--seeds", "0",
@@ -55,8 +65,8 @@ def test_missing_required_settings(capsys):
 
 
 def test_invalid_combo_exit_code(capsys):
-    rc = main(["--function", "f2", "--dim", "10", "--algo", "prgf", "--q", "3",
-               "--lhat-scale", "1", "--budget", "100"])
+    rc = main(["--function", "f2", "--dim", "10", "--algo", "ars", "--prior", "biased",
+               "--q", "3", "--lhat-scale", "1", "--budget", "100"])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
 
@@ -133,6 +143,11 @@ ARS_F1 = ["--function", "f1", "--dim", "10", "--algo", "ars", "--q", "2", "--bud
     (ARS_F1 + ["--lhat-scale", "1", "--mu", "nan"], "mu must be finite"),
     (ARS_F1 + ["--lhat-scale", "1", "--gamma0", "nan"], "gamma0 must be finite"),
     (ARS_F1 + ["--lhat-scale", "1", "--tau-hat", "nan"], "tau_hat must be finite"),
+    # settings a greedy algorithm does not read, and a seed given twice
+    (["--function", "f2", "--dim", "10", "--algo", "rgf", "--q", "2", "--budget", "100",
+      "--lhat-scale", "1", "--tau-hat", "nan", "--gamma0", "nan", "--restart"],
+     "does not read tau_hat, gamma0, restart"),
+    (ARS_F1 + ["--lhat-scale", "1", "--seeds", "0,0"], "repeated seeds"),
 ])
 def test_bad_setting_exit_code(tmp_path, capsys, argv, reason):
     rc = main(argv + ["--out", str(tmp_path / "x")])

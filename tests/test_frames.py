@@ -169,10 +169,12 @@ def test_probe_carries_fd_base_value():
     fn = bench_function("f2", 20)
     frame = build_frame(RngHandle(1), 20, 5, prior=np.ones(20))
     x = fn.x0 + 0.5
-    fd = probe(OracleHandle(fn.as_objective(), mu=1e-6), x, frame)
-    assert fd.base_f == fn.eval(x)
-    exact = probe(OracleHandle(fn.as_objective(), mode="exact"), x, frame)
-    assert exact.base_f is None
+    fd = OracleHandle(fn.as_objective(), mu=1e-6)
+    probe(fd, x, frame)
+    assert fd.last_base_f == fn.eval(x)
+    exact = OracleHandle(fn.as_objective(), mode="exact")
+    probe(exact, x, frame)
+    assert exact.last_base_f is None
 
 
 def test_zero_prior_rejected():

@@ -10,7 +10,7 @@ import pytest
 import pgzo.core
 import pgzo.trace
 from pgzo.ars import ArsConfig, run_ars
-from pgzo.bench import ARS_ALGOS, RunConfig, run_single
+from pgzo.bench import ALGO_PRIORS, ARS_ALGOS, RunConfig, run_single
 from pgzo.core import ConfigError, OracleFailureError, OracleHandle, RngHandle
 from pgzo.diagnostics import BoundCheck, bound_report_csv, check_theorem_bounds
 from pgzo.frames import build_frame, estimate_grad_norm_sq, probe
@@ -187,13 +187,8 @@ def test_probe_base_cache_shared_within_iteration():
 
 # -- the run driver both families share ----------------------------------------
 
-_ALGO_PRIORS = {"rgf": "none", "prgf": "biased", "history_prgf": "historical",
-                "ars": "none", "pars_naive": "biased", "pars_impl": "biased",
-                "pars_est": "biased", "history_pars": "historical"}
-
-
 @pytest.mark.parametrize("mode", ["fd", "exact"])
-@pytest.mark.parametrize("algo", list(_ALGO_PRIORS))
+@pytest.mark.parametrize("algo", list(ALGO_PRIORS))
 def test_run_driver_contract(monkeypatch, algo, mode):
     spent = []
     dd = OracleHandle.directional_derivatives
@@ -205,7 +200,7 @@ def test_run_driver_contract(monkeypatch, algo, mode):
 
     fn = bench_function("f2", 20)
     cfg = RunConfig(function="f2", dim=20, algo=algo, q=4, budget=600, lhat_scale=1.0,
-                    prior=_ALGO_PRIORS[algo], oracle_mode=mode, diagnostics=True)
+                    oracle_mode=mode, diagnostics=True)
     full = run_single(cfg, 5)
     iterations = full.rows[-1][0]
     assert iterations == len(full.rows) - 1 > 6
@@ -261,11 +256,10 @@ def helper_threads():
 
 
 @pytest.mark.parametrize("mode", ["fd", "exact"])
-@pytest.mark.parametrize("algo", list(_ALGO_PRIORS))
+@pytest.mark.parametrize("algo", list(ALGO_PRIORS))
 def test_read_ahead_keeps_traces_bit_identical(monkeypatch, algo, mode):
     cfg = RunConfig(function="f2", dim=20, algo=algo, q=4, budget=600, lhat_scale=1.0,
-                    prior=_ALGO_PRIORS[algo], oracle_mode=mode, diagnostics=True,
-                    restart=algo in ARS_ALGOS)
+                    oracle_mode=mode, diagnostics=True, restart=algo in ARS_ALGOS)
 
     def runs(on):
         started = force_read_ahead(monkeypatch, on)

@@ -38,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# algorithm -> (q, prior), as in bench.preset
+# algorithm -> (q, prior), as in bench.preset; --rev checkouts may still require prior
 ALGOS = {"rgf": (11, "none"), "prgf": (10, "biased"), "history_prgf": (10, "historical"),
          "ars": (11, "none"), "pars_naive": (10, "biased"), "pars_impl": (8, "biased"),
          "pars_est": (10, "biased"), "history_pars": (10, "historical")}

@@ -39,6 +39,7 @@ SEEDS = (0, 1)
 BUDGET = 11 * 300
 PARS_EST = {"function": "f1", "dim": 256, "algo": "pars_est", "q": 10, "prior": "biased",
             "lhat_scale": 1.0, "label": "PARS-Est"}
+# not read from bench.ALGO_PRIORS: --src checkouts may predate it and require prior
 MATRIX_PRIORS = {"rgf": "none", "prgf": "biased", "history_prgf": "historical",
                  "ars": "none", "pars_naive": "biased", "pars_impl": "biased",
                  "pars_est": "biased", "history_pars": "historical"}
