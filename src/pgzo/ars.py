@@ -26,10 +26,10 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
-                   l2_norm, require_finite_positive, sample_unit_sphere)
+                   require_finite_positive)
 from .frames import (_unit_prior, build_frame, estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
                      probe)
-from .greedy import descend
+from .greedy import GreedyState, descend
 from .trace import RunTrace, run_loop
 
 B_UB = 0.6          # pars_impl: upper clip on the estimated prior quality D̂
@@ -99,32 +99,28 @@ class ArsConfig:
             raise ConfigError(f"gamma0 must be >= tau_hat, got {self.gamma0}")
 
     @property
-    def min_queries_per_iteration(self) -> int:
-        if self.variant == "ars":
-            return self.q
-        if self.variant in ("pars_naive", "history_pars"):
-            return self.q + 1
+    def prior_source(self) -> str:
+        return VARIANT_PRIOR_SOURCES[self.variant]
+
+    @property
+    def queries_per_iteration(self) -> int:
         if self.variant == "pars_impl":
             return self.q + 3
-        return 3 * (self.q + 1)  # pars_est: initial pass + one verify + resample
+        if self.variant == "pars_est":
+            return 3 * (self.q + 1)  # initial pass + one verify + resample
+        return self.q + (0 if self.prior_source == "none" else 1)
 
 
-@dataclass
-class ArsState:
-    x: Array
+@dataclass(kw_only=True)
+class ArsState(GreedyState):
+    """``GreedyState`` plus the momentum point, gamma and each variant's
+    bookkeeping for traces and tests."""
     m: Array
     gamma: float
     theta_prev: float = 0.0
-    v_prev: Optional[Array] = None
     norm_sq_history: List[float] = field(default_factory=list)
     last_f_y: Optional[float] = None
-    iteration: int = 0
-    last_f: Optional[float] = None    # f at the last step's start, if the step paid for it
-    # per-step bookkeeping for traces and tests
-    last_theta: float = float("nan")
     last_Dhat: float = float("nan")
-    last_C: float = float("nan")
-    last_D: float = float("nan")
     guess_passes: List[int] = field(default_factory=list)  # pars_est, one entry per step
     restarts: int = 0
 
@@ -146,7 +142,7 @@ def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngH
              diag_prior: Optional[Array] = None):
     """The step every variant takes once it has chosen theta: mix y, take the
     greedy descent step from y (see ``greedy.descend``), move m along g2,
-    then test for a restart. Returns the probes and g1 for the variant's own
+    then test for a restart. Returns the probes for the variant's own
     bookkeeping."""
     d = oracle.objective.dim
     alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
@@ -163,7 +159,7 @@ def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngH
     state.gamma = gamma_next
     if config.restart:
         maybe_restart(state, oracle.function_value(y), config)
-    return probes, g1
+    return probes
 
 
 def _step_ars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
@@ -198,7 +194,7 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
     theta = theta_from_D(state.last_Dhat, config.q, d, config.L_hat)
 
     # p, not the frame's re-normalised copy of it, is the prior D_t measures
-    probes, _ = _descend(state, oracle, config, rng, theta, p, diagnostics, diag_prior=p)
+    probes = _descend(state, oracle, config, rng, theta, p, diagnostics, diag_prior=p)
     state.norm_sq_history.append(estimate_grad_norm_sq(probes))
     if len(state.norm_sq_history) > AVG_WINDOW_K:
         state.norm_sq_history.pop(0)
@@ -238,16 +234,12 @@ def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng
 
 
 def _step_history_pars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-                       prior: Optional[Array] = None, diagnostics: bool = False):
+                       prior: Array, diagnostics: bool = False):
     d = oracle.objective.dim
-    probes, g1 = _descend(state, oracle, config, rng, state.theta_prev, state.v_prev,
-                          diagnostics)
+    probes = _descend(state, oracle, config, rng, state.theta_prev, prior, diagnostics)
     # theta for the *next* iteration, from this iteration's probes
     state.theta_prev = theta_from_D(estimate_Dt(probes), config.q, d, config.L_hat)
     state.last_theta = state.theta_prev
-    n = l2_norm(g1)
-    if n > 0.0:
-        state.v_prev = g1 / n
 
 
 _STEPPERS: dict[str, Callable] = {
@@ -257,6 +249,9 @@ _STEPPERS: dict[str, Callable] = {
     "pars_est": _step_pars_est,
     "history_pars": _step_history_pars,
 }
+# the prior each variant probes with (``ArsConfig.prior_source``)
+VARIANT_PRIOR_SOURCES = {"ars": "none", "pars_naive": "external", "pars_impl": "external",
+                         "pars_est": "external", "history_pars": "historical"}
 
 
 def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
@@ -266,25 +261,10 @@ def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
             target_log10: Optional[float] = None,
             stop_on_target: bool = False) -> RunTrace:
     """Run the configured ARS variant until the dd-query budget is exhausted."""
-    needs_prior = config.variant in ("pars_naive", "pars_impl", "pars_est")
-    if needs_prior and prior_feed is None:
-        raise ConfigError(f"variant {config.variant!r} requires a prior_feed callable")
-    if diagnostics is None:
-        diagnostics = objective.true_gradient is not None
-    stepper = _STEPPERS[config.variant]
-
-    def start(rng: RngHandle, x0: Array) -> ArsState:
-        state = ArsState(x=x0, m=x0.copy(), gamma=config.gamma0)
-        if config.variant == "history_pars":
-            state.v_prev = sample_unit_sphere(rng, objective.dim)
-        return state
-
-    def step(state: ArsState, oracle: OracleHandle, rng: RngHandle):
-        prior = prior_feed(state.x) if needs_prior else None
-        stepper(state, oracle, config, rng, prior, diagnostics)
-
-    trace, state = run_loop(objective, seed, config.min_queries_per_iteration, config.budget,
-                            start, step, oracle_mode=oracle_mode, mu=mu, log_every=log_every,
+    trace, state = run_loop(objective, config, seed,
+                            lambda x0: ArsState(x=x0, m=x0.copy(), gamma=config.gamma0),
+                            _STEPPERS[config.variant], prior_feed, oracle_mode=oracle_mode,
+                            mu=mu, diagnostics=diagnostics, log_every=log_every,
                             target_log10=target_log10, stop_on_target=stop_on_target)
     trace.restarts = state.restarts
     trace.guess_passes = state.guess_passes

@@ -10,18 +10,18 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy.special import stdtrit
 
-from .ars import _STEPPERS, ArsConfig, run_ars
+from .ars import VARIANT_PRIOR_SOURCES, ArsConfig, run_ars
 from .core import DEFAULT_MU, ConfigError, RngHandle, require_finite_positive
-from .greedy import GreedyConfig, run_greedy
+from .greedy import ALGO_PRIOR_SOURCES, GreedyConfig, run_greedy
 from .testfns import bench_function, biased_prior_feed
 from .trace import COLUMNS, RunTrace
 
-# The prior each algorithm runs with: "biased" is the function's
-# biased-gradient feed, "historical" the run's own previous estimate.
-ALGO_PRIORS = {"rgf": "none", "prgf": "biased", "history_prgf": "historical",
-               "ars": "none", "pars_naive": "biased", "pars_impl": "biased",
-               "pars_est": "biased", "history_pars": "historical"}
-ARS_ALGOS = tuple(a for a in ALGO_PRIORS if a in _STEPPERS)
+# The prior each algorithm runs with, from the two families' tables: "biased"
+# is the function's biased-gradient feed (the external prior of every run
+# here), "historical" the run's own previous estimate.
+ALGO_PRIORS = {algo: "biased" if source == "external" else source
+               for algo, source in {**ALGO_PRIOR_SOURCES, **VARIANT_PRIOR_SOURCES}.items()}
+ARS_ALGOS = tuple(VARIANT_PRIOR_SOURCES)
 # settings only the ARS family reads, with the defaults a greedy run keeps
 _ARS_SETTINGS = {"tau_hat": 0.0, "gamma0": None, "restart": False}
 
@@ -64,6 +64,8 @@ class RunConfig:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"repeated seeds in {tuple(self.seeds)}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be nonnegative, got {tuple(self.seeds)}")
         if (self.lhat is None) == (self.lhat_scale is None):
             raise ConfigError("exactly one of lhat / lhat_scale is required")
         name = "lhat" if self.lhat_scale is None else "lhat_scale"
@@ -104,24 +106,21 @@ def run_single(config: RunConfig, seed: int) -> RunTrace:
         lhat = config.lhat_scale * fn.L
     tau_hat = fn.tau if config.tau_hat == "true" else float(config.tau_hat)
 
+    if config.algo in ARS_ALGOS:
+        cfg, run = ArsConfig(L_hat=lhat, q=config.q, variant=config.algo, tau_hat=tau_hat,
+                             gamma0=config.gamma0, restart=config.restart,
+                             budget=config.budget), run_ars
+    else:
+        cfg, run = GreedyConfig(L_hat=lhat, q=config.q,
+                                prior_source=ALGO_PRIOR_SOURCES[config.algo],
+                                budget=config.budget), run_greedy
     prior_feed = None
-    if config.prior == "biased":
+    if cfg.prior_source == "external":
         # dedicated stream so the frame noise is unchanged across prior modes
         prior_feed = biased_prior_feed(fn, RngHandle(seed + 0x9E3779B9))
-
-    common = dict(oracle_mode=config.oracle_mode, mu=config.mu,
-                  diagnostics=config.diagnostics, log_every=config.log_every,
-                  target_log10=config.target_log10,
-                  stop_on_target=config.stop_on_target)
-    if config.algo not in ARS_ALGOS:
-        source = "external" if config.prior == "biased" else config.prior
-        gcfg = GreedyConfig(L_hat=lhat, q=config.q, prior_source=source, budget=config.budget)
-        trace = run_greedy(obj, gcfg, seed, prior_feed, **common)
-    else:
-        acfg = ArsConfig(L_hat=lhat, q=config.q, variant=config.algo, tau_hat=tau_hat,
-                         gamma0=config.gamma0, restart=config.restart, budget=config.budget)
-        trace = run_ars(obj, acfg, seed, prior_feed, **common)
-    return trace
+    return run(obj, cfg, seed, prior_feed, oracle_mode=config.oracle_mode, mu=config.mu,
+               diagnostics=config.diagnostics, log_every=config.log_every,
+               target_log10=config.target_log10, stop_on_target=config.stop_on_target)
 
 
 def _values_for_aggregation(trace: RunTrace) -> np.ndarray:
@@ -222,9 +221,11 @@ def emit_svg(aggregates: List[Aggregate], path: str, title: str = "",
              x_label: str = "directional-derivative queries",
              y_label: str = "log10 relative error") -> str:
     """Single self-contained chart: one mean polyline and one shaded
-    confidence band per aggregate."""
+    confidence band per aggregate. Labels and the title are XML-escaped."""
     if not aggregates:
         raise ConfigError("no aggregates to plot")
+    from html import escape  # imported here: runs that plot nothing skip its 0.4 MB of RSS
+    title, x_label, y_label = (escape(t, quote=False) for t in (title, x_label, y_label))
     all_y = np.concatenate([np.concatenate([a.lo, a.hi]) for a in aggregates])
     finite_y = all_y[np.isfinite(all_y)]
     y_min = float(finite_y.min()) if finite_y.size else -1.0
@@ -278,7 +279,7 @@ def emit_svg(aggregates: List[Aggregate], path: str, title: str = "",
         ly = _MT + 16 + 16 * k
         parts.append(f'<line x1="{_W - _MR - 170}" y1="{ly}" x2="{_W - _MR - 140}" y2="{ly}" '
                      f'stroke="{color}" stroke-width="2"/>')
-        parts.append(f'<text x="{_W - _MR - 134}" y="{ly + 4}">{agg.label}</text>')
+        parts.append(f'<text x="{_W - _MR - 134}" y="{ly + 4}">{escape(agg.label, quote=False)}</text>')
     parts.append("</svg>")
     try:
         with open(path, "w") as fh:

@@ -3,7 +3,8 @@
 Each iteration probes a random orthonormal frame (optionally containing a
 prior direction), forms the projection estimate g1, and steps x <- x - g1/L̂.
 Prior sources: none (plain random search), historical (previous estimate
-direction), or external (a caller-supplied per-iterate callable).
+direction), or external (a caller-supplied per-iterate callable); the run
+loop (``trace.run_loop``) hands each step its prior.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
-                   l2_norm, require_finite_positive, sample_unit_sphere)
+                   l2_norm, require_finite_positive)
 from .frames import ProbeSet, build_frame, cos_sq, probe, subspace_estimate
 from .trace import RunTrace, run_loop
 
-PRIOR_SOURCES = ("none", "historical", "external")
+# the greedy algorithms by the prior they probe with
+ALGO_PRIOR_SOURCES = {"rgf": "none", "prgf": "external", "history_prgf": "historical"}
+PRIOR_SOURCES = tuple(ALGO_PRIOR_SOURCES.values())
 
 
 @dataclass
@@ -55,8 +58,9 @@ def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
     """The descent step both families take: probe a frame around ``prior`` at
     ``point``, record C_t/D_t when ``diagnostics``, set ``state.x = point -
     g1/L̂`` and count the iteration. D_t is measured against ``diag_prior``,
-    or the frame's prior when None. Greedy descends from x_t, the ARS family
-    from y_t. Returns the probes and g1."""
+    or the frame's prior when None. A historical ``config.prior_source``
+    makes g1/‖g1‖ the next ``state.prior``. Greedy descends from x_t, the ARS
+    family from y_t. Returns the probes and g1."""
     frame = build_frame(rng, oracle.objective.dim, config.q, prior=prior)
     probes = probe(oracle, point, frame)
     g1 = subspace_estimate(probes)
@@ -67,25 +71,20 @@ def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
         state.last_D = cos_sq(grad, p) if p is not None else float("nan")
     state.x = point - g1 / config.L_hat
     state.iteration += 1
-    return probes, g1
-
-
-def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
-                rng: RngHandle, prior_feed: Optional[Callable[[Array], Array]] = None,
-                diagnostics: bool = False) -> GreedyState:
-    """One frame probe and descent update; mutates and returns ``state``."""
-    prior = None
-    if config.prior_source == "historical":
-        prior = state.prior
-    elif config.prior_source == "external":
-        prior = prior_feed(state.x)
-
-    _, g1 = descend(state, oracle, config, rng, state.x, prior, diagnostics)
-    state.last_f = oracle.last_base_f
     if config.prior_source == "historical":
         n = l2_norm(g1)
         if n > 0.0:  # zero estimate: keep the old prior
             state.prior = g1 / n
+    return probes, g1
+
+
+def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
+                rng: RngHandle, prior: Optional[Array] = None,
+                diagnostics: bool = False) -> GreedyState:
+    """One frame probe around ``prior`` and descent update from x_t; mutates
+    and returns ``state``."""
+    descend(state, oracle, config, rng, state.x, prior, diagnostics)
+    state.last_f = oracle.last_base_f
     return state
 
 
@@ -103,21 +102,8 @@ def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
     ``target_log10`` marks (and with ``stop_on_target`` ends at) the first
     crossing of a relative-error level.
     """
-    if config.prior_source == "external" and prior_feed is None:
-        raise ConfigError("prior_source='external' requires a prior_feed callable")
-    if diagnostics is None:
-        diagnostics = objective.true_gradient is not None
-
-    def start(rng: RngHandle, x0: Array) -> GreedyState:
-        state = GreedyState(x=x0)
-        if config.prior_source == "historical":
-            state.prior = sample_unit_sphere(rng, objective.dim)
-        return state
-
-    def step(state: GreedyState, oracle: OracleHandle, rng: RngHandle):
-        greedy_step(state, oracle, config, rng, prior_feed, diagnostics)
-
-    trace, _ = run_loop(objective, seed, config.queries_per_iteration, config.budget,
-                        start, step, oracle_mode=oracle_mode, mu=mu, log_every=log_every,
-                        target_log10=target_log10, stop_on_target=stop_on_target)
+    trace, _ = run_loop(objective, config, seed, GreedyState, greedy_step, prior_feed,
+                        oracle_mode=oracle_mode, mu=mu, diagnostics=diagnostics,
+                        log_every=log_every, target_log10=target_log10,
+                        stop_on_target=stop_on_target)
     return trace

@@ -8,7 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Array, ConfigError, NormalStream, ObjectiveSpec, OracleHandle, RngHandle
+from .core import (Array, ConfigError, NormalStream, ObjectiveSpec, OracleHandle, RngHandle,
+                   sample_unit_sphere)
 
 # Runs whose block (queries per iteration times d) reaches this draw their
 # normals through a NormalStream; smaller runs draw directly. Starting the
@@ -78,21 +79,27 @@ class RunTrace:
             self.reached_queries = dd_queries
 
 
-def run_loop(objective: ObjectiveSpec, seed: int, cost: int, budget: int,
-             start: Callable, step: Callable, *, oracle_mode: str, mu: float,
-             log_every: int, target_log10: Optional[float],
-             stop_on_target: bool) -> tuple[RunTrace, object]:
-    """Step from x0 while another iteration of ``cost`` queries fits the budget.
+def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
+             step: Callable, prior_feed: Optional[Callable[[Array], Array]], *,
+             oracle_mode: str, mu: float, diagnostics: Optional[bool], log_every: int,
+             target_log10: Optional[float], stop_on_target: bool) -> tuple[RunTrace, object]:
+    """Step from x0 while another iteration of ``config.queries_per_iteration``
+    queries fits ``config.budget``.
 
-    ``start(rng, x0)`` builds the optimizer state and ``step(state, oracle,
-    rng)`` advances it by one iteration. The state carries ``x``,
+    ``new_state(x0)`` builds the optimizer state. Each iteration calls
+    ``step(state, oracle, config, rng, prior, diagnostics)`` with the prior
+    ``config.prior_source`` names: None ("none"), ``prior_feed(x_t)``
+    ("external") or ``state.prior`` ("historical", first drawn uniformly on
+    the sphere; ``greedy.descend`` keeps it). ``diagnostics=None`` records
+    C_t/D_t whenever a true gradient exists. The state carries ``x``,
     ``iteration`` and the step's ``last_C``/``last_D``/``last_theta``;
     ``last_f`` is f(x_t) when the step's own queries paid for it, else None
     and row t reads f(x_t) uncharged. Returns the trace and the final state.
-    A run whose block (``cost`` times d) reaches ``READ_AHEAD_MIN_BLOCK``
-    draws its normals through a NormalStream, closed before it returns or
-    raises.
+    A run whose block (queries per iteration times d) reaches
+    ``READ_AHEAD_MIN_BLOCK`` draws its normals through a NormalStream, closed
+    before it returns or raises.
     """
+    cost, budget = config.queries_per_iteration, config.budget
     if budget < cost:
         raise ConfigError(f"budget {budget} is below one iteration's cost {cost}")
     if log_every < 1:
@@ -101,12 +108,21 @@ def run_loop(objective: ObjectiveSpec, seed: int, cost: int, budget: int,
         raise ConfigError("the objective has no x0 to start from")
     if target_log10 is not None and math.isnan(target_log10):
         raise ConfigError("target_log10 must not be NaN")
+    if stop_on_target and target_log10 is None:
+        raise ConfigError("stop_on_target needs a target_log10")
+    external = config.prior_source == "external"
+    if external and prior_feed is None:
+        raise ConfigError("prior_source='external' requires a prior_feed callable")
+    if diagnostics is None:
+        diagnostics = objective.true_gradient is not None
     oracle = OracleHandle(objective, mu=mu, mode=oracle_mode)
     rng = RngHandle(seed)
     if cost * objective.dim >= READ_AHEAD_MIN_BLOCK:
         rng.stream = NormalStream(rng.gen.bit_generator)
     try:
-        state = start(rng, np.array(objective.x0, dtype=float))
+        state = new_state(np.array(objective.x0, dtype=float))
+        if config.prior_source == "historical":
+            state.prior = sample_unit_sphere(rng, objective.dim)
 
         f0 = oracle.peek_function_value(state.x)
         trace = RunTrace(seed=seed, f0=f0, f_star=objective.f_star)
@@ -118,7 +134,8 @@ def run_loop(objective: ObjectiveSpec, seed: int, cost: int, budget: int,
                 break
             x_here = state.x
             dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
-            step(state, oracle, rng)
+            prior = prior_feed(x_here) if external else state.prior
+            step(state, oracle, config, rng, prior, diagnostics)
             t = state.iteration - 1  # index of the iterate the step started from
             f_here = state.last_f
             if f_here is None:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,15 @@ def test_svg_structure_two_series(tmp_path):
     assert svg.count('<path class="band"') == 2
     assert svg.startswith("<svg")
     assert "alpha" in svg and "beta" in svg
+
+
+def test_svg_text_is_escaped(tmp_path):
+    grid = np.arange(0.0, 30.0, 10.0)
+    agg = Aggregate(grid=grid, mean=-grid, lo=-grid - 0.1, hi=-grid + 0.1, label="a<b & c>d")
+    path = str(tmp_path / "escaped.svg")
+    emit_svg([agg], path, title="f & g", x_label="<x>", y_label="y&")
+    texts = [el.text for el in ET.parse(path).getroot().iter() if el.tag.endswith("text")]
+    assert {"a<b & c>d", "f & g", "<x>", "y&"} <= set(texts)
 
 
 def test_preset_configs_valid():

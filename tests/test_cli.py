@@ -1,4 +1,5 @@
 import os
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -46,6 +47,27 @@ def test_config_file_target_met_at_start(tmp_path):
     assert main(["--config", str(cfg), "--out", out]) == EXIT_OK
     assert os.path.exists(out + ".svg")
     assert len(open(out + ".csv").read().splitlines()) == 2  # header and x0
+
+
+def test_config_file_stop_on_target_needs_target(tmp_path, capsys):
+    cfg = tmp_path / "stop.cfg"
+    cfg.write_text("function = f2\ndim = 10\nalgo = rgf\nq = 2\nlhat_scale = 1\n"
+                   "budget = 100\nstop_on_target = true\n")
+    out = str(tmp_path / "stop")
+    assert main(["--config", str(cfg), "--out", out]) == EXIT_CONFIG
+    assert "stop_on_target needs a target_log10" in capsys.readouterr().err
+    assert not os.path.exists(out + ".csv")
+
+
+def test_config_file_label_escaped_in_svg(tmp_path):
+    cfg = tmp_path / "label.cfg"
+    cfg.write_text("function = f2\ndim = 10\nalgo = rgf\nq = 2\nlhat_scale = 1\n"
+                   "budget = 40\nlabel = A&B <x>\n")
+    out = str(tmp_path / "label")
+    assert main(["--config", str(cfg), "--out", out]) == EXIT_OK
+    texts = [el.text for el in ET.parse(out + ".svg").getroot().iter()
+             if el.tag.endswith("text")]
+    assert "A&B <x>" in texts
 
 
 def test_preset_run(tmp_path):
@@ -148,6 +170,7 @@ ARS_F1 = ["--function", "f1", "--dim", "10", "--algo", "ars", "--q", "2", "--bud
       "--lhat-scale", "1", "--tau-hat", "nan", "--gamma0", "nan", "--restart"],
      "does not read tau_hat, gamma0, restart"),
     (ARS_F1 + ["--lhat-scale", "1", "--seeds", "0,0"], "repeated seeds"),
+    (ARS_F1 + ["--lhat-scale", "1", "--seeds=-1"], "seeds must be nonnegative"),
 ])
 def test_bad_setting_exit_code(tmp_path, capsys, argv, reason):
     rc = main(argv + ["--out", str(tmp_path / "x")])

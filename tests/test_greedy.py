@@ -25,7 +25,7 @@ def test_step_full_alignment_reaches_optimum():
     oracle = OracleHandle(obj, mode="exact")
     cfg = GreedyConfig(L_hat=1.0, q=1, prior_source="external", budget=10)
     state = GreedyState(x=np.array([1.0, 0.0]))
-    greedy_step(state, oracle, cfg, RngHandle(0), prior_feed=lambda x: np.array([0.0, 1.0]))
+    greedy_step(state, oracle, cfg, RngHandle(0), prior=np.array([0.0, 1.0]))
     # frame = {e2 prior, +-e1}: spans R^2, so g1 = grad and the step is exact
     np.testing.assert_allclose(state.x, [0.0, 0.0], atol=1e-12)
 
@@ -47,7 +47,7 @@ def test_zero_estimate_leaves_state_fixed():
     cfg = GreedyConfig(L_hat=1.0, q=2, prior_source="historical", budget=10)
     state = GreedyState(x=np.ones(3), prior=np.array([1.0, 0.0, 0.0]))
     before = state.prior.copy()
-    greedy_step(state, oracle, cfg, RngHandle(1))
+    greedy_step(state, oracle, cfg, RngHandle(1), state.prior)
     np.testing.assert_array_equal(state.x, np.ones(3))
     np.testing.assert_array_equal(state.prior, before)  # zero g1 keeps the prior
 
@@ -115,7 +115,7 @@ def test_historical_prior_is_previous_estimate_direction():
     rng = RngHandle(4)
     cfg = GreedyConfig(L_hat=2.0, q=3, prior_source="historical", budget=10 ** 6)
     state = GreedyState(x=obj.x0.copy(), prior=np.eye(12)[1])
-    greedy_step(state, oracle, cfg, rng)
+    greedy_step(state, oracle, cfg, rng, state.prior)
     # replay the step's frame from the same seed to recover its g1
     frame = build_frame(RngHandle(4), 12, 3, prior=np.eye(12)[1])
     g1 = subspace_estimate(probe(OracleHandle(obj, mode="exact"), obj.x0, frame))
