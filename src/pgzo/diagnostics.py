@@ -12,10 +12,18 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .core import Array, ConfigError, RngHandle, sample_unit_sphere
-from .frames import (ProbeSet, build_frame, cos_sq, g2_unbiased, g2_variance_reduced,
-                     subspace_estimate)
+from .frames import (OrthonormalFrame, ProbeSet, _dot, build_frame, build_frames, cos_sq,
+                     g2_unbiased, g2_variance_reduced, subspace_estimate)
 from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function
+
+
+# Normals drawn per block of Monte-Carlo samples, q * d per frame: 128 KiB
+# of doubles. The block bounds memory, not speed: on a 2-vCPU host
+# (OpenBLAS 0.3.31) the AC02-AC05 shapes ran as fast with 16384 as with
+# 32768 and slower with 65536, and at (d, q) = (101, 10) blocks of 64
+# frames (65k values) raised peak RSS by 1.5 MB over one frame at a time.
+MC_BLOCK_VALUES = 16384
 
 
 @dataclass(frozen=True)
@@ -37,13 +45,16 @@ class BoundCheck:
         return self.observed <= self.bound
 
 
-def _exact_probes(frame, grad: Array) -> ProbeSet:
-    pd = float(frame.prior @ grad) if frame.prior is not None else None
+def _exact_probes(frame: OrthonormalFrame, grad: Array) -> ProbeSet:
+    """Exact directional derivatives along a frame or a stack of frames."""
+    pd = None if frame.prior is None else _dot(frame.prior, grad)[..., None]
     return ProbeSet(frame=frame, prior_deriv=pd, dir_derivs=frame.directions @ grad)
 
 
 def _prior_with_quality(grad: Array, D: float, rng: RngHandle) -> Array:
     """Unit vector whose squared cosine with ``grad`` is exactly D."""
+    if not 0.0 <= D <= 1.0:
+        raise ConfigError(f"prior quality D must lie in [0, 1], got {D}")
     g_hat = grad / np.linalg.norm(grad)
     while True:
         w = sample_unit_sphere(rng, len(grad))
@@ -55,6 +66,20 @@ def _prior_with_quality(grad: Array, D: float, rng: RngHandle) -> Array:
     return np.sqrt(D) * g_hat + np.sqrt(1.0 - D) * w
 
 
+def _blocks(n_samples: int, q: int, d: int):
+    """(start, size) of each block of samples whose frames hold about
+    MC_BLOCK_VALUES values; the last block is shorter."""
+    block = max(1, MC_BLOCK_VALUES // (q * d))
+    for start in range(0, n_samples, block):
+        yield start, min(block, n_samples - start)
+
+
+def _add_in_order(total, terms: Array):
+    """``total + terms[0] + terms[1] + ...`` with the additions made one by
+    one, as a loop over the samples makes them (a sum pairs them up)."""
+    return np.add.accumulate(np.concatenate([np.asarray(total)[None], terms]))[-1]
+
+
 def _mc_drift(d: int, q: int, n_samples: int, rng: RngHandle,
               D_fixed: Optional[float]) -> tuple[float, float]:
     """MC mean/stderr of C_t against a fixed random gradient, over plain
@@ -64,9 +89,9 @@ def _mc_drift(d: int, q: int, n_samples: int, rng: RngHandle,
     grad = sample_unit_sphere(rng, d)
     prior = None if D_fixed is None else _prior_with_quality(grad, D_fixed, rng)
     cs = np.empty(n_samples)
-    for i in range(n_samples):
-        frame = build_frame(rng, d, q, prior=prior)
-        cs[i] = cos_sq(grad, subspace_estimate(_exact_probes(frame, grad)))
+    for start, size in _blocks(n_samples, q, d):
+        frames = build_frames(rng, d, q, size, prior=prior)
+        cs[start:start + size] = cos_sq(grad, subspace_estimate(_exact_probes(frames, grad)))
     return float(cs.mean()), float(cs.std(ddof=1) / np.sqrt(n_samples))
 
 
@@ -93,20 +118,21 @@ def mc_g2_moments(d: int, q: int, D: float, n_samples: int, rng: RngHandle,
     variance-reduced one keeps them uniform and uses the prior as a control
     variate.
     """
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     grad = 2.0 * sample_unit_sphere(rng, d)
     prior = _prior_with_quality(grad, D, rng)
     acc = np.zeros(d)
     norm_sq = 0.0
-    for _ in range(n_samples):
+    for _, size in _blocks(n_samples, q, d):
         if variance_reduced:
-            frame = build_frame(rng, d, q)
-            probes = _exact_probes(frame, grad)
-            g2 = g2_variance_reduced(probes, prior, float(prior @ grad))
+            frames = build_frames(rng, d, q, size)
+            g2 = g2_variance_reduced(_exact_probes(frames, grad), prior, float(prior @ grad))
         else:
-            frame = build_frame(rng, d, q, prior=prior)
-            g2 = g2_unbiased(_exact_probes(frame, grad))
-        acc += g2
-        norm_sq += g2 @ g2
+            frames = build_frames(rng, d, q, size, prior=prior)
+            g2 = g2_unbiased(_exact_probes(frames, grad))
+        acc = _add_in_order(acc, g2)
+        norm_sq = _add_in_order(norm_sq, _dot(g2, g2))
     mean = acc / n_samples
     gn2 = float(grad @ grad)
     rel_err = float(np.linalg.norm(mean - grad) / np.sqrt(gn2))
@@ -118,6 +144,8 @@ def subspace_optimality_margin(d: int, q: int, n_vectors: int, rng: RngHandle,
     """Worst observed cos^2 margin of the projection direction over random
     in-subspace unit vectors; nonnegative up to rounding if the projection
     is optimal."""
+    if n_trials < 1 or n_vectors < 1:
+        raise ConfigError(f"n_trials and n_vectors must be >= 1, got {n_trials} and {n_vectors}")
     worst = np.inf
     for _ in range(n_trials):
         grad = sample_unit_sphere(rng, d) * rng.gen.uniform(0.5, 2.0)
@@ -137,6 +165,8 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
     """Count violations of D_t >= (1 - L/L̂)^2 C_{t-1} along a History-PRGF
     run on the diagonal quadratic with an exact oracle. Zero on quadratics
     whenever L̂ >= L."""
+    if iterations < 2:
+        raise ConfigError(f"iterations must be >= 2 to pair C_(t-1) with D_t, got {iterations}")
     fn = bench_function("f2", d)
     L = fn.L
     cfg = GreedyConfig(L_hat=L_hat_mult * L, q=q, prior_source="historical",

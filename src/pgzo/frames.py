@@ -24,22 +24,24 @@ RESIDUAL_EPS = 1e-12
 class OrthonormalFrame:
     """Prior direction (optional) plus q orthonormal random directions.
 
-    Binds the row block ``rows`` without a copy: ``prior`` (d,) is row 0 when
-    ``with_prior``, ``directions`` (q, d) the rest; ``stacked()`` returns
-    ``rows`` itself.
+    Binds the row block ``rows`` without a copy: ``prior`` is row 0 when
+    ``with_prior``, ``directions`` the rest; ``stacked()`` returns ``rows``
+    itself. One frame has (k, d) rows, so a (d,) prior and (q, d)
+    directions; a stack of n frames has (n, k, d) rows, so (n, d) priors
+    and (n, q, d) directions.
     """
 
     def __init__(self, rows: Array, with_prior: bool):
         self._rows = rows
-        self.dim = rows.shape[1]
+        self.dim = rows.shape[-1]
         if with_prior:
-            self.prior, self.directions = rows[0], rows[1:]
+            self.prior, self.directions = rows[..., 0, :], rows[..., 1:, :]
         else:
             self.prior, self.directions = None, rows
 
     @property
     def q(self) -> int:
-        return self.directions.shape[0]
+        return self.directions.shape[-2]
 
     def stacked(self) -> Array:
         """All probe directions as rows, prior first when present."""
@@ -51,8 +53,8 @@ class ProbeSet:
     """Directional derivatives measured along a frame at one point."""
 
     frame: OrthonormalFrame
-    prior_deriv: Optional[float]
-    dir_derivs: Array          # (q,)
+    prior_deriv: Optional[float]   # for a stack of n frames, an (n, 1) column
+    dir_derivs: Array              # (q,), or (n, q) for a stack
 
 
 def _unit_prior(prior: Array) -> Array:
@@ -65,15 +67,24 @@ def _unit_prior(prior: Array) -> Array:
     return prior / pn
 
 
-def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -> OrthonormalFrame:
-    """Sample q directions uniformly and orthonormalize them (and the prior).
+def build_frames(rng: RngHandle, d: int, q: int, n: Optional[int],
+                 prior: Optional[Array] = None) -> OrthonormalFrame:
+    """n frames as one stack of (n, k, d) rows, or one frame of (k, d) rows
+    when n is None: q directions sampled uniformly and orthonormalized (and
+    the prior, shared by every frame).
 
     The prior is only normalized, never rotated; the random directions are
     made orthogonal to it and to each other. Gaussian draws are used directly
     since projection + normalization is direction-invariant under scaling.
+    The stream is consumed as n ``build_frame`` calls would consume it, and
+    every frame is bit for bit the one that call would build: one (m, q, d)
+    draw holds the next m blocks, a rejected block passes its frame on to
+    the next block, and the frames still missing are drawn afterwards.
     """
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
+    if n is not None and n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
     p = None
     if prior is not None:
         p = _unit_prior(prior)
@@ -82,27 +93,49 @@ def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -
     elif q > d:
         raise ConfigError(f"q={q} exceeds dimension d={d}")
 
-    if p is None:
-        rows = dirs = np.empty((q, d))
-    else:
-        rows = np.empty((q + 1, d))
-        rows[0] = p
-        dirs = rows[1:]
+    k = q if p is None else q + 1
+    rows = np.empty((1 if n is None else n, k, d))
+    if p is not None:
+        rows[:, 0] = p
+    dirs = rows[:, k - q:]
     # Cholesky-QR: identical to Gram-Schmidt in exact arithmetic, one LAPACK
     # call instead of q passes. The Cholesky diagonal equals the per-direction
     # Gram-Schmidt residual norms; a draw anywhere near degeneracy (where
     # CholQR's conditioning degrades) is discarded and the whole block redrawn.
-    for _ in range(64):
-        raw = rng.normal((q, d))
+    done = rejects = 0
+    while done < len(rows):
+        raw = rng.normal((len(rows) - done, q, d))
         if p is not None:
-            raw -= (raw @ p)[:, None] * p
-        chol, info = lapack.dpotrf(raw @ raw.T, lower=1)
-        if info == 0 and chol.diagonal().min() >= 1e-6:
-            inv_l, info2 = lapack.dtrtri(chol, lower=1)
-            if info2 == 0:
-                np.matmul(inv_l, raw, out=dirs)
-                return OrthonormalFrame(rows, p is not None)
-    raise ConfigError("could not build an orthonormal frame (d too small?)")
+            raw -= (raw @ p)[:, :, None] * p
+        # A Gram block is symmetric, so its transpose is the same matrix, and
+        # Fortran-ordered: dpotrf and dtrtri overwrite it in place, leaving
+        # L^-1 in the layout dtrtri returns it in. The flags go in by
+        # position, (lower, clean, overwrite_a) and (lower, unitdiag,
+        # overwrite_c): f2py's keyword parsing costs a microsecond per frame.
+        gram = raw @ raw.transpose(0, 2, 1)
+        inv_l = gram.transpose(0, 2, 1)
+        good = []
+        for i in range(len(raw)):
+            chol, info = lapack.dpotrf(inv_l[i], 1, 1, 1)
+            if info == 0 and min(chol.diagonal().tolist()) >= 1e-6:
+                info = lapack.dtrtri(chol, 1, 0, 1)[1]
+                if info == 0:
+                    good.append(i)
+                    rejects = 0
+                    continue
+            rejects += 1
+            if rejects == 64:
+                raise ConfigError("could not build an orthonormal frame (d too small?)")
+        if len(good) < len(raw):
+            raw, inv_l = raw[good], gram[good].transpose(0, 2, 1)
+        np.matmul(inv_l, raw, out=dirs[done:done + len(good)])
+        done += len(good)
+    return OrthonormalFrame(rows if n is not None else rows[0], p is not None)
+
+
+def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -> OrthonormalFrame:
+    """One frame of q orthonormal random directions (see ``build_frames``)."""
+    return build_frames(rng, d, q, None, prior)
 
 
 def probe(oracle: OracleHandle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
@@ -115,9 +148,24 @@ def probe(oracle: OracleHandle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
     return ProbeSet(frame, float(vals[0]), vals[1:])
 
 
+def _dot(a: Array, b: Array) -> Array:
+    """``a @ b`` along the last axis, one value per row of a stacked operand,
+    as (..., 1, d) @ (..., d, 1): numpy hands each to the same ddot as a 1-D
+    ``a @ b``, where (n, d) @ (d,) would be one gemv, which rounds otherwise."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _combine(coef: Array, rows: Array) -> Array:
+    """``coef @ rows`` per frame: (q,) with (q, d), or (n, q) with (n, q, d)
+    as (n, 1, q) @ (n, q, d), the same product for every frame."""
+    if coef.ndim == 1:
+        return coef @ rows
+    return (coef[:, None, :] @ rows)[:, 0]
+
+
 def subspace_estimate(probes: ProbeSet) -> Array:
     """g1: the projection of the gradient onto the probed subspace."""
-    g = probes.dir_derivs @ probes.frame.directions
+    g = _combine(probes.dir_derivs, probes.frame.directions)
     if probes.prior_deriv is not None:
         g += probes.prior_deriv * probes.frame.prior
     return g
@@ -129,7 +177,8 @@ def g2_unbiased(probes: ProbeSet) -> Array:
         raise ConfigError("g2_unbiased requires a frame with a prior")
     d, q = probes.frame.dim, probes.frame.q
     scale = (d - 1) / q
-    return probes.prior_deriv * probes.frame.prior + scale * (probes.dir_derivs @ probes.frame.directions)
+    return (probes.prior_deriv * probes.frame.prior
+            + scale * _combine(probes.dir_derivs, probes.frame.directions))
 
 
 def g2_variance_reduced(probes_plain: ProbeSet, prior_orig: Array, prior_deriv_orig: float) -> Array:
@@ -144,15 +193,26 @@ def g2_variance_reduced(probes_plain: ProbeSet, prior_orig: Array, prior_deriv_o
     d, q = probes_plain.frame.dim, probes_plain.frame.q
     u = probes_plain.frame.directions
     corrected = probes_plain.dir_derivs - prior_deriv_orig * (u @ p)
-    return (d / q) * (corrected @ u) + prior_deriv_orig * p
+    return (d / q) * _combine(corrected, u) + prior_deriv_orig * p
 
 
-def cos_sq(a: Array, b: Array) -> float:
-    """Squared cosine between a and b; NaN when either is zero."""
-    na, nb = l2_norm(a), l2_norm(b)
+def cos_sq(a: Array, b: Array):
+    """Squared cosine between a and b; NaN when either is zero. For a stack
+    of rows ``b``, the array of ``cos_sq(a, row)`` over its rows: the dot
+    products are taken for the whole stack, the rest row by row on numpy
+    scalars, whose ``x ** 2`` (the C library's pow) now and then rounds
+    otherwise than an array's."""
+    if b.ndim == 1:
+        return _cos_sq(a @ b, l2_norm(a), l2_norm(b))
+    na = l2_norm(a)
+    return np.array([_cos_sq(ab, na, nb)
+                     for ab, nb in zip(_dot(a, b), np.sqrt(_dot(b, b)))])
+
+
+def _cos_sq(ab, na: float, nb: float) -> float:
     if na == 0.0 or nb == 0.0:
         return float("nan")
-    return float((a @ b) ** 2 / (na * na * nb * nb))
+    return float(ab ** 2 / (na * na * nb * nb))
 
 
 def estimate_grad_norm_sq(probes: ProbeSet) -> float:

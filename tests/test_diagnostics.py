@@ -1,8 +1,14 @@
+import math
+
+import numpy as np
 import pytest
 
-from pgzo.core import ConfigError, OracleHandle, RngHandle
-from pgzo.diagnostics import (check_lemma36, check_theorem_bounds, mc_g2_moments,
-                              mc_prgf_drift, mc_rgf_drift, subspace_optimality_margin)
+from pgzo.core import ConfigError, OracleHandle, RngHandle, sample_unit_sphere
+from pgzo.diagnostics import (_prior_with_quality, check_lemma36, check_theorem_bounds,
+                              mc_g2_moments, mc_prgf_drift, mc_rgf_drift,
+                              subspace_optimality_margin)
+from pgzo.frames import (ProbeSet, build_frame, cos_sq, g2_unbiased, g2_variance_reduced,
+                         subspace_estimate)
 
 
 def test_rgf_drift_small():
@@ -94,3 +100,97 @@ def test_historical_bound_needs_large_T():
     with pytest.raises(ConfigError):
         check_theorem_bounds(30, 5, [10], seeds=range(20), L_hat_mult=10.0,
                              historical=True)
+
+
+# The Monte-Carlo checks as they were written before they built frames in
+# blocks: one build_frame and one set of single-frame estimates per sample.
+# The block versions must return the same floats, bit for bit.
+
+def _ref_exact_probes(frame, grad):
+    pd = float(frame.prior @ grad) if frame.prior is not None else None
+    return ProbeSet(frame=frame, prior_deriv=pd, dir_derivs=frame.directions @ grad)
+
+
+def ref_mc_drift(d, q, n_samples, rng, D_fixed):
+    grad = sample_unit_sphere(rng, d)
+    prior = None if D_fixed is None else _prior_with_quality(grad, D_fixed, rng)
+    cs = np.empty(n_samples)
+    for i in range(n_samples):
+        frame = build_frame(rng, d, q, prior=prior)
+        cs[i] = cos_sq(grad, subspace_estimate(_ref_exact_probes(frame, grad)))
+    return float(cs.mean()), float(cs.std(ddof=1) / np.sqrt(n_samples))
+
+
+def ref_mc_g2_moments(d, q, D, n_samples, rng, variance_reduced=False):
+    grad = 2.0 * sample_unit_sphere(rng, d)
+    prior = _prior_with_quality(grad, D, rng)
+    acc = np.zeros(d)
+    norm_sq = 0.0
+    for _ in range(n_samples):
+        if variance_reduced:
+            frame = build_frame(rng, d, q)
+            g2 = g2_variance_reduced(_ref_exact_probes(frame, grad), prior, float(prior @ grad))
+        else:
+            frame = build_frame(rng, d, q, prior=prior)
+            g2 = g2_unbiased(_ref_exact_probes(frame, grad))
+        acc += g2
+        norm_sq += g2 @ g2
+    mean = acc / n_samples
+    gn2 = float(grad @ grad)
+    return (float(np.linalg.norm(mean - grad) / np.sqrt(gn2)), float(norm_sq / n_samples / gn2))
+
+
+# 1037 samples: several whole blocks and a partial one
+@pytest.mark.parametrize("seed", [0, 1])
+def test_rgf_drift_equals_per_sample_loop(seed):
+    assert mc_rgf_drift(50, 5, 1037, RngHandle(seed)) == ref_mc_drift(50, 5, 1037,
+                                                                        RngHandle(seed), None)
+
+
+@pytest.mark.parametrize("D", [0.25, 0.9])
+def test_prgf_drift_equals_per_sample_loop(D):
+    assert (mc_prgf_drift(101, 10, D, 1037, RngHandle(3))
+            == ref_mc_drift(101, 10, 1037, RngHandle(3), D))
+
+
+@pytest.mark.parametrize("variance_reduced", [False, True])
+@pytest.mark.parametrize("D,n", [(0.0, 1037), (0.5, 1037), (1.0, 200), (0.5, 1)])
+def test_g2_moments_equal_per_sample_loop(variance_reduced, D, n):
+    assert (mc_g2_moments(20, 4, D, n, RngHandle(5), variance_reduced=variance_reduced)
+            == ref_mc_g2_moments(20, 4, D, n, RngHandle(5), variance_reduced=variance_reduced))
+
+
+def test_mc_at_full_span_equals_per_sample_loop():
+    # q = d, where every frame spans the space and g1 equals grad up to rounding
+    assert mc_rgf_drift(3, 3, 1000, RngHandle(0)) == ref_mc_drift(3, 3, 1000, RngHandle(0), None)
+    assert (mc_g2_moments(6, 2, 0.5, 1000, RngHandle(0))
+            == ref_mc_g2_moments(6, 2, 0.5, 1000, RngHandle(0)))
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_g2_moments_need_a_sample(n):
+    with pytest.raises(ConfigError, match="n_samples"):
+        mc_g2_moments(20, 4, 0.5, n, RngHandle(0))
+
+
+@pytest.mark.parametrize("D", [-0.1, 1.5, math.nan])
+def test_prior_quality_outside_unit_interval_is_a_config_error(D):
+    with pytest.raises(ConfigError, match="prior quality"):
+        mc_g2_moments(20, 4, D, 100, RngHandle(0))
+    with pytest.raises(ConfigError, match="prior quality"):
+        mc_g2_moments(20, 4, D, 100, RngHandle(0), variance_reduced=True)
+    with pytest.raises(ConfigError, match="prior quality"):
+        mc_prgf_drift(20, 4, D, 1000, RngHandle(0))
+
+
+@pytest.mark.parametrize("kwargs", [{"n_trials": 0}, {"n_vectors": 0}, {"n_trials": -2}])
+def test_optimality_margin_needs_trials_and_vectors(kwargs):
+    args = dict({"n_vectors": 100, "n_trials": 20}, **kwargs)
+    with pytest.raises(ConfigError, match="n_trials and n_vectors"):
+        subspace_optimality_margin(5, 2, args["n_vectors"], RngHandle(0), n_trials=args["n_trials"])
+
+
+@pytest.mark.parametrize("iterations", [0, 1])
+def test_lemma36_needs_two_iterations(iterations):
+    with pytest.raises(ConfigError, match="iterations"):
+        check_lemma36(20, 4, 10.0, iterations, seed=0)

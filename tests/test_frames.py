@@ -3,9 +3,9 @@ import pytest
 from scipy.linalg import lapack
 
 from pgzo.core import ConfigError, InvalidPriorError, OracleHandle, RngHandle
-from pgzo.frames import (OrthonormalFrame, ProbeSet, build_frame, estimate_Dt,
-                         estimate_grad_norm_sq, g2_unbiased, g2_variance_reduced, probe,
-                         subspace_estimate)
+from pgzo.frames import (OrthonormalFrame, ProbeSet, build_frame, build_frames, cos_sq,
+                         estimate_Dt, estimate_grad_norm_sq, g2_unbiased, g2_variance_reduced,
+                         probe, subspace_estimate)
 from pgzo.testfns import bench_function
 
 
@@ -82,7 +82,7 @@ class ScriptedGen:
     def standard_normal(self, shape):
         self.calls += 1
         if self.blocks:
-            return self.blocks.pop(0)
+            return np.reshape(self.blocks.pop(0), shape)
         if self.then is not None:
             return self.then.standard_normal(shape)
         return np.zeros(shape)
@@ -119,6 +119,98 @@ def test_all_zero_draws_raise_config_error(with_prior):
     assert gen.calls == 64
 
 
+class TapeRng(RngHandle):
+    """An RngHandle whose normals come from a fixed tape of (q, d) blocks,
+    with the blocks at ``bad`` replaced by rank-deficient ones (all rows
+    equal). ``normal`` serves the tape in order however the draws are split,
+    as the handle's own stream does; ``used`` counts the values taken."""
+
+    def __init__(self, seed, q, d, n_blocks, bad=()):
+        super().__init__(seed)
+        tape = self.gen.standard_normal((n_blocks, q, d))
+        for b in bad:
+            tape[b] = tape[b][0]
+        self.tape, self.used = tape.ravel(), 0
+
+    def normal(self, size):
+        n = int(np.prod(size))
+        out = self.tape[self.used:self.used + n].reshape(size)
+        self.used += n
+        return out.copy()
+
+
+FRAME_SHAPES = [(20, 4), (50, 5), (101, 10), (3, 3), (6, 2)]
+
+
+def frame_shape(d, q, with_prior, seed=0):
+    """(q, prior) for a frame of shape (d, q); with a prior, q is capped at d-1."""
+    if not with_prior:
+        return q, None
+    return min(q, d - 1), RngHandle(1000 + seed).gen.standard_normal(d)
+
+
+@pytest.mark.parametrize("d,q", FRAME_SHAPES)
+@pytest.mark.parametrize("with_prior", [False, True])
+def test_build_frames_equals_sequential_build_frame(d, q, with_prior):
+    q, prior = frame_shape(d, q, with_prior)
+    rng_seq, rng_batch = RngHandle(7), RngHandle(7)
+    seq = np.array([build_frame(rng_seq, d, q, prior=prior).stacked() for _ in range(70)])
+    frames = build_frames(rng_batch, d, q, 70, prior=prior)
+    np.testing.assert_array_equal(frames.stacked(), seq)
+    # both left the stream at the same place
+    assert rng_seq.gen.standard_normal() == rng_batch.gen.standard_normal()
+    assert frames.q == q and frames.dim == d
+    if with_prior:
+        np.testing.assert_array_equal(frames.prior, seq[:, 0])
+        np.testing.assert_array_equal(frames.directions, seq[:, 1:])
+    else:
+        assert frames.prior is None
+
+
+@pytest.mark.parametrize("d,q", FRAME_SHAPES)
+@pytest.mark.parametrize("with_prior", [False, True])
+@pytest.mark.parametrize("bad", [(5,), (5, 6, 11), (0, 12)])
+def test_rejected_block_shifts_later_frames_as_sequential_calls(d, q, with_prior, bad):
+    q, prior = frame_shape(d, q, with_prior)
+    n = 12
+    seq_rng, batch_rng = TapeRng(3, q, d, n + 8, bad), TapeRng(3, q, d, n + 8, bad)
+    seq = np.array([build_frame(seq_rng, d, q, prior=prior).stacked() for _ in range(n)])
+    batch = build_frames(batch_rng, d, q, n, prior=prior).stacked()
+    np.testing.assert_array_equal(batch, seq)
+    # each rejected block cost exactly one extra block of draws
+    assert batch_rng.used == seq_rng.used == (n + len(bad)) * q * d
+    # and the frames are the ones the good blocks give, in order
+    good = [b for b in range(n + len(bad)) if b not in bad]
+    clean = TapeRng(3, q, d, n + 8)
+    clean.tape = clean.tape.reshape(-1, q, d)[good].ravel()
+    np.testing.assert_array_equal(build_frames(clean, d, q, n, prior=prior).stacked(), batch)
+
+
+@pytest.mark.parametrize("with_prior", [False, True])
+def test_64_consecutive_rejects_raise_in_a_batch(with_prior):
+    d, q = 9, 4
+    q, prior = frame_shape(d, q, with_prior)
+    # blocks 2..65 are bad: frame 2 runs out of tries, as build_frame would
+    rng = TapeRng(4, q, d, 80, bad=range(2, 66))
+    with pytest.raises(ConfigError, match="orthonormal frame"):
+        build_frames(rng, d, q, 10, prior=prior)
+    seq = TapeRng(4, q, d, 80, bad=range(2, 66))
+    with pytest.raises(ConfigError, match="orthonormal frame"):
+        for _ in range(10):
+            build_frame(seq, d, q, prior=prior)
+    # 63 bad blocks in a row still leave every frame buildable
+    ok_batch = build_frames(TapeRng(4, q, d, 80, bad=range(2, 65)), d, q, 10, prior=prior)
+    ok_seq = TapeRng(4, q, d, 80, bad=range(2, 65))
+    np.testing.assert_array_equal(
+        ok_batch.stacked(), np.array([build_frame(ok_seq, d, q, prior=prior).stacked()
+                                      for _ in range(10)]))
+
+
+def test_build_frames_rejects_empty_batch():
+    with pytest.raises(ConfigError, match="n must be >= 1"):
+        build_frames(RngHandle(0), 5, 2, 0)
+
+
 def reference_cholqr_frame(seed, d, q, prior):
     """build_frame written out step by step, one temporary per operation:
     draw, np.outer projection, Gram, dpotrf, dtrtri, matmul."""
@@ -150,6 +242,22 @@ def test_build_frame_bit_identical_to_reference(seed, d, q, with_prior):
         assert np.shares_memory(frame.stacked(), frame.prior)
     else:
         assert frame.prior is None and frame.stacked() is frame.directions
+
+
+def test_cos_sq_of_a_stack_equals_row_by_row():
+    gen = np.random.default_rng(0)
+    # dot products whose square as a numpy scalar (the C library's pow)
+    # differs from the array square x * x; a @ b is exactly x for a = e1
+    xs = [x for x in gen.standard_normal(100_000) if np.float64(x) ** 2 != x * x][:50]
+    a = np.eye(6)[0]
+    b = gen.standard_normal((len(xs) + 50, 6))
+    b[:len(xs), 0] = xs
+    b[-1] = 0.0
+    stacked = cos_sq(a, b)
+    rows = [cos_sq(a, row) for row in b]
+    assert np.isnan(stacked[-1]) and np.isnan(rows[-1])
+    np.testing.assert_array_equal(stacked[:-1], rows[:-1])
+    assert all(type(v) is float for v in rows)
 
 
 def test_frame_from_directions_and_prior():
