@@ -299,10 +299,3 @@ def directional_derivative(oracle: OracleHandle, x: Array, v: Array) -> float:
     return float(oracle.directional_derivatives(np.asarray(x, dtype=float),
                                                 np.asarray(v, dtype=float)[None, :])[0])
 
-
-def exact_directional_derivative(objective: ObjectiveSpec, x: Array, v: Array) -> float:
-    """grad f(x) . v from the analytic gradient; diagnostics only, not counted."""
-    if objective.true_gradient is None:
-        raise UnsupportedDiagnosticError("objective has no true_gradient")
-    g = np.asarray(objective.true_gradient(np.asarray(x, dtype=float)))
-    return float(g @ np.asarray(v, dtype=float))

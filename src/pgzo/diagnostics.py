@@ -187,19 +187,6 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
     return violations, samples
 
 
-def bound_report_csv(checks: Sequence[BoundCheck], path: str) -> str:
-    """Write bound-check results as CSV (same conventions as the bench files)."""
-    try:
-        with open(path, "w") as fh:
-            fh.write("name,T,observed,bound,ok\n")
-            for c in checks:
-                fh.write(f"{c.name},{c.T},{format(c.observed, '.17g')},"
-                         f"{format(c.bound, '.17g')},{int(c.ok)}\n")
-    except OSError as exc:
-        raise OSError(f"cannot write report to {path}: {exc}") from exc
-    return path
-
-
 def _delta_at(trace, T: int, f_star: float) -> float:
     rows = {int(r[0]): r[3] for r in trace.rows}
     if T not in rows:

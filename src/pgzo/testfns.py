@@ -144,13 +144,6 @@ def bench_function(name: str, d: int) -> BenchFunction:
     return _FACTORIES[name](d)
 
 
-def smoothness_constants(fn: BenchFunction) -> tuple[float, float]:
-    """(L, tau) for functions with a certificate; f3 has none."""
-    if fn.L is None:
-        raise ConfigError(f"{fn.name} has no smoothness certificate; tune L_hat by search")
-    return fn.L, fn.tau
-
-
 @dataclass
 class BiasedPriorGen:
     """Benchmark prior: the normalized gradient plus a fixed bias b and fresh

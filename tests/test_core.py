@@ -9,7 +9,7 @@ import pytest
 from pgzo import core
 from pgzo.core import (ConfigError, NormalStream, ObjectiveSpec, OracleFailureError,
                        OracleHandle, RngHandle, UnsupportedDiagnosticError, directional_derivative,
-                       exact_directional_derivative, l2_norm, sample_unit_sphere)
+                       l2_norm, sample_unit_sphere)
 from pgzo.testfns import bench_function
 
 
@@ -45,17 +45,17 @@ def test_forward_difference_f2_error_bound():
 
 
 def test_exact_directional_derivative():
-    obj = half_norm_sq()
-    assert exact_directional_derivative(obj, np.array([3.0, 4.0]), np.array([1.0, 0.0])) == 3.0
-    fn = bench_function("f2", 4)
-    got = exact_directional_derivative(fn.as_objective(), np.ones(4), np.array([1.0, 0, 0, 0]))
-    assert got == pytest.approx(0.5)
+    oracle = OracleHandle(half_norm_sq(), mode="exact")
+    assert oracle.directional_derivatives(np.array([3.0, 4.0]), np.eye(2)).tolist() == [3.0, 4.0]
+    oracle = OracleHandle(bench_function("f2", 4).as_objective(), mode="exact")
+    got = oracle.directional_derivatives(np.ones(4), np.eye(4)[:1])
+    assert got[0] == pytest.approx(0.5)
 
 
 def test_exact_requires_gradient():
     obj = ObjectiveSpec(dim=2, eval=lambda x: 0.0, x0=np.zeros(2))
     with pytest.raises(UnsupportedDiagnosticError):
-        exact_directional_derivative(obj, np.zeros(2), np.array([1.0, 0.0]))
+        OracleHandle(obj).gradient_at(np.zeros(2))
     with pytest.raises(ConfigError):
         OracleHandle(obj, mode="exact")
 
@@ -251,12 +251,13 @@ def test_prop21_bound_random_points():
     obj = fn.as_objective()
     rng = RngHandle(5)
     mu = 1e-6
+    exact_oracle = OracleHandle(obj, mode="exact")
     for _ in range(50):
         x = rng.gen.standard_normal(12) * 3.0
         v = sample_unit_sphere(rng, 12)
         oracle = OracleHandle(obj, mu=mu)
         fd = directional_derivative(oracle, x, v)
-        exact = exact_directional_derivative(obj, x, v)
+        exact = exact_oracle.directional_derivatives(x, v[None, :])[0]
         assert abs(fd - exact) <= 0.5 * fn.L * mu + 1e-15
 
 

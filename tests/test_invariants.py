@@ -12,7 +12,7 @@ import pgzo.trace
 from pgzo.ars import ArsConfig, run_ars
 from pgzo.bench import ALGO_PRIORS, ARS_ALGOS, RunConfig, run_single
 from pgzo.core import ConfigError, OracleFailureError, OracleHandle, RngHandle
-from pgzo.diagnostics import BoundCheck, bound_report_csv, check_theorem_bounds
+from pgzo.diagnostics import check_theorem_bounds
 from pgzo.frames import build_frame, estimate_grad_norm_sq, probe
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
@@ -91,15 +91,6 @@ def test_history_prgf_compensates_conservative_learning_rate():
     assert len(c) == 500
     late_mean = float(np.nanmean(c[250:]))
     assert late_mean > 5 * q / d, f"late C_t mean {late_mean} too small"
-
-
-def test_bound_report_csv_round_trip(tmp_path):
-    checks = [BoundCheck("demo", 10, 1.0, 2.0), BoundCheck("demo", 20, 3.0, 2.5)]
-    path = str(tmp_path / "report.csv")
-    bound_report_csv(checks, path)
-    lines = open(path).read().strip().splitlines()
-    assert lines[0] == "name,T,observed,bound,ok"
-    assert lines[1].endswith(",1") and lines[2].endswith(",0")
 
 
 def test_history_pars_robust_to_conservative_learning_rate():

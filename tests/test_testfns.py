@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from pgzo.bench import RunConfig, run_single
 from pgzo.core import ConfigError, RngHandle, sample_unit_sphere
-from pgzo.testfns import (BiasedPriorGen, bench_function, biased_prior_feed,
-                          smoothness_constants)
+from pgzo.testfns import BiasedPriorGen, bench_function, biased_prior_feed
 
 ALL_IDS = ("f1", "f2", "f3", "f4")
 
@@ -49,16 +49,19 @@ def test_f2_values():
     assert fn.eval(fn.x0) == pytest.approx(4.0)  # f2(x0) = d for any d
     fn500 = bench_function("f2", 500)
     assert fn500.eval(fn500.x0) == pytest.approx(500.0)
-    assert smoothness_constants(fn) == (2.0, 0.5)
-    assert smoothness_constants(fn500) == (2.0, 2.0 / 500)
+    assert (fn.L, fn.tau) == (2.0, 0.5)
+    assert (fn500.L, fn500.tau) == (2.0, 2.0 / 500)
 
 
 def test_f3_minimum_at_ones():
     fn = bench_function("f3", 12)
     assert fn.eval(np.ones(12)) == 0.0
     assert np.linalg.norm(fn.grad(np.ones(12))) == 0.0
-    with pytest.raises(ConfigError):
-        smoothness_constants(fn)
+    assert fn.L is None
+    # so a run must give an absolute L-hat, not a multiple of L
+    cfg = RunConfig(function="f3", dim=12, algo="rgf", q=2, budget=20, lhat_scale=1.0)
+    with pytest.raises(ConfigError, match="has no true L"):
+        run_single(cfg, 0)
 
 
 def test_f4_values():

@@ -1,0 +1,116 @@
+"""The scripts under ``tools/``: each answers ``--help``, and ``tools/ab.py``,
+the A/B harness, measures two trees as it says.
+
+The harness is driven here without git and without perfbench: its sides are
+two stub ``src/pgzo`` packages of one line each (so that a child starts in
+tens of milliseconds), and its cases are tiny probes."""
+
+import importlib.util
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+_spec = importlib.util.spec_from_file_location("ab", TOOLS / "ab.py")
+ab = sys.modules["ab"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+@pytest.mark.parametrize("tool", sorted(p.name for p in TOOLS.glob("*.py")))
+def test_tool_answers_help(tool):
+    child = subprocess.run([sys.executable, str(TOOLS / tool), "--help"], capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert "usage:" in child.stdout
+
+
+def stub_trees(tmp_path, values):
+    """side -> a tree whose ``src/pgzo`` knows its side and a value."""
+    trees = {}
+    for side, value in values.items():
+        pkg = tmp_path / side / "src" / "pgzo"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(f"SIDE = {side!r}\nVALUE = {value!r}\n")
+        trees[side] = tmp_path / side
+    return trees
+
+
+# appends its side to a log, so the n-th run of the test reads n lines
+LOGGING_PROBE = """
+import pathlib, pgzo
+log = pathlib.Path(args)
+with log.open("a") as fh:
+    fh.write(pgzo.SIDE + "\\n")
+n = len(log.read_text().splitlines())
+print('{"lo": -1.0, "hi": -1.0}')
+out = {"lo": pgzo.VALUE, "hi": pgzo.VALUE, "tie": 0.5, "nth": n * pgzo.VALUE}
+"""
+
+
+def test_pairs_alternate_and_are_summarized(tmp_path):
+    trees = stub_trees(tmp_path, {"base": 1.0, "head": 2.0})
+    log = tmp_path / "order.log"
+    suite = ab.Suite({"case": ab.probe(LOGGING_PROBE, str(log))},
+                     {"lo": "lower", "hi": "higher", "tie": "lower", "nth": "lower"})
+    cases = ab.measure(suite, trees, pairs=4)
+    assert log.read_text().split() == ["base", "head", "head", "base"] * 2
+    metrics = cases["case"]["metrics"]
+    # only the last line counts: the decoy line's -1.0 never shows
+    assert [r["lo"] for r in cases["case"]["runs"]["base"]] == [1.0] * 4
+    assert metrics["lo"]["won"] == {"base": 4, "head": 0}
+    assert metrics["hi"]["won"] == {"base": 0, "head": 4}
+    assert metrics["tie"]["won"] == {"base": 0, "head": 0}
+    # the base side ran 1st, 4th, 5th and 8th; the head side (value 2) the rest
+    expected = {"base": [1.0, 4.0, 5.0, 8.0], "head": [4.0, 6.0, 12.0, 14.0]}
+    for side, values in expected.items():
+        assert [r["nth"] for r in cases["case"]["runs"][side]] == values
+        q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+        assert metrics["nth"][side] == {"median": med, "q1": q1, "q3": q3}
+    assert metrics["nth"]["head_over_base"] == 9.0 / 4.5
+    assert ab.report(cases) == 0
+
+
+def test_ties_count_for_neither_side(tmp_path):
+    trees = stub_trees(tmp_path, {"base": 1.0, "head": 3.0})
+    # a pair's first run reads 3, its second run the side's value
+    body = """
+import pathlib, pgzo
+log = pathlib.Path(args)
+first = not log.exists() or len(log.read_text().splitlines()) % 2 == 0
+with log.open("a") as fh:
+    fh.write(pgzo.SIDE + "\\n")
+out = {"m": 3.0 if first else pgzo.VALUE}
+"""
+    suite = ab.Suite({"case": ab.probe(body, str(tmp_path / "log"))}, {"m": "higher"})
+    cases = ab.measure(suite, trees, pairs=3)
+    # base 3 vs head 3, head 3 vs base 1, base 3 vs head 3
+    assert [r["m"] for r in cases["case"]["runs"]["base"]] == [3.0, 1.0, 3.0]
+    assert cases["case"]["metrics"]["m"]["won"] == {"base": 0, "head": 1}
+
+
+def test_child_importing_pgzo_from_elsewhere_fails(tmp_path):
+    trees = stub_trees(tmp_path, {"base": 1.0, "head": 1.0, "elsewhere": 1.0})
+    body = "sys.path.insert(0, args)\nimport pgzo\nout = {}"
+    suite = ab.Suite({"case": ab.probe(body, str(trees.pop("elsewhere") / "src"))}, {})
+    with pytest.raises(SystemExit, match="outside"):
+        ab.measure(suite, trees, pairs=1)
+
+
+def test_result_mismatch_exits_nonzero(tmp_path):
+    suite = ab.Suite({"case": ab.probe('import pgzo\nout = {"result": repr(pgzo.VALUE)}')}, {},
+                     match=("result",))
+    same = ab.measure(suite, stub_trees(tmp_path / "same", {"base": 1.0, "head": 1.0}), 2)
+    assert same["case"]["match"] == {"result": True}
+    assert ab.report(same) == 0
+    differ = ab.measure(suite, stub_trees(tmp_path / "differ", {"base": 1.0, "head": 1.5}), 2)
+    assert differ["case"]["match"] == {"result": False}
+    assert ab.report(differ) == 1
+
+
+def test_failing_child_fails_the_harness(tmp_path):
+    suite = ab.Suite({"case": ab.probe("raise SystemExit(3)")}, {})
+    with pytest.raises(SystemExit, match="exited 3"):
+        ab.measure(suite, stub_trees(tmp_path, {"base": 1.0, "head": 1.0}), pairs=1)

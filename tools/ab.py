@@ -1,0 +1,301 @@
+#!/usr/bin/env python3
+"""Before/after measurements of two pgzo trees on the same host.
+
+    python3 tools/ab.py SUITE [--rev BASE] [--head REV] [--pairs N] [--out BENCH_<topic>.json]
+
+The base side is a ``git archive`` of ``src/`` at ``--rev`` (default
+``HEAD``). The head side is ``src/`` at ``--head``, or a copy of this
+checkout's ``src/`` as it stands when ``--head`` is not given; both trees
+are built in one temporary directory. Pair i runs every case of the suite
+once on each side, base first in even pairs and head first in odd ones, so
+that both sides see the same stretch of host speed. Every run is a fresh
+interpreter that imports pgzo from its side's ``src/``, with BLAS and
+OpenMP pinned to one thread; it prints one JSON line last, and only that
+line is read.
+
+Suites:
+  readahead        microseconds per iteration and peak RSS of the eight
+                   algorithms at d = 256 and 500 (f2, L-hat = L, fd oracle,
+                   presets' q; a 50-iteration warm-up, then 1500 timed)
+  import           cold import of pgzo, pgzo.bench, pgzo.cli and
+                   pgzo.diagnostics: seconds, peak RSS and whether
+                   scipy.stats got loaded
+  mc_batch         microseconds per sample and peak RSS of the Monte-Carlo
+                   shapes of perfbench's contracts_small_d and of
+                   check_lemma36(100, 5, 10, 1000); the result must be the
+                   same on both sides
+  perfbench        perfbench/run.py --workload W --seed 7+i --seconds 22
+                   --trace 0 for each workload, pair i; correct, attempted
+                   and failed must be the same on both sides
+  perfbench-trace  the same with --trace 1: reports whether each
+                   count-valued per-layer metric is the same on both sides.
+                   Traced times are not calibrated to host speed, so they
+                   are not compared.
+
+In the perfbench suites each side's tree is its ``src/`` plus this
+checkout's ``perfbench/``, so that both sides are measured by the same
+benchmark code. Metric directions come from ``BENCHMARK.json``.
+
+Writes host facts, every run, the median and quartiles per metric and side
+and the number of pairs each side won (ties count for neither) to ``--out``
+(default ``BENCH_ab_<suite>.json`` at the repository root) and prints a
+summary. Exits non-zero if a child fails or imports pgzo from outside its
+side, or if a result that must match does not.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from perfbench.run import THREAD_VARS, host_facts  # noqa: E402  (numpy loads in host_facts only)
+
+MANIFEST = json.loads((ROOT / "BENCHMARK.json").read_text())
+PERFBENCH_SEED = 7  # pair i runs seed 7 + i on both sides, as the ROADMAP baseline did
+
+
+@dataclass(frozen=True)
+class Suite:
+    cases: dict            # case name -> child argv after python; "{seed}" is the pair's seed
+    better: dict           # metric -> "lower" | "higher": summarized per side, pairs won counted
+    match: tuple = ()      # keys that must be equal on both sides in every pair
+    same: tuple = ()       # keys reported as equal or not on both sides, never required to be
+    pairs: int = 6
+    perfbench: bool = False  # each side's tree also holds this checkout's perfbench/
+
+
+def probe(body: str, args=None) -> list:
+    """argv of a child that runs ``body``, which sets the dict ``out`` from
+    ``args``, and prints ``out`` with its peak RSS and pgzo's file last."""
+    code = ("import json, resource, sys, time\nargs = json.loads(sys.argv[1])\n" + body
+            + "\nimport pgzo\nout.update(max_rss_mb=resource.getrusage(resource.RUSAGE_SELF)"
+              ".ru_maxrss / 1024, pgzo_file=pgzo.__file__)\nprint(json.dumps(out))\n")
+    return ["-c", code, json.dumps(args)]
+
+
+# algorithm -> (q, prior), as in bench.preset; older trees may still require prior
+ALGOS = {"rgf": (11, "none"), "prgf": (10, "biased"), "history_prgf": (10, "historical"),
+         "ars": (11, "none"), "pars_naive": (10, "biased"), "pars_impl": (8, "biased"),
+         "pars_est": (10, "biased"), "history_pars": (10, "historical")}
+READAHEAD = """
+from pgzo.bench import RunConfig, run_single
+algo, dim, q, prior = args
+cfg = RunConfig(function="f2", dim=dim, algo=algo, q=q, prior=prior, lhat_scale=1.0, budget=0)
+cost = {"rgf": q, "ars": q, "pars_impl": q + 3, "pars_est": 3 * (q + 1)}.get(algo, q + 1)
+cfg.budget = cost * 50
+run_single(cfg, 1)
+cfg.budget = cost * 1500
+t0 = time.perf_counter()
+trace = run_single(cfg, 2)
+out = {"us_per_iter": (time.perf_counter() - t0) / trace.rows[-1][0] * 1e6}
+"""
+IMPORT = """
+t0 = time.perf_counter()
+import pgzo, pgzo.bench, pgzo.cli, pgzo.diagnostics
+out = {"import_s": time.perf_counter() - t0, "scipy_stats_loaded": "scipy.stats" in sys.modules}
+"""
+# case -> (diagnostics function, args after the rng, kwargs, samples or iterations)
+MC_CASES = {
+    "mc_rgf_drift(50,5)": ("mc_rgf_drift", [50, 5, 4000], {}, 4000),
+    "mc_prgf_drift(101,10,D=0.25)": ("mc_prgf_drift", [101, 10, 0.25, 2000], {}, 2000),
+    "mc_prgf_drift(101,10,D=0.9)": ("mc_prgf_drift", [101, 10, 0.9, 2000], {}, 2000),
+    "mc_g2_moments(20,4)": ("mc_g2_moments", [20, 4, 0.5, 4000], {}, 4000),
+    "mc_g2_moments(20,4,vr)": ("mc_g2_moments", [20, 4, 0.5, 4000],
+                               {"variance_reduced": True}, 4000),
+    "check_lemma36(100,5)": ("check_lemma36", [100, 5, 10.0, 1000], {"seed": 3}, 1000),
+}
+MC_BATCH = """
+from pgzo import diagnostics as dg
+from pgzo.core import RngHandle
+fname, fargs, kwargs, count = args
+fn = getattr(dg, fname)
+def call(fargs):
+    if fname == "check_lemma36":
+        return fn(*fargs, **kwargs)
+    *head, n = fargs
+    return fn(*head, n, RngHandle(11), **kwargs)
+call(fargs[:-1] + [max(fargs[-1] // 10, 1000 if "drift" in fname else 2)])
+t0 = time.perf_counter()
+result = call(fargs)
+out = {"us_per_unit": (time.perf_counter() - t0) / count * 1e6, "result": repr(result)}
+"""
+PERFBENCH_MATCH = ("correct", "attempted", "failed")
+# per-layer metrics that count work rather than time it
+LAYER_COUNTS = tuple(m["name"] for m in MANIFEST["per_layer"]
+                     if m["unit"] in ("count", "flop", "B"))
+
+
+def perfbench_cases(trace: int) -> dict:
+    return {w["name"]: ["perfbench/run.py", "--workload", w["name"], "--seed", "{seed}",
+                        "--seconds", "22", "--trace", str(trace)]
+            for w in MANIFEST["workloads"]}
+
+
+SUITES = {
+    "readahead": Suite({f"{algo} d={d}": probe(READAHEAD, [algo, d, q, prior])
+                        for d in (256, 500) for algo, (q, prior) in ALGOS.items()},
+                       {"us_per_iter": "lower", "max_rss_mb": "lower"}),
+    "import": Suite({"import": probe(IMPORT)}, {"import_s": "lower", "max_rss_mb": "lower"},
+                    same=("scipy_stats_loaded",), pairs=12),
+    "mc_batch": Suite({name: probe(MC_BATCH, spec) for name, spec in MC_CASES.items()},
+                      {"us_per_unit": "lower", "max_rss_mb": "lower"}, match=("result",)),
+    "perfbench": Suite(perfbench_cases(0), {m["name"]: m["better"] for m in MANIFEST["end_to_end"]},
+                       match=PERFBENCH_MATCH, pairs=10, perfbench=True),
+    "perfbench-trace": Suite(perfbench_cases(1), {}, match=PERFBENCH_MATCH, same=LAYER_COUNTS,
+                             pairs=1, perfbench=True),
+}
+
+
+def run_child(tree: Path, argv: list, pair: int) -> dict:
+    """One fresh interpreter in ``tree``; its last stdout line, flattened."""
+    argv = [a.replace("{seed}", str(PERFBENCH_SEED + pair)) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **dict.fromkeys(THREAD_VARS, "1"))
+    child = subprocess.run([sys.executable, *argv], cwd=tree, env=env, capture_output=True,
+                           text=True, timeout=1800)
+    if child.returncode:
+        raise SystemExit(f"error: a child in {tree} exited {child.returncode}:\n"
+                         + child.stderr[-2000:])
+    out = json.loads(child.stdout.splitlines()[-1])
+    # probes report where pgzo came from; perfbench/run.py checks that itself and exits 2
+    origin = out.pop("pgzo_file", None)
+    if origin is not None and Path(origin).resolve().parent != (tree / "src" / "pgzo").resolve():
+        raise SystemExit(f"error: a child imported pgzo from {origin}, outside {tree / 'src'}")
+    metrics = out.pop("metrics", {})  # perfbench: name -> {"value", "unit"}
+    return {**out, **{name: m["value"] for name, m in metrics.items()}}
+
+
+def summary(values: list) -> dict:
+    q1, med, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                   if len(values) > 1 else values * 3)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def measure(suite: Suite, trees: dict, pairs: int) -> dict:
+    """Runs every case ``pairs`` times on the ``base`` and ``head`` trees;
+    per case, every run and the summaries."""
+    keys = (*suite.better, *suite.match, *suite.same)
+    runs = {case: {"base": [], "head": []} for case in suite.cases}
+    for pair in range(pairs):
+        order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+        for case, argv in suite.cases.items():
+            for side in order:
+                out = run_child(trees[side], argv, pair)
+                runs[case][side].append({k: out[k] for k in keys})
+        print(f"pair {pair + 1}/{pairs} done", flush=True)
+
+    cases = {}
+    for case, sides in runs.items():
+        pairs_of = list(zip(sides["base"], sides["head"]))
+        entry = cases[case] = {"metrics": {}, "runs": sides}
+        for m, better in suite.better.items():
+            won = {"base": 0, "head": 0}
+            for b, h in pairs_of:
+                if b[m] != h[m]:
+                    won["head" if (h[m] < b[m]) == (better == "lower") else "base"] += 1
+            stats = {side: summary([r[m] for r in sides[side]]) for side in sides}
+            entry["metrics"][m] = {"better": better, **stats, "won": won,
+                                   "head_over_base": stats["head"]["median"]
+                                   / stats["base"]["median"]}
+        for group in ("match", "same"):
+            entry[group] = {k: all(b[k] == h[k] for b, h in pairs_of)
+                            for k in getattr(suite, group)}
+    return cases
+
+
+def report(cases: dict) -> int:
+    """Prints the summary; 1 if a result that must match does not, else 0."""
+    ok = True
+    print(f"{'case':30s} {'metric':16s} {'base median [q1, q3]':>28s} "
+          f"{'head median [q1, q3]':>28s} {'head/base':>9s} {'won base:head':>13s}")
+    for case, e in cases.items():
+        for m, s in e["metrics"].items():
+            b, h = s["base"], s["head"]
+            print(f"{case:30s} {m:16s} {b['median']:>10.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
+                  f"{h['median']:>12.4g} [{h['q1']:.4g}, {h['q3']:.4g}] "
+                  f"{s['head_over_base']:9.3f} {s['won']['base']:>7d}:{s['won']['head']}")
+        for group in ("match", "same"):
+            differ = [k for k, equal in e[group].items() if not equal]
+            if e[group]:
+                print(f"{case:30s} {group}: {len(e[group]) - len(differ)} of {len(e[group])} "
+                      "equal in every pair")
+            for k in differ:
+                values = {side: sorted({str(r[k])[:40] for r in e["runs"][side]})
+                          for side in ("base", "head")}
+                print(f"{'':30s}   {k} differs: base {values['base']} head {values['head']}")
+        ok = ok and all(e["match"].values())
+    return 0 if ok else 1
+
+
+def checkout(rev, dest: Path, perfbench: bool) -> Path:
+    """A tree under ``dest`` with ``src/`` of ``rev``, or of this checkout as
+    it stands when ``rev`` is None, and this checkout's ``perfbench/`` when
+    asked. Both sides get such a tree, so that they differ only in ``src/``."""
+    no_cache = shutil.ignore_patterns("__pycache__")
+    if rev is None:
+        shutil.copytree(ROOT / "src", dest / "src", ignore=no_cache)
+    else:
+        tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src"],
+                             capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+            tf.extractall(dest, filter="data")
+    if perfbench:
+        shutil.copytree(ROOT / "perfbench", dest / "perfbench", ignore=no_cache)
+    return dest
+
+
+def commit(rev: str) -> str:
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0],
+                                 epilog=__doc__.split("\n\n", 2)[2],
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("suite", choices=SUITES)
+    ap.add_argument("--rev", default="HEAD", help="the base commit (default HEAD)")
+    ap.add_argument("--head", help="the head commit (default: this checkout's src as it stands)")
+    ap.add_argument("--pairs", type=int, help="pairs of runs (default 6; 10 for perfbench, "
+                    "12 for import, 1 for perfbench-trace)")
+    ap.add_argument("--out", type=Path, help="the record to write (default "
+                    "BENCH_ab_<suite>.json at the repository root)")
+    args = ap.parse_args(argv)
+    suite = SUITES[args.suite]
+    pairs = suite.pairs if args.pairs is None else args.pairs
+    if pairs < 1:
+        ap.error("--pairs must be at least 1")
+    os.environ.update(dict.fromkeys(THREAD_VARS, "1"))  # before host_facts loads numpy
+
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = {side: checkout(rev, Path(tmp) / side, suite.perfbench)
+                 for side, rev in (("base", args.rev), ("head", args.head))}
+        cases = measure(suite, trees, pairs)
+    record = {
+        "suite": args.suite, "base": commit(args.rev),
+        "head": f"working tree of {commit('HEAD')}" if args.head is None
+        else commit(args.head),
+        "pairs": pairs, "order": "base first in even pairs, head first in odd ones",
+        "seeds": [PERFBENCH_SEED + i for i in range(pairs)] if suite.perfbench else None,
+        "host": host_facts(seed=None), "cases": cases,
+    }
+    out = args.out or ROOT / f"BENCH_ab_{args.suite}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    code = report(cases)
+    print(f"wrote {out}")
+    return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())
