@@ -21,15 +21,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, ClassVar, List, Optional
 
 import numpy as np
 
-from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
+from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
                    require_finite_positive)
 from .frames import (_unit_prior, build_frame, estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
                      probe)
-from .greedy import GreedyState, descend
+from .greedy import GreedyConfig, GreedyState, descend
 from .trace import RunTrace, run_loop
 
 B_UB = 0.6          # pars_impl: upper clip on the estimated prior quality D̂
@@ -75,21 +75,18 @@ def alpha_beta_gamma(theta: float, gamma: float, tau_hat: float) -> tuple[float,
 
 
 @dataclass
-class ArsConfig:
-    L_hat: float
-    q: int
-    variant: str = "ars"
+class ArsConfig(GreedyConfig):
+    """``GreedyConfig`` plus the momentum settings of the ARS family."""
+    algo: str = "ars"
     tau_hat: float = 0.0
     gamma0: Optional[float] = None   # defaults to L_hat
     restart: bool = False
-    budget: int = 0
+
+    ALGOS: ClassVar[dict] = {"ars": "none", "pars_naive": "external", "pars_impl": "external",
+                             "pars_est": "external", "history_pars": "historical"}
 
     def __post_init__(self):
-        if self.variant not in _STEPPERS:
-            raise ConfigError(f"variant must be one of {tuple(_STEPPERS)}, got {self.variant!r}")
-        require_finite_positive("L_hat", self.L_hat)
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
+        super().__post_init__()
         if not 0.0 <= self.tau_hat < math.inf:
             raise ConfigError(f"tau_hat must be finite and nonnegative, got {self.tau_hat}")
         if self.gamma0 is None:
@@ -99,16 +96,12 @@ class ArsConfig:
             raise ConfigError(f"gamma0 must be >= tau_hat, got {self.gamma0}")
 
     @property
-    def prior_source(self) -> str:
-        return VARIANT_PRIOR_SOURCES[self.variant]
-
-    @property
     def queries_per_iteration(self) -> int:
-        if self.variant == "pars_impl":
+        if self.algo == "pars_impl":
             return self.q + 3
-        if self.variant == "pars_est":
+        if self.algo == "pars_est":
             return 3 * (self.q + 1)  # initial pass + one verify + resample
-        return self.q + (0 if self.prior_source == "none" else 1)
+        return super().queries_per_iteration
 
 
 @dataclass(kw_only=True)
@@ -148,7 +141,7 @@ def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngH
     alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
     y = (1.0 - beta) * state.x + beta * state.m
     probes, g1 = descend(state, oracle, config, rng, y, prior, diagnostics, diag_prior)
-    if config.variant in ("ars", "pars_naive"):
+    if config.algo in ("ars", "pars_naive"):
         g2 = (d / config.q) * g1
     else:
         g2 = g2_unbiased(probes)
@@ -249,23 +242,14 @@ _STEPPERS: dict[str, Callable] = {
     "pars_est": _step_pars_est,
     "history_pars": _step_history_pars,
 }
-# the prior each variant probes with (``ArsConfig.prior_source``)
-VARIANT_PRIOR_SOURCES = {"ars": "none", "pars_naive": "external", "pars_impl": "external",
-                         "pars_est": "external", "history_pars": "historical"}
 
 
 def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
-            prior_feed: Optional[Callable[[Array], Array]] = None, *,
-            oracle_mode: str = "fd", mu: float = DEFAULT_MU,
-            diagnostics: Optional[bool] = None, log_every: int = 1,
-            target_log10: Optional[float] = None,
-            stop_on_target: bool = False) -> RunTrace:
+            prior_feed: Optional[Callable[[Array], Array]] = None) -> RunTrace:
     """Run the configured ARS variant until the dd-query budget is exhausted."""
     trace, state = run_loop(objective, config, seed,
                             lambda x0: ArsState(x=x0, m=x0.copy(), gamma=config.gamma0),
-                            _STEPPERS[config.variant], prior_feed, oracle_mode=oracle_mode,
-                            mu=mu, diagnostics=diagnostics, log_every=log_every,
-                            target_log10=target_log10, stop_on_target=stop_on_target)
+                            _STEPPERS[config.algo], prior_feed)
     trace.restarts = state.restarts
     trace.guess_passes = state.guess_passes
     return trace

@@ -10,9 +10,9 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 from scipy.special import stdtrit
 
-from .ars import VARIANT_PRIOR_SOURCES, ArsConfig, run_ars
+from .ars import ArsConfig, run_ars
 from .core import DEFAULT_MU, ConfigError, RngHandle, require_finite_positive
-from .greedy import ALGO_PRIOR_SOURCES, GreedyConfig, run_greedy
+from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function, biased_prior_feed
 from .trace import COLUMNS, RunTrace
 
@@ -20,8 +20,9 @@ from .trace import COLUMNS, RunTrace
 # is the function's biased-gradient feed (the external prior of every run
 # here), "historical" the run's own previous estimate.
 ALGO_PRIORS = {algo: "biased" if source == "external" else source
-               for algo, source in {**ALGO_PRIOR_SOURCES, **VARIANT_PRIOR_SOURCES}.items()}
-ARS_ALGOS = tuple(VARIANT_PRIOR_SOURCES)
+               for family in (GreedyConfig, ArsConfig)
+               for algo, source in family.ALGOS.items()}
+ARS_ALGOS = tuple(ArsConfig.ALGOS)
 # settings only the ARS family reads, with the defaults a greedy run keeps
 _ARS_SETTINGS = {"tau_hat": 0.0, "gamma0": None, "restart": False}
 
@@ -104,23 +105,21 @@ def run_single(config: RunConfig, seed: int) -> RunTrace:
         if fn.L is None:
             raise ConfigError(f"{fn.name} has no true L; pass an absolute lhat")
         lhat = config.lhat_scale * fn.L
-    tau_hat = fn.tau if config.tau_hat == "true" else float(config.tau_hat)
-
     if config.algo in ARS_ALGOS:
-        cfg, run = ArsConfig(L_hat=lhat, q=config.q, variant=config.algo, tau_hat=tau_hat,
-                             gamma0=config.gamma0, restart=config.restart,
-                             budget=config.budget), run_ars
+        tau_hat = fn.tau if config.tau_hat == "true" else float(config.tau_hat)
+        family, run = ArsConfig, run_ars
+        ars = dict(tau_hat=tau_hat, gamma0=config.gamma0, restart=config.restart)
     else:
-        cfg, run = GreedyConfig(L_hat=lhat, q=config.q,
-                                prior_source=ALGO_PRIOR_SOURCES[config.algo],
-                                budget=config.budget), run_greedy
+        family, run, ars = GreedyConfig, run_greedy, {}
+    cfg = family(L_hat=lhat, q=config.q, algo=config.algo, budget=config.budget,
+                 oracle_mode=config.oracle_mode, mu=config.mu, diagnostics=config.diagnostics,
+                 log_every=config.log_every, target_log10=config.target_log10,
+                 stop_on_target=config.stop_on_target, **ars)
     prior_feed = None
     if cfg.prior_source == "external":
         # dedicated stream so the frame noise is unchanged across prior modes
         prior_feed = biased_prior_feed(fn, RngHandle(seed + 0x9E3779B9))
-    return run(obj, cfg, seed, prior_feed, oracle_mode=config.oracle_mode, mu=config.mu,
-               diagnostics=config.diagnostics, log_every=config.log_every,
-               target_log10=config.target_log10, stop_on_target=config.stop_on_target)
+    return run(obj, cfg, seed, prior_feed)
 
 
 def _values_for_aggregation(trace: RunTrace) -> np.ndarray:
@@ -297,8 +296,10 @@ DEFAULT_SEEDS = tuple(range(10))
 Q_PLAIN, Q_PRIOR, Q_IMPL = 11, 10, 8
 FIG1_BUDGET = 11 * 2500
 FIG2_BUDGET = 11 * 12000
-# Rosenbrock has no usable global L; smallest stable value from a grid search
-# at d=256 (smaller halves the powers diverge, larger ones just slow down).
+# Rosenbrock has no usable global L; 256 is the preset's value. Over seeds 0-9
+# at d=256 and the preset budget it is stable for RGF, PRGF and ARS, while
+# PARS diverges on all ten seeds and PARS-Naive on one (the fig1_f3 item in
+# ROADMAP.md has the sweep).
 F3_LHAT = 256.0
 
 

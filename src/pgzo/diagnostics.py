@@ -169,10 +169,9 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
         raise ConfigError(f"iterations must be >= 2 to pair C_(t-1) with D_t, got {iterations}")
     fn = bench_function("f2", d)
     L = fn.L
-    cfg = GreedyConfig(L_hat=L_hat_mult * L, q=q, prior_source="historical",
-                       budget=iterations * (q + 1))
-    trace = run_greedy(fn.as_objective(), cfg, seed, oracle_mode="exact",
-                       diagnostics=True, log_every=1)
+    cfg = GreedyConfig(L_hat=L_hat_mult * L, q=q, algo="history_prgf",
+                       budget=iterations * (q + 1), oracle_mode="exact", diagnostics=True)
+    trace = run_greedy(fn.as_objective(), cfg, seed)
     a = (1.0 - 1.0 / L_hat_mult) ** 2
     c_col, d_col = trace.column("C_t"), trace.column("D_t")
     samples: List[DriftSample] = []
@@ -213,13 +212,12 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
     L_hat = L_hat_mult * L
     L_prime = L / (1.0 - (1.0 - L / L_hat) ** 2) if L_hat > L else L
     T_max = max(T_values)
-    cfg = GreedyConfig(L_hat=L_hat, q=q,
-                       prior_source="historical" if historical else "none",
-                       budget=T_max * (q + 1 if historical else q))
+    cfg = GreedyConfig(L_hat=L_hat, q=q, algo="history_prgf" if historical else "rgf",
+                       budget=T_max * (q + 1 if historical else q), oracle_mode="exact",
+                       diagnostics=False)
     deltas = {T: [] for T in T_values}
     for seed in seeds:
-        trace = run_greedy(obj, cfg, seed, oracle_mode="exact", diagnostics=False,
-                           log_every=1)
+        trace = run_greedy(obj, cfg, seed)
         for T in T_values:
             deltas[T].append(_delta_at(trace, T, fn.f_star))
     delta0 = fn.eval(fn.x0) - fn.f_star

@@ -9,32 +9,51 @@ loop (``trace.run_loop``) hands each step its prior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
                    l2_norm, require_finite_positive)
 from .frames import ProbeSet, build_frame, cos_sq, probe, subspace_estimate
 from .trace import RunTrace, run_loop
 
-# the greedy algorithms by the prior they probe with
-ALGO_PRIOR_SOURCES = {"rgf": "none", "prgf": "external", "history_prgf": "historical"}
-PRIOR_SOURCES = tuple(ALGO_PRIOR_SOURCES.values())
-
 
 @dataclass
 class GreedyConfig:
+    """One run of a greedy algorithm: the step, the budget and the run options
+    ``trace.run_loop`` reads. ``ArsConfig`` extends it for the ARS family."""
     L_hat: float
     q: int
-    prior_source: str = "none"
+    algo: str = "rgf"
     budget: int = 0            # total directional-derivative queries
+    oracle_mode: str = "fd"
+    mu: float = DEFAULT_MU
+    diagnostics: Optional[bool] = None  # None: record C_t/D_t whenever a true gradient exists
+    log_every: int = 1
+    target_log10: Optional[float] = None  # marks (and with stop_on_target ends at) a crossing
+    stop_on_target: bool = False
+
+    # the family's algorithms by the prior they probe with
+    ALGOS: ClassVar[dict] = {"rgf": "none", "prgf": "external", "history_prgf": "historical"}
 
     def __post_init__(self):
+        if self.algo not in self.ALGOS:
+            raise ConfigError(f"{self.algo}: not an algorithm of {type(self).__name__}; "
+                              f"expected one of {tuple(self.ALGOS)}")
         require_finite_positive("L_hat", self.L_hat)
         if self.q < 1:
             raise ConfigError(f"q must be >= 1, got {self.q}")
-        if self.prior_source not in PRIOR_SOURCES:
-            raise ConfigError(f"prior_source must be one of {PRIOR_SOURCES}")
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
+        if self.target_log10 is not None and math.isnan(self.target_log10):
+            raise ConfigError("target_log10 must not be NaN")
+        if self.stop_on_target and self.target_log10 is None:
+            raise ConfigError("stop_on_target needs a target_log10")
+
+    @property
+    def prior_source(self) -> str:
+        return self.ALGOS[self.algo]
 
     @property
     def queries_per_iteration(self) -> int:
@@ -89,21 +108,11 @@ def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
 
 
 def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
-               prior_feed: Optional[Callable[[Array], Array]] = None, *,
-               oracle_mode: str = "fd", mu: float = DEFAULT_MU,
-               diagnostics: Optional[bool] = None, log_every: int = 1,
-               target_log10: Optional[float] = None,
-               stop_on_target: bool = False) -> RunTrace:
+               prior_feed: Optional[Callable[[Array], Array]] = None) -> RunTrace:
     """Iterate greedy_step until the dd-query budget is exhausted.
 
-    ``diagnostics=None`` records C_t/D_t whenever a true gradient exists.
     Row t's f-value reuses the base evaluation made by the step's own finite
     differences; only the first and last rows need uncharged diagnostic reads.
-    ``target_log10`` marks (and with ``stop_on_target`` ends at) the first
-    crossing of a relative-error level.
     """
-    trace, _ = run_loop(objective, config, seed, GreedyState, greedy_step, prior_feed,
-                        oracle_mode=oracle_mode, mu=mu, diagnostics=diagnostics,
-                        log_every=log_every, target_log10=target_log10,
-                        stop_on_target=stop_on_target)
+    trace, _ = run_loop(objective, config, seed, GreedyState, greedy_step, prior_feed)
     return trace

@@ -80,18 +80,20 @@ class RunTrace:
 
 
 def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
-             step: Callable, prior_feed: Optional[Callable[[Array], Array]], *,
-             oracle_mode: str, mu: float, diagnostics: Optional[bool], log_every: int,
-             target_log10: Optional[float], stop_on_target: bool) -> tuple[RunTrace, object]:
+             step: Callable, prior_feed: Optional[Callable[[Array], Array]]
+             ) -> tuple[RunTrace, object]:
     """Step from x0 while another iteration of ``config.queries_per_iteration``
     queries fits ``config.budget``.
 
+    ``config`` (a ``GreedyConfig`` or ``ArsConfig``) also holds the run
+    options: ``oracle_mode``, ``mu``, ``diagnostics`` (None records C_t/D_t
+    whenever a true gradient exists), ``log_every`` and ``target_log10``,
+    whose first crossing is marked and, with ``stop_on_target``, ends the run.
     ``new_state(x0)`` builds the optimizer state. Each iteration calls
     ``step(state, oracle, config, rng, prior, diagnostics)`` with the prior
     ``config.prior_source`` names: None ("none"), ``prior_feed(x_t)``
     ("external") or ``state.prior`` ("historical", first drawn uniformly on
-    the sphere; ``greedy.descend`` keeps it). ``diagnostics=None`` records
-    C_t/D_t whenever a true gradient exists. The state carries ``x``,
+    the sphere; ``greedy.descend`` keeps it). The state carries ``x``,
     ``iteration`` and the step's ``last_C``/``last_D``/``last_theta``;
     ``last_f`` is f(x_t) when the step's own queries paid for it, else None
     and row t reads f(x_t) uncharged. Returns the trace and the final state.
@@ -101,21 +103,16 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
     """
     cost, budget = config.queries_per_iteration, config.budget
     if budget < cost:
-        raise ConfigError(f"budget {budget} is below one iteration's cost {cost}")
-    if log_every < 1:
-        raise ConfigError(f"log_every must be >= 1, got {log_every}")
+        raise ConfigError(f"{config.algo}: budget {budget} is below one iteration's cost {cost}")
     if objective.x0 is None:
         raise ConfigError("the objective has no x0 to start from")
-    if target_log10 is not None and math.isnan(target_log10):
-        raise ConfigError("target_log10 must not be NaN")
-    if stop_on_target and target_log10 is None:
-        raise ConfigError("stop_on_target needs a target_log10")
     external = config.prior_source == "external"
     if external and prior_feed is None:
-        raise ConfigError("prior_source='external' requires a prior_feed callable")
+        raise ConfigError(f"{config.algo}: an external prior requires a prior_feed callable")
+    diagnostics, target_log10 = config.diagnostics, config.target_log10
     if diagnostics is None:
         diagnostics = objective.true_gradient is not None
-    oracle = OracleHandle(objective, mu=mu, mode=oracle_mode)
+    oracle = OracleHandle(objective, mu=config.mu, mode=config.oracle_mode)
     rng = RngHandle(seed)
     if cost * objective.dim >= READ_AHEAD_MIN_BLOCK:
         rng.stream = NormalStream(rng.gen.bit_generator)
@@ -130,7 +127,7 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
             trace.mark_reached(target_log10, f0, 0)
 
         while oracle.dd_queries + cost <= budget:
-            if stop_on_target and trace.reached_queries is not None:
+            if config.stop_on_target and trace.reached_queries is not None:
                 break
             x_here = state.x
             dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
@@ -140,7 +137,7 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
             f_here = state.last_f
             if f_here is None:
                 f_here = oracle.peek_function_value(x_here)
-            if t % log_every == 0:
+            if t % config.log_every == 0:
                 trace.append(t, dd_before, fn_before, f_here,
                              state.last_C, state.last_D, state.last_theta)
             if target_log10 is not None:

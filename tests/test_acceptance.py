@@ -178,8 +178,9 @@ def test_ac10_theta_machinery():
     floor_ok = True
     for variant, q in (("pars_impl", 8), ("pars_est", 10), ("history_pars", 10)):
         feed = biased_prior_feed(fn, RngHandle(77)) if variant != "history_pars" else None
-        cfg = ArsConfig(L_hat=2.0, q=q, variant=variant, budget=100 * 3 * (q + 1))
-        trace = run_ars(fn.as_objective(), cfg, seed=10, prior_feed=feed, diagnostics=False)
+        cfg = ArsConfig(L_hat=2.0, q=q, algo=variant, budget=100 * 3 * (q + 1),
+                        diagnostics=False)
+        trace = run_ars(fn.as_objective(), cfg, seed=10, prior_feed=feed)
         thetas = trace.column("theta_t")
         thetas = thetas[~np.isnan(thetas)]
         floor_ok = floor_ok and np.all(thetas >= theta_floor(q, d, 2.0) - 1e-15)
@@ -193,22 +194,22 @@ def test_ac11_query_accounting():
     obj = fn.as_objective()
     checks = {}
 
-    gcfg = GreedyConfig(L_hat=2.0, q=7, prior_source="none", budget=7 * 100)
-    checks["greedy_rgf(q)"] = run_greedy(obj, gcfg, 0, diagnostics=False).final_queries == 700
-    gcfg = GreedyConfig(L_hat=2.0, q=7, prior_source="historical", budget=8 * 100)
-    checks["greedy_hist(q+1)"] = run_greedy(obj, gcfg, 0, diagnostics=False).final_queries == 800
+    gcfg = GreedyConfig(L_hat=2.0, q=7, algo="rgf", budget=7 * 100, diagnostics=False)
+    checks["greedy_rgf(q)"] = run_greedy(obj, gcfg, 0).final_queries == 700
+    gcfg = GreedyConfig(L_hat=2.0, q=7, algo="history_prgf", budget=8 * 100, diagnostics=False)
+    checks["greedy_hist(q+1)"] = run_greedy(obj, gcfg, 0).final_queries == 800
 
     feed = biased_prior_feed(fn, RngHandle(5))
     for variant, q, per in (("ars", 7, 7), ("pars_naive", 7, 8), ("history_pars", 7, 8),
                             ("pars_impl", 7, 10)):
         pf = feed if variant in ("pars_naive", "pars_impl") else None
-        acfg = ArsConfig(L_hat=2.0, q=q, variant=variant, budget=per * 100)
-        tr = run_ars(obj, acfg, 0, prior_feed=pf, diagnostics=False)
+        acfg = ArsConfig(L_hat=2.0, q=q, algo=variant, budget=per * 100, diagnostics=False)
+        tr = run_ars(obj, acfg, 0, prior_feed=pf)
         checks[f"{variant}({per}/iter)"] = (tr.final_queries == per * 100
                                             and tr.rows[-1][0] == 100)
 
-    acfg = ArsConfig(L_hat=2.0, q=7, variant="pars_est", budget=3 * 8 * 100)
-    tr = run_ars(obj, acfg, 0, prior_feed=feed, diagnostics=False)
+    acfg = ArsConfig(L_hat=2.0, q=7, algo="pars_est", budget=3 * 8 * 100, diagnostics=False)
+    tr = run_ars(obj, acfg, 0, prior_feed=feed)
     analytic = sum((2 + g) * 8 for g in tr.guess_passes)
     checks["pars_est(2(q+1)+loop)"] = tr.final_queries == analytic
 

@@ -89,17 +89,16 @@ def test_gamma_nonincreasing_when_tau_zero():
 def test_query_cost_per_iteration(variant, q, cost):
     fn = bench_function("f2", 40)
     feed = biased_feed(fn) if variant in ("pars_naive", "pars_impl") else None
-    cfg = ArsConfig(L_hat=2.0, q=q, variant=variant, budget=cost * 100)
-    trace = run_ars(fn.as_objective(), cfg, seed=0, prior_feed=feed, diagnostics=False)
+    cfg = ArsConfig(L_hat=2.0, q=q, algo=variant, budget=cost * 100, diagnostics=False)
+    trace = run_ars(fn.as_objective(), cfg, seed=0, prior_feed=feed)
     assert trace.rows[-1][0] == 100
     assert trace.final_queries == cost * 100
 
 
 def test_pars_est_accounting_formula():
     fn = bench_function("f2", 40)
-    cfg = ArsConfig(L_hat=2.0, q=10, variant="pars_est", budget=33 * 60)
-    trace = run_ars(fn.as_objective(), cfg, seed=0, prior_feed=biased_feed(fn),
-                    diagnostics=False)
+    cfg = ArsConfig(L_hat=2.0, q=10, algo="pars_est", budget=33 * 60, diagnostics=False)
+    trace = run_ars(fn.as_objective(), cfg, seed=0, prior_feed=biased_feed(fn))
     analytic = sum((2 + g) * 11 for g in trace.guess_passes)
     assert trace.final_queries == analytic
     assert all(g >= 1 for g in trace.guess_passes)
@@ -109,8 +108,8 @@ def test_budget_never_exceeded():
     fn = bench_function("f2", 40)
     for variant, q in [("ars", 11), ("history_pars", 10), ("pars_est", 10)]:
         feed = biased_feed(fn) if variant == "pars_est" else None
-        cfg = ArsConfig(L_hat=2.0, q=q, variant=variant, budget=500)
-        trace = run_ars(fn.as_objective(), cfg, seed=1, prior_feed=feed, diagnostics=False)
+        cfg = ArsConfig(L_hat=2.0, q=q, algo=variant, budget=500, diagnostics=False)
+        trace = run_ars(fn.as_objective(), cfg, seed=1, prior_feed=feed)
         assert trace.final_queries <= 500
 
 
@@ -119,8 +118,8 @@ def test_budget_never_exceeded():
 def test_history_pars_first_iteration_is_stationary():
     # theta_{-1} = 0 forces alpha_0 = 0 and y_0 = x_0
     fn = bench_function("f2", 20)
-    cfg = ArsConfig(L_hat=2.0, q=5, variant="history_pars", budget=6)
-    trace = run_ars(fn.as_objective(), cfg, seed=0, diagnostics=False)
+    cfg = ArsConfig(L_hat=2.0, q=5, algo="history_pars", budget=6, diagnostics=False)
+    trace = run_ars(fn.as_objective(), cfg, seed=0)
     # single iteration: x_1 = y_0 - g1/L̂ with y_0 = x_0; f must not increase
     assert trace.rows[-1][3] <= trace.rows[0][3] + 1e-9
 
@@ -130,8 +129,9 @@ def test_theta_floor_across_run():
     d = 60
     for variant, q in [("pars_impl", 8), ("pars_est", 10), ("history_pars", 10)]:
         feed = biased_feed(fn) if variant in ("pars_impl", "pars_est") else None
-        cfg = ArsConfig(L_hat=2.0, q=q, variant=variant, budget=40 * (3 * (q + 1)))
-        trace = run_ars(fn.as_objective(), cfg, seed=2, prior_feed=feed, diagnostics=False)
+        cfg = ArsConfig(L_hat=2.0, q=q, algo=variant, budget=40 * (3 * (q + 1)),
+                        diagnostics=False)
+        trace = run_ars(fn.as_objective(), cfg, seed=2, prior_feed=feed)
         thetas = trace.column("theta_t")
         thetas = thetas[~np.isnan(thetas)]
         assert thetas.size > 0
@@ -140,11 +140,11 @@ def test_theta_floor_across_run():
 
 def test_pars_impl_dhat_clipped():
     fn = bench_function("f2", 30)
-    cfg = ArsConfig(L_hat=2.0, q=8, variant="pars_impl", budget=11 * 60)
+    cfg = ArsConfig(L_hat=2.0, q=8, algo="pars_impl", budget=11 * 60, diagnostics=False)
     obj = fn.as_objective()
     # perfect prior: estimated quality must still be clipped at B_UB = 0.6
     feed = lambda x: fn.grad(x)
-    trace = run_ars(obj, cfg, seed=0, prior_feed=feed, diagnostics=False)
+    trace = run_ars(obj, cfg, seed=0, prior_feed=feed)
     assert trace.final_queries == 11 * 60
     from pgzo.ars import _step_pars_impl  # check the recorded clip directly
     from pgzo.core import OracleHandle
@@ -157,7 +157,7 @@ def test_pars_impl_dhat_clipped():
 
 
 def test_restart_resets_momentum():
-    cfg = ArsConfig(L_hat=1.0, q=2, variant="ars", budget=100, restart=True, gamma0=1.0)
+    cfg = ArsConfig(L_hat=1.0, q=2, algo="ars", budget=100, restart=True, gamma0=1.0)
     state = ArsState(x=np.array([1.0, 2.0]), m=np.array([5.0, 5.0]), gamma=0.25)
     state.last_f_y = 1.0
     assert not maybe_restart(state, 0.9, cfg)          # decreased: no restart
@@ -169,7 +169,7 @@ def test_restart_resets_momentum():
 
 
 def test_strictly_decreasing_sequence_never_restarts():
-    cfg = ArsConfig(L_hat=1.0, q=2, variant="ars", budget=100, restart=True, gamma0=1.0)
+    cfg = ArsConfig(L_hat=1.0, q=2, algo="ars", budget=100, restart=True, gamma0=1.0)
     state = ArsState(x=np.zeros(2), m=np.zeros(2), gamma=1.0)
     for f_y in np.linspace(10.0, 1.0, 40):
         maybe_restart(state, float(f_y), cfg)
@@ -178,16 +178,17 @@ def test_strictly_decreasing_sequence_never_restarts():
 
 def test_restart_count_recorded_in_trace():
     fn = bench_function("f2", 30)
-    cfg = ArsConfig(L_hat=2.0, q=5, variant="history_pars", budget=6 * 80, restart=True)
-    trace = run_ars(fn.as_objective(), cfg, seed=0, diagnostics=False)
+    cfg = ArsConfig(L_hat=2.0, q=5, algo="history_pars", budget=6 * 80, restart=True,
+                    diagnostics=False)
+    trace = run_ars(fn.as_objective(), cfg, seed=0)
     assert trace.restarts >= 0  # populated from the run state
 
 
 def test_run_deterministic():
     fn = bench_function("f1", 32)
-    cfg = ArsConfig(L_hat=fn.L, q=4, variant="history_pars", budget=5 * 50)
-    a = run_ars(fn.as_objective(), cfg, seed=5, diagnostics=False)
-    b = run_ars(fn.as_objective(), cfg, seed=5, diagnostics=False)
+    cfg = ArsConfig(L_hat=fn.L, q=4, algo="history_pars", budget=5 * 50, diagnostics=False)
+    a = run_ars(fn.as_objective(), cfg, seed=5)
+    b = run_ars(fn.as_objective(), cfg, seed=5)
     assert a.rows == b.rows
 
 
@@ -197,8 +198,9 @@ def test_full_basis_ars_matches_first_order_momentum():
     d = 6
     fn = bench_function("f2", d)
     obj = fn.as_objective()
-    cfg = ArsConfig(L_hat=2.0, q=d, variant="ars", budget=d * 40)
-    trace = run_ars(obj, cfg, seed=0, oracle_mode="exact", diagnostics=False)
+    cfg = ArsConfig(L_hat=2.0, q=d, algo="ars", budget=d * 40, oracle_mode="exact",
+                    diagnostics=False)
+    trace = run_ars(obj, cfg, seed=0)
 
     theta = d * d / (2.0 * d * d)  # q^2/(L̂ d^2) with q=d
     x = obj.x0.copy()
@@ -229,9 +231,9 @@ def _count_calls(monkeypatch, method="peek_function_value"):
 def _pars_run(variant, oracle_mode):
     fn = bench_function("f1", 40)
     q = 8 if variant == "pars_impl" else 10
-    cfg = ArsConfig(L_hat=fn.L, q=q, variant=variant, budget=40 * 3 * (q + 1))
-    return run_ars(fn.as_objective(), cfg, seed=3, prior_feed=biased_feed(fn),
-                   oracle_mode=oracle_mode, diagnostics=False)
+    cfg = ArsConfig(L_hat=fn.L, q=q, algo=variant, budget=40 * 3 * (q + 1),
+                    oracle_mode=oracle_mode, diagnostics=False)
+    return run_ars(fn.as_objective(), cfg, seed=3, prior_feed=biased_feed(fn))
 
 
 @pytest.mark.parametrize("variant", ["pars_impl", "pars_est"])
@@ -273,9 +275,9 @@ def test_diagnostics_compute_each_gradient_once(monkeypatch, variant, exact_quer
     # queries along the prior read the exact gradient at their own points.
     grads = _count_calls(monkeypatch, "gradient_at")
     fn = bench_function("f1", 40)
-    cfg = ArsConfig(L_hat=fn.L, q=5, variant=variant, budget=1200)
-    trace = run_ars(fn.as_objective(), cfg, seed=3, prior_feed=biased_feed(fn),
-                    oracle_mode=oracle_mode, diagnostics=True)
+    cfg = ArsConfig(L_hat=fn.L, q=5, algo=variant, budget=1200, oracle_mode=oracle_mode,
+                    diagnostics=True)
+    trace = run_ars(fn.as_objective(), cfg, seed=3, prior_feed=biased_feed(fn))
     iterations = int(trace.rows[-1][0])
     assert iterations > 10
     per_iteration = 1 + (exact_queries if oracle_mode == "exact" else 0)
@@ -284,8 +286,8 @@ def test_diagnostics_compute_each_gradient_once(monkeypatch, variant, exact_quer
 
 def test_prior_feed_required():
     fn = bench_function("f2", 20)
-    cfg = ArsConfig(L_hat=2.0, q=5, variant="pars_impl", budget=100)
-    with pytest.raises(ConfigError):
+    cfg = ArsConfig(L_hat=2.0, q=5, algo="pars_impl", budget=100)
+    with pytest.raises(ConfigError, match="^pars_impl: .*requires a prior_feed"):
         run_ars(fn.as_objective(), cfg, seed=0)
 
 
@@ -299,17 +301,27 @@ def test_invalid_prior_reported_as_such(algo, bad):
         warnings.simplefilter("error")
         with pytest.raises(InvalidPriorError):
             if algo == "prgf":
-                cfg = GreedyConfig(L_hat=fn.L, q=q, prior_source="external", budget=600)
+                cfg = GreedyConfig(L_hat=fn.L, q=q, algo="prgf", budget=600)
                 run_greedy(fn.as_objective(), cfg, 0, feed)
             else:
-                cfg = ArsConfig(L_hat=fn.L, q=q, variant=algo, budget=600)
+                cfg = ArsConfig(L_hat=fn.L, q=q, algo=algo, budget=600)
                 run_ars(fn.as_objective(), cfg, 0, feed)
 
 
+GREEDY_ALGOS = r"\('rgf', 'prgf', 'history_prgf'\)"
+ARS_ALGOS = r"\('ars', 'pars_naive', 'pars_impl', 'pars_est', 'history_pars'\)"
+
+
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        ArsConfig(L_hat=0.0, q=5, budget=100)
-    with pytest.raises(ConfigError):
-        ArsConfig(L_hat=1.0, q=5, variant="nope", budget=100)
-    with pytest.raises(ConfigError):
-        ArsConfig(L_hat=1.0, q=5, tau_hat=2.0, gamma0=1.0, budget=100)
+    # (family, settings, message): a wrong algo lists the family's algorithms
+    for family, settings, match in [
+            (ArsConfig, dict(L_hat=0.0), "L_hat"),
+            (ArsConfig, dict(algo="nope"), "^nope: .*" + ARS_ALGOS),
+            (ArsConfig, dict(algo="rgf"), "^rgf: .*" + ARS_ALGOS),
+            (GreedyConfig, dict(algo="ars"), "^ars: .*" + GREEDY_ALGOS),
+            (GreedyConfig, dict(algo="nope"), "^nope: .*" + GREEDY_ALGOS),
+            (ArsConfig, dict(tau_hat=2.0, gamma0=1.0), "gamma0"),
+            (GreedyConfig, dict(stop_on_target=True), "stop_on_target"),
+            (ArsConfig, dict(stop_on_target=True), "stop_on_target")]:
+        with pytest.raises(ConfigError, match=match):
+            family(**{"L_hat": 1.0, "q": 5, "budget": 100, **settings})

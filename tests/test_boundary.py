@@ -75,7 +75,6 @@ def test_run_without_x0_is_a_config_error(family):
 
 
 def test_nan_target_is_a_config_error():
-    fn = bench_function("f2", 5)
-    with pytest.raises(ConfigError, match="target_log10"):
-        run_greedy(fn.as_objective(), GreedyConfig(L_hat=fn.L, q=2, budget=10), 0,
-                   target_log10=math.nan)
+    for family in (GreedyConfig, ArsConfig):
+        with pytest.raises(ConfigError, match="target_log10"):
+            family(L_hat=1.0, q=2, budget=10, target_log10=math.nan)

@@ -23,7 +23,7 @@ def test_step_full_alignment_reaches_optimum():
     # f = ||x||^2/2, frame direction +-e1 forced by d=2, q=1, prior=e2
     obj = half_norm_sq()
     oracle = OracleHandle(obj, mode="exact")
-    cfg = GreedyConfig(L_hat=1.0, q=1, prior_source="external", budget=10)
+    cfg = GreedyConfig(L_hat=1.0, q=1, algo="prgf", budget=10)
     state = GreedyState(x=np.array([1.0, 0.0]))
     greedy_step(state, oracle, cfg, RngHandle(0), prior=np.array([0.0, 1.0]))
     # frame = {e2 prior, +-e1}: spans R^2, so g1 = grad and the step is exact
@@ -44,7 +44,7 @@ def test_zero_estimate_leaves_state_fixed():
     obj = ObjectiveSpec(dim=3, eval=lambda x: 1.0, true_gradient=lambda x: np.zeros(3),
                         x0=np.zeros(3))
     oracle = OracleHandle(obj, mode="exact")
-    cfg = GreedyConfig(L_hat=1.0, q=2, prior_source="historical", budget=10)
+    cfg = GreedyConfig(L_hat=1.0, q=2, algo="history_prgf", budget=10)
     state = GreedyState(x=np.ones(3), prior=np.array([1.0, 0.0, 0.0]))
     before = state.prior.copy()
     greedy_step(state, oracle, cfg, RngHandle(1), state.prior)
@@ -54,8 +54,8 @@ def test_zero_estimate_leaves_state_fixed():
 
 def test_run_iteration_count_matches_budget():
     fn = bench_function("f2", 40)
-    cfg = GreedyConfig(L_hat=2.0, q=10, prior_source="historical", budget=11 * 37)
-    trace = run_greedy(fn.as_objective(), cfg, seed=0, diagnostics=False)
+    cfg = GreedyConfig(L_hat=2.0, q=10, algo="history_prgf", budget=11 * 37, diagnostics=False)
+    trace = run_greedy(fn.as_objective(), cfg, seed=0)
     assert trace.rows[-1][0] == 37
     assert trace.final_queries == 11 * 37
 
@@ -71,22 +71,22 @@ def test_run_constant_function():
 def test_budget_below_one_iteration_rejected():
     fn = bench_function("f2", 10)
     cfg = GreedyConfig(L_hat=2.0, q=5, budget=4)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^rgf: budget 4 is below one iteration's cost 5$"):
         run_greedy(fn.as_objective(), cfg, seed=0)
 
 
 def test_external_prior_requires_feed():
     fn = bench_function("f2", 10)
-    cfg = GreedyConfig(L_hat=2.0, q=5, prior_source="external", budget=60)
-    with pytest.raises(ConfigError):
+    cfg = GreedyConfig(L_hat=2.0, q=5, algo="prgf", budget=60)
+    with pytest.raises(ConfigError, match="^prgf: .*requires a prior_feed"):
         run_greedy(fn.as_objective(), cfg, seed=0)
 
 
 def test_monotone_descent_exact_oracle():
     fn = bench_function("f2", 30)
-    cfg = GreedyConfig(L_hat=2.0, q=5, budget=5 * 200)
-    trace = run_greedy(fn.as_objective(), cfg, seed=1, oracle_mode="exact",
+    cfg = GreedyConfig(L_hat=2.0, q=5, budget=5 * 200, oracle_mode="exact",
                        diagnostics=False)
+    trace = run_greedy(fn.as_objective(), cfg, seed=1)
     fs = trace.column("f_value")
     assert np.all(np.diff(fs) <= 1e-12)
 
@@ -94,15 +94,15 @@ def test_monotone_descent_exact_oracle():
 def test_near_monotone_descent_finite_differences():
     # forward differences allow slack L̂ mu^2-ish per step
     fn = bench_function("f2", 30)
-    cfg = GreedyConfig(L_hat=2.0, q=5, budget=5 * 200)
-    trace = run_greedy(fn.as_objective(), cfg, seed=1, mu=1e-6, diagnostics=False)
+    cfg = GreedyConfig(L_hat=2.0, q=5, budget=5 * 200, mu=1e-6, diagnostics=False)
+    trace = run_greedy(fn.as_objective(), cfg, seed=1)
     fs = trace.column("f_value")
     assert np.all(np.diff(fs) <= 1e-9)
 
 
 def test_bit_reproducible_runs():
     fn = bench_function("f1", 24)
-    cfg = GreedyConfig(L_hat=fn.L, q=4, prior_source="historical", budget=5 * 80)
+    cfg = GreedyConfig(L_hat=fn.L, q=4, algo="history_prgf", budget=5 * 80)
     t1 = run_greedy(fn.as_objective(), cfg, seed=9)
     t2 = run_greedy(fn.as_objective(), cfg, seed=9)
     assert t1.rows == t2.rows
@@ -113,7 +113,7 @@ def test_historical_prior_is_previous_estimate_direction():
     obj = fn.as_objective()
     oracle = OracleHandle(obj, mode="exact")
     rng = RngHandle(4)
-    cfg = GreedyConfig(L_hat=2.0, q=3, prior_source="historical", budget=10 ** 6)
+    cfg = GreedyConfig(L_hat=2.0, q=3, algo="history_prgf", budget=10 ** 6)
     state = GreedyState(x=obj.x0.copy(), prior=np.eye(12)[1])
     greedy_step(state, oracle, cfg, rng, state.prior)
     # replay the step's frame from the same seed to recover its g1
@@ -124,9 +124,9 @@ def test_historical_prior_is_previous_estimate_direction():
 
 def test_diagnostics_columns_populated():
     fn = bench_function("f2", 15)
-    cfg = GreedyConfig(L_hat=2.0, q=4, prior_source="historical", budget=5 * 20)
-    trace = run_greedy(fn.as_objective(), cfg, seed=0, oracle_mode="exact",
-                       diagnostics=True)
+    cfg = GreedyConfig(L_hat=2.0, q=4, algo="history_prgf", budget=5 * 20,
+                       oracle_mode="exact", diagnostics=True)
+    trace = run_greedy(fn.as_objective(), cfg, seed=0)
     c, d_col = trace.column("C_t"), trace.column("D_t")
     assert np.all((c[:-1] >= -1e-12) & (c[:-1] <= 1.0 + 1e-12))
     assert np.all((d_col[:-1] >= -1e-12) & (d_col[:-1] <= 1.0 + 1e-12))
@@ -134,9 +134,9 @@ def test_diagnostics_columns_populated():
 
 def test_target_stops_early():
     fn = bench_function("f2", 20)
-    cfg = GreedyConfig(L_hat=2.0, q=5, budget=5 * 10 ** 5)
-    trace = run_greedy(fn.as_objective(), cfg, seed=0, target_log10=-1.0,
+    cfg = GreedyConfig(L_hat=2.0, q=5, budget=5 * 10 ** 5, target_log10=-1.0,
                        stop_on_target=True, diagnostics=False)
+    trace = run_greedy(fn.as_objective(), cfg, seed=0)
     assert trace.reached_queries is not None
     assert trace.final_queries < 5 * 10 ** 5
     assert trace.rows[-1][4] <= -1.0

@@ -23,11 +23,11 @@ def test_fn_eval_accounting_fd_probes():
     # q+1 evals without a prior, q+2 with one
     fn = bench_function("f2", 30)
     obj = fn.as_objective()
-    cfg = GreedyConfig(L_hat=2.0, q=7, prior_source="none", budget=7 * 50)
-    tr = run_greedy(obj, cfg, 0, diagnostics=False)
+    cfg = GreedyConfig(L_hat=2.0, q=7, algo="rgf", budget=7 * 50, diagnostics=False)
+    tr = run_greedy(obj, cfg, 0)
     assert tr.rows[-1][2] == 50 * 8
-    cfg = GreedyConfig(L_hat=2.0, q=7, prior_source="historical", budget=8 * 50)
-    tr = run_greedy(obj, cfg, 0, diagnostics=False)
+    cfg = GreedyConfig(L_hat=2.0, q=7, algo="history_prgf", budget=8 * 50, diagnostics=False)
+    tr = run_greedy(obj, cfg, 0)
     assert tr.rows[-1][2] == 50 * 9
 
 
@@ -35,18 +35,20 @@ def test_restart_charges_one_eval_in_exact_mode():
     # with an exact oracle nothing ever evaluates f, so the restart check
     # must buy its own function value each iteration
     fn = bench_function("f2", 20)
-    cfg = ArsConfig(L_hat=2.0, q=5, variant="ars", budget=5 * 30, restart=True)
-    tr = run_ars(fn.as_objective(), cfg, 0, oracle_mode="exact", diagnostics=False)
+    cfg = ArsConfig(L_hat=2.0, q=5, algo="ars", budget=5 * 30, restart=True,
+                    oracle_mode="exact", diagnostics=False)
+    tr = run_ars(fn.as_objective(), cfg, 0)
     assert tr.rows[-1][2] == 30
-    cfg = ArsConfig(L_hat=2.0, q=5, variant="ars", budget=5 * 30, restart=False)
-    tr = run_ars(fn.as_objective(), cfg, 0, oracle_mode="exact", diagnostics=False)
+    cfg = ArsConfig(L_hat=2.0, q=5, algo="ars", budget=5 * 30, restart=False,
+                    oracle_mode="exact", diagnostics=False)
+    tr = run_ars(fn.as_objective(), cfg, 0)
     assert tr.rows[-1][2] == 0
 
 
 def test_queries_strictly_increasing_in_traces():
     fn = bench_function("f2", 25)
-    cfg = GreedyConfig(L_hat=2.0, q=5, budget=5 * 40)
-    tr = run_greedy(fn.as_objective(), cfg, 0, diagnostics=False)
+    cfg = GreedyConfig(L_hat=2.0, q=5, budget=5 * 40, diagnostics=False)
+    tr = run_greedy(fn.as_objective(), cfg, 0)
     qs = tr.column("dd_queries")
     assert np.all(np.diff(qs) > 0)
 
@@ -83,10 +85,10 @@ def test_history_prgf_compensates_conservative_learning_rate():
     # over the last half of a 500-iteration run exceeds 5 q/d
     d, q = 250, 5
     fn = bench_function("f2", d)
-    cfg = GreedyConfig(L_hat=50 * fn.L, q=q, prior_source="historical",
-                       budget=(q + 1) * 500)
-    tr = run_greedy(fn.as_objective(), cfg, seed=0, oracle_mode="exact",
-                    diagnostics=True, log_every=1)
+    cfg = GreedyConfig(L_hat=50 * fn.L, q=q, algo="history_prgf",
+                       budget=(q + 1) * 500, oracle_mode="exact", diagnostics=True,
+                       log_every=1)
+    tr = run_greedy(fn.as_objective(), cfg, seed=0)
     c = tr.column("C_t")[:-1]
     assert len(c) == 500
     late_mean = float(np.nanmean(c[250:]))
@@ -216,13 +218,9 @@ def test_run_driver_contract(monkeypatch, algo, mode):
 
 @pytest.mark.parametrize("log_every", [0, -1])
 def test_log_every_below_one_rejected(log_every):
-    fn = bench_function("f2", 10)
-    with pytest.raises(ConfigError, match="log_every"):
-        run_greedy(fn.as_objective(), GreedyConfig(L_hat=2.0, q=3, budget=30), 0,
-                   log_every=log_every)
-    with pytest.raises(ConfigError, match="log_every"):
-        run_ars(fn.as_objective(), ArsConfig(L_hat=2.0, q=3, budget=30), 0,
-                log_every=log_every)
+    for family in (GreedyConfig, ArsConfig):
+        with pytest.raises(ConfigError, match="log_every"):
+            family(L_hat=2.0, q=3, budget=30, log_every=log_every)
 
 
 # -- normal read-ahead -----------------------------------------------------------
@@ -298,8 +296,8 @@ def test_no_helper_thread_outlives_a_run(monkeypatch, family):
 
     def run(obj, fn, **kw):
         if family == "greedy":
-            return run_greedy(obj, GreedyConfig(L_hat=fn.L, q=4, budget=4 * 60), 0, **kw)
-        return run_ars(obj, ArsConfig(L_hat=fn.L, q=4, budget=4 * 60, restart=True), 0, **kw)
+            return run_greedy(obj, GreedyConfig(L_hat=fn.L, q=4, budget=4 * 60, **kw), 0)
+        return run_ars(obj, ArsConfig(L_hat=fn.L, q=4, budget=4 * 60, restart=True, **kw), 0)
 
     seen = []
     fn, obj = _watched_f2(seen)

@@ -1,11 +1,13 @@
 """The scripts under ``tools/``: each answers ``--help``, and ``tools/ab.py``,
-the A/B harness, measures two trees as it says.
+the A/B harness, measures two trees as it says. The README's library example
+runs as written.
 
 The harness is driven here without git and without perfbench: its sides are
 two stub ``src/pgzo`` packages of one line each (so that a child starts in
 tens of milliseconds), and its cases are tiny probes."""
 
 import importlib.util
+import os
 import statistics
 import subprocess
 import sys
@@ -13,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ROOT / "tools"
 _spec = importlib.util.spec_from_file_location("ab", TOOLS / "ab.py")
 ab = sys.modules["ab"] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab)
@@ -25,6 +28,16 @@ def test_tool_answers_help(tool):
                            text=True, timeout=120)
     assert child.returncode == 0, child.stderr
     assert "usage:" in child.stdout
+
+
+def test_readme_library_example_runs(tmp_path):
+    section = (ROOT / "README.md").read_text().split("\n## Library example\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           timeout=120, cwd=tmp_path,
+                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert child.returncode == 0, child.stderr
+    assert len(child.stdout.splitlines()) == 2  # one line per run
 
 
 def stub_trees(tmp_path, values):
