@@ -131,8 +131,7 @@ def maybe_restart(state: ArsState, f_y_current: float, config: ArsConfig) -> boo
 
 
 def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-             theta: float, prior: Optional[Array], diagnostics: bool,
-             diag_prior: Optional[Array] = None):
+             theta: float, prior: Optional[Array], diagnostics: bool):
     """The step every variant takes once it has chosen theta: mix y, take the
     greedy descent step from y (see ``greedy.descend``), move m along g2,
     then test for a restart. Returns the probes for the variant's own
@@ -140,7 +139,7 @@ def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngH
     d = oracle.objective.dim
     alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
     y = (1.0 - beta) * state.x + beta * state.m
-    probes, g1 = descend(state, oracle, config, rng, y, prior, diagnostics, diag_prior)
+    probes, g1 = descend(state, oracle, config, rng, y, prior, diagnostics)
     if config.algo in ("ars", "pars_naive"):
         g2 = (d / config.q) * g1
     else:
@@ -186,8 +185,7 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
     state.last_Dhat = clipped_dhat(d1)
     theta = theta_from_D(state.last_Dhat, config.q, d, config.L_hat)
 
-    # p, not the frame's re-normalised copy of it, is the prior D_t measures
-    probes = _descend(state, oracle, config, rng, theta, p, diagnostics, diag_prior=p)
+    probes = _descend(state, oracle, config, rng, theta, p, diagnostics)
     state.norm_sq_history.append(estimate_grad_norm_sq(probes))
     if len(state.norm_sq_history) > AVG_WINDOW_K:
         state.norm_sq_history.pop(0)
@@ -222,8 +220,8 @@ def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng
     if theta is None:
         theta = theta_floor(config.q, d, config.L_hat)
     state.guess_passes.append(passes)
-    # a fresh frame for the estimates; D_t against p as in _step_pars_impl
-    _descend(state, oracle, config, rng, theta, p, diagnostics, diag_prior=p)
+    # a fresh frame for the estimates
+    _descend(state, oracle, config, rng, theta, p, diagnostics)
 
 
 def _step_history_pars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,

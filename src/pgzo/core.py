@@ -51,6 +51,13 @@ def require_finite_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
+def check_oracle_options(mode: str, mu: float) -> None:
+    """ConfigError unless ``mode`` is an oracle mode and ``mu`` finite and positive."""
+    require_finite_positive("mu", mu)
+    if mode not in ("fd", "exact"):
+        raise ConfigError(f"unknown oracle mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """A d-dimensional objective with optional analytic side information.
@@ -210,9 +217,7 @@ class OracleHandle:
     last_grad: Optional[Array] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        require_finite_positive("mu", self.mu)
-        if self.mode not in ("fd", "exact"):
-            raise ConfigError(f"unknown oracle mode {self.mode!r}")
+        check_oracle_options(self.mode, self.mu)
         if self.mode == "exact" and self.objective.true_gradient is None:
             raise ConfigError("exact oracle mode requires a true_gradient")
 
@@ -278,6 +283,9 @@ class OracleHandle:
             pts += x
             if self.objective.eval_batch is not None:
                 fv = np.asarray(self.objective.eval_batch(pts), dtype=float)
+                if fv.shape != (n,):
+                    raise ConfigError(f"eval_batch returned shape {fv.shape} for {n} points, "
+                                      f"expected ({n},)")
             else:
                 fv = np.array([self.objective.eval(p) for p in pts], dtype=float)
             self.fn_evals += n

@@ -153,9 +153,7 @@ def subspace_optimality_margin(d: int, q: int, n_vectors: int, rng: RngHandle,
         g1 = subspace_estimate(_exact_probes(frame, grad))
         best = cos_sq(grad, g1)
         z = rng.gen.standard_normal((n_vectors, q))
-        w = z @ frame.directions
-        w /= np.linalg.norm(w, axis=1, keepdims=True)
-        competitors = (w @ grad) ** 2 / (grad @ grad)
+        competitors = cos_sq(grad, z @ frame.directions)
         worst = min(worst, best - float(competitors.max()))
     return worst
 

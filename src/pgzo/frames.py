@@ -197,22 +197,17 @@ def g2_variance_reduced(probes_plain: ProbeSet, prior_orig: Array, prior_deriv_o
 
 
 def cos_sq(a: Array, b: Array):
-    """Squared cosine between a and b; NaN when either is zero. For a stack
-    of rows ``b``, the array of ``cos_sq(a, row)`` over its rows: the dot
-    products are taken for the whole stack, the rest row by row on numpy
-    scalars, whose ``x ** 2`` (the C library's pow) now and then rounds
-    otherwise than an array's."""
+    """Squared cosine ``ab * ab / (aa * bb)`` between a and b, from the dot
+    products ab = a.b, aa = a.a and bb = b.b; NaN when either is zero. For a
+    stack of rows ``b``, one value per row, each the float ``cos_sq(a, row)``
+    gives: ``_dot`` takes the same dot products and every other operation is
+    one correctly rounded multiplication or division."""
     if b.ndim == 1:
-        return _cos_sq(a @ b, l2_norm(a), l2_norm(b))
-    na = l2_norm(a)
-    return np.array([_cos_sq(ab, na, nb)
-                     for ab, nb in zip(_dot(a, b), np.sqrt(_dot(b, b)))])
-
-
-def _cos_sq(ab, na: float, nb: float) -> float:
-    if na == 0.0 or nb == 0.0:
-        return float("nan")
-    return float(ab ** 2 / (na * na * nb * nb))
+        ab, aa, bb = float(a @ b), float(a @ a), float(b @ b)
+        return ab * ab / (aa * bb) if aa * bb != 0.0 else math.nan
+    ab = _dot(a, b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ab * ab / (_dot(a, a) * _dot(b, b))
 
 
 def estimate_grad_norm_sq(probes: ProbeSet) -> float:

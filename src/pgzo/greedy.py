@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
 from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
-                   l2_norm, require_finite_positive)
+                   check_oracle_options, l2_norm, require_finite_positive)
 from .frames import ProbeSet, build_frame, cos_sq, probe, subspace_estimate
 from .trace import RunTrace, run_loop
 
@@ -42,6 +42,7 @@ class GreedyConfig:
             raise ConfigError(f"{self.algo}: not an algorithm of {type(self).__name__}; "
                               f"expected one of {tuple(self.ALGOS)}")
         require_finite_positive("L_hat", self.L_hat)
+        check_oracle_options(self.oracle_mode, self.mu)
         if self.q < 1:
             raise ConfigError(f"q must be >= 1, got {self.q}")
         if self.log_every < 1:
@@ -72,12 +73,10 @@ class GreedyState:
 
 
 def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
-            prior: Optional[Array], diagnostics: bool,
-            diag_prior: Optional[Array] = None) -> tuple[ProbeSet, Array]:
+            prior: Optional[Array], diagnostics: bool) -> tuple[ProbeSet, Array]:
     """The descent step both families take: probe a frame around ``prior`` at
     ``point``, record C_t/D_t when ``diagnostics``, set ``state.x = point -
-    g1/L̂`` and count the iteration. D_t is measured against ``diag_prior``,
-    or the frame's prior when None. A historical ``config.prior_source``
+    g1/L̂`` and count the iteration. A historical ``config.prior_source``
     makes g1/‖g1‖ the next ``state.prior``. Greedy descends from x_t, the ARS
     family from y_t. Returns the probes and g1."""
     frame = build_frame(rng, oracle.objective.dim, config.q, prior=prior)
@@ -86,8 +85,7 @@ def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
     if diagnostics:
         grad = oracle.last_grad if oracle.last_grad is not None else oracle.gradient_at(point)
         state.last_C = cos_sq(grad, g1)
-        p = frame.prior if diag_prior is None else diag_prior
-        state.last_D = cos_sq(grad, p) if p is not None else float("nan")
+        state.last_D = cos_sq(grad, frame.prior) if frame.prior is not None else float("nan")
     state.x = point - g1 / config.L_hat
     state.iteration += 1
     if config.prior_source == "historical":

@@ -78,3 +78,24 @@ def test_nan_target_is_a_config_error():
     for family in (GreedyConfig, ArsConfig):
         with pytest.raises(ConfigError, match="target_log10"):
             family(L_hat=1.0, q=2, budget=10, target_log10=math.nan)
+
+
+@pytest.mark.parametrize("family", [GreedyConfig, ArsConfig])
+@pytest.mark.parametrize("options,match", [
+    ({"mu": math.nan}, "mu must be finite"),
+    ({"mu": 0.0}, "mu must be finite"),
+    ({"oracle_mode": "bogus"}, "unknown oracle mode 'bogus'"),
+    ({"oracle_mode": "bogus", "mu": math.nan}, "mu must be finite"),
+])
+def test_config_rejects_bad_oracle_options_when_built(family, options, match):
+    with pytest.raises(ConfigError, match=match):
+        family(L_hat=1.0, q=2, budget=10, **options)
+
+
+@pytest.mark.parametrize("algo", ["rgf", "history_prgf"])
+def test_eval_batch_with_one_value_per_point_or_a_config_error(algo):
+    fn = bench_function("f2", 6)
+    obj = ObjectiveSpec(dim=6, eval=fn.eval, x0=fn.x0,
+                        eval_batch=lambda pts: fn.eval_batch(pts)[:, None])
+    with pytest.raises(ConfigError, match=r"eval_batch returned shape \(\d+, 1\) for \d+ points"):
+        run_greedy(obj, GreedyConfig(L_hat=fn.L, q=3, algo=algo, budget=40), 0)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -247,15 +249,21 @@ def test_build_frame_bit_identical_to_reference(seed, d, q, with_prior):
 def test_cos_sq_of_a_stack_equals_row_by_row():
     gen = np.random.default_rng(0)
     # dot products whose square as a numpy scalar (the C library's pow)
-    # differs from the array square x * x; a @ b is exactly x for a = e1
+    # differs from the correctly rounded x * x; a @ b is exactly x for a = e1
     xs = [x for x in gen.standard_normal(100_000) if np.float64(x) ** 2 != x * x][:50]
     a = np.eye(6)[0]
     b = gen.standard_normal((len(xs) + 50, 6))
     b[:len(xs), 0] = xs
     b[-1] = 0.0
-    stacked = cos_sq(a, b)
-    rows = [cos_sq(a, row) for row in b]
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        stacked = cos_sq(a, b)
+        rows = [cos_sq(a, row) for row in b]
+        zero_a = [cos_sq(np.zeros(6), b), cos_sq(np.zeros(6), b[0])]
+    for x, row, v in zip(xs, b, rows):
+        assert v == x * x / (row @ row)
     assert np.isnan(stacked[-1]) and np.isnan(rows[-1])
+    assert np.isnan(zero_a[0]).all() and np.isnan(zero_a[1])
     np.testing.assert_array_equal(stacked[:-1], rows[:-1])
     assert all(type(v) is float for v in rows)
 
