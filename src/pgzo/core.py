@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -14,12 +14,14 @@ Array = np.ndarray
 
 DEFAULT_MU = 1e-6
 
-# NormalStream hand-over. Each queue hand-over waits on the interpreter lock,
-# so chunks hold several frames: 32768 doubles (256 KB) is about 6 frames at
-# d=500, q=11. On a 2-vCPU host (OpenBLAS, one BLAS thread) RGF at d=500 took
-# 80/67/60/63 us per iteration with chunks of 8k/16k/32k/64k values, ARS at
-# d=256 71/59/53/49; a queue depth of 1, 2 or 4 moved them by at most 1
-# and 3 us. Peak RSS grows by 1.2 to 1.8 MB.
+# NormalStream read-ahead. Each chunk's hand-over (one future's result, one
+# submit) waits on the interpreter lock, so chunks hold several frames: 32768
+# doubles (256 KB) is about 6 frames at d=500, q=11. On a 2-vCPU host
+# (OpenBLAS, one BLAS thread) RGF at d=500 took 80/67/60/63 us per iteration
+# with chunks of 8k/16k/32k/64k values, ARS at d=256 71/59/53/49. With one
+# draw in flight instead of two, RGF at d=500 took 127 against 119 us (median,
+# slower in 8 of 10 interleaved pairs on a loaded host). Peak RSS grows by 1.2
+# to 1.8 MB.
 READ_AHEAD_CHUNK = 32768
 READ_AHEAD_DEPTH = 2
 
@@ -85,42 +87,35 @@ class ObjectiveSpec:
 
 
 class NormalStream:
-    """Standard normals drawn ahead of use by a daemon thread.
+    """Standard normals drawn ahead of use by a single-worker executor.
 
-    The thread fills chunks of ``READ_AHEAD_CHUNK`` values from a second
-    Generator over ``bit_generator`` and queues at most ``READ_AHEAD_DEPTH``
-    of them; numpy fills each chunk without holding the interpreter lock.
-    ``take(n)`` returns the next n values, so the values taken are the
-    bit generator's own standard-normal stream, bit for bit, however it is
-    split. Nothing else may draw from ``bit_generator`` until ``close()``.
+    Its thread (``pgzo-normals_0``) fills chunks of ``READ_AHEAD_CHUNK``
+    values from a second Generator over ``bit_generator``, keeping
+    ``READ_AHEAD_DEPTH`` draws in flight; numpy fills each chunk without
+    holding the interpreter lock. ``take(n)`` returns the next n values, so
+    the values taken are the bit generator's own standard-normal stream, bit
+    for bit, however it is split. Nothing else may draw from
+    ``bit_generator`` until ``close()``. The draws hold the Generator, not
+    the stream, so a stream dropped unclosed frees its executor and worker.
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator):
-        self._gen = np.random.Generator(bit_generator)
-        self._queue: queue.Queue = queue.Queue(READ_AHEAD_DEPTH)
-        self._stop = threading.Event()
+        self._draw = partial(np.random.Generator(bit_generator).standard_normal, READ_AHEAD_CHUNK)
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="pgzo-normals")
+        self._ahead = [self._pool.submit(self._draw) for _ in range(READ_AHEAD_DEPTH)]
         self._chunk = np.empty(0)
         self._pos = 0
-        self._thread = threading.Thread(target=self._fill, name="pgzo-normals", daemon=True)
-        self._thread.start()
-
-    def _fill(self):
-        try:
-            while not self._stop.is_set():
-                self._queue.put(self._gen.standard_normal(READ_AHEAD_CHUNK))
-        except Exception as exc:  # re-raised by the consumer's next take
-            self._queue.put(exc)
 
     def _next_chunk(self) -> Array:
-        item = self._queue.get()
-        if isinstance(item, Exception):
-            raise item
-        self._chunk, self._pos = item, 0
-        return item
+        self._chunk, self._pos = self._ahead.pop(0).result(), 0  # re-raises a failed draw
+        self._ahead.append(self._pool.submit(self._draw))
+        return self._chunk
 
     def take(self, n: int) -> Array:
         """The next n values: a view into the current chunk, or a copy when
         they span chunks."""
+        if n < 0:
+            raise ValueError("negative dimensions are not allowed")
         end = self._pos + n
         if end <= len(self._chunk):
             out = self._chunk[self._pos:end]
@@ -138,15 +133,8 @@ class NormalStream:
             n -= len(chunk)
 
     def close(self):
-        """Stop and join the thread. Emptying the queue frees the slot its
-        last put may wait on; it checks the stop flag after every put."""
-        self._stop.set()
-        while True:
-            try:
-                self._queue.get_nowait()
-            except queue.Empty:
-                break
-        self._thread.join()
+        """Cancel the draws not yet started and join the worker."""
+        self._pool.shutdown(cancel_futures=True)
 
 
 @dataclass

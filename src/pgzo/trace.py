@@ -96,10 +96,10 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
     the sphere; ``greedy.descend`` keeps it). The state carries ``x``,
     ``iteration`` and the step's ``last_C``/``last_D``/``last_theta``;
     ``last_f`` is f(x_t) when the step's own queries paid for it, else None
-    and row t reads f(x_t) uncharged. Returns the trace and the final state.
-    A run whose block (queries per iteration times d) reaches
-    ``READ_AHEAD_MIN_BLOCK`` draws its normals through a NormalStream, closed
-    before it returns or raises.
+    and f(x_t) is read uncharged, only for a logged row or a target. Returns
+    the trace and the final state. A run whose block (queries per iteration
+    times d) reaches ``READ_AHEAD_MIN_BLOCK`` draws its normals through a
+    NormalStream, closed before it returns or raises.
     """
     cost, budget = config.queries_per_iteration, config.budget
     if budget < cost:
@@ -134,6 +134,8 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
             prior = prior_feed(x_here) if external else state.prior
             step(state, oracle, config, rng, prior, diagnostics)
             t = state.iteration - 1  # index of the iterate the step started from
+            if t % config.log_every and target_log10 is None:
+                continue  # row t is dropped and no target reads f(x_t)
             f_here = state.last_f
             if f_here is None:
                 f_here = oracle.peek_function_value(x_here)

@@ -265,6 +265,20 @@ def test_exact_mode_trace_reads_every_iterate(monkeypatch, variant):
     assert len(peeks) == int(trace.rows[-1][0]) + 2
 
 
+@pytest.mark.parametrize("variant", ["ars", "pars_naive", "history_pars"])
+def test_thinned_run_reads_only_logged_iterates(monkeypatch, variant):
+    # These steps leave last_f as None. With log_every=16 and no target,
+    # f(x_t) is read for f0, each logged row and the final row only.
+    peeks = _count_calls(monkeypatch)
+    fn = bench_function("f1", 40)
+    cfg = ArsConfig(L_hat=fn.L, q=5, algo=variant, budget=320 * 5, log_every=16,
+                    diagnostics=False)
+    trace = run_ars(fn.as_objective(), cfg, seed=0, prior_feed=biased_feed(fn))
+    iterations = int(trace.rows[-1][0])
+    assert iterations > 250 and len(trace.rows) == -(-iterations // 16) + 1
+    assert len(peeks) == len(trace.rows) + 1
+
+
 @pytest.mark.parametrize("oracle_mode", ["fd", "exact"])
 @pytest.mark.parametrize("variant,exact_queries", [("ars", 0), ("pars_naive", 0),
                                                    ("history_pars", 0), ("pars_impl", 2)])

@@ -1,7 +1,8 @@
+import gc
 import sys
 import threading
-import time
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -264,7 +265,8 @@ def test_prop21_bound_random_points():
 # -- normal draws and the read-ahead stream ----------------------------------------
 
 def helper_threads():
-    return [t for t in threading.enumerate() if t.name == "pgzo-normals"]
+    """Live read-ahead workers: the executor names its thread ``pgzo-normals_0``."""
+    return [t for t in threading.enumerate() if t.name.startswith("pgzo-normals")]
 
 
 def test_direct_normal_draws_split_like_one_draw():
@@ -323,20 +325,52 @@ def test_stream_threads_under_fast_switching_stay_bit_identical(monkeypatch):
     assert not helper_threads()
 
 
-def test_stream_close_returns_with_a_full_queue(monkeypatch):
+@pytest.mark.parametrize("drawn", [False, True])
+def test_stream_close_returns_with_draws_in_flight(monkeypatch, drawn):
+    # READ_AHEAD_DEPTH chunks are pending (or, with drawn, all finished) when
+    # close runs; it must neither wait on them forever nor leave the worker
     monkeypatch.setattr(core, "READ_AHEAD_CHUNK", 4)
     stream = NormalStream(np.random.SFC64(0))
-    stream.take(2)
-    for _ in range(10_000):
-        if stream._queue.full():  # the helper now waits on its next put
-            break
-        time.sleep(0.001)
-    assert stream._queue.full()
+    stream.take(6)  # crosses into the second chunk, so a third draw is submitted
+    assert len(stream._ahead) == core.READ_AHEAD_DEPTH
+    if drawn:
+        futures.wait(stream._ahead, timeout=10)
+        assert all(f.done() for f in stream._ahead)
     closer = threading.Thread(target=stream.close)
     closer.start()
     closer.join(timeout=10)
     assert not closer.is_alive()
     assert not helper_threads()
+
+
+def test_dropped_stream_leaves_no_worker(monkeypatch):
+    monkeypatch.setattr(core, "READ_AHEAD_CHUNK", 4)
+    stream = NormalStream(np.random.SFC64(0))
+    stream.take(6)
+    workers = helper_threads()
+    assert workers
+    del stream  # without close()
+    gc.collect()
+    for w in workers:
+        w.join(timeout=10)
+    assert not helper_threads()
+
+
+@pytest.mark.parametrize("read_ahead", [False, True])
+def test_negative_draw_size_raises_and_keeps_the_stream(read_ahead):
+    rng = RngHandle(0)
+    if read_ahead:
+        rng.stream = NormalStream(rng.gen.bit_generator)
+    try:
+        first = rng.normal(5)
+        with pytest.raises(ValueError, match="negative dimensions"):
+            rng.normal(-3)
+        after = rng.normal(3)
+    finally:
+        if read_ahead:
+            rng.stream.close()
+    np.testing.assert_array_equal(np.concatenate([first, after]),
+                                  RngHandle(0).gen.standard_normal(8))
 
 
 def test_stream_failure_reaches_the_consumer(monkeypatch):

@@ -2,7 +2,6 @@
 smooth-convex greedy bound at the documented iteration counts."""
 
 import dataclasses
-import threading
 
 import numpy as np
 import pytest
@@ -16,6 +15,8 @@ from pgzo.diagnostics import check_theorem_bounds
 from pgzo.frames import build_frame, estimate_grad_norm_sq, probe
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
+
+from test_core import helper_threads
 
 
 def test_fn_eval_accounting_fd_probes():
@@ -238,10 +239,6 @@ def force_read_ahead(monkeypatch, on: bool) -> list:
     monkeypatch.setattr(pgzo.trace, "NormalStream", Counted)
     monkeypatch.setattr(pgzo.core, "READ_AHEAD_CHUNK", 7)
     return started
-
-
-def helper_threads():
-    return [t for t in threading.enumerate() if t.name == "pgzo-normals"]
 
 
 @pytest.mark.parametrize("mode", ["fd", "exact"])
