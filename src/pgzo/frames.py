@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .core import Array, ConfigError, InvalidPriorError, OracleHandle, RngHandle, l2_norm
+from .core import Array, ConfigError, InvalidPriorError, OracleHandle, RngHandle, flapack, l2_norm
 
 # Smallest prior norm a frame accepts.
 RESIDUAL_EPS = 1e-12
@@ -116,9 +115,9 @@ def build_frames(rng: RngHandle, d: int, q: int, n: Optional[int],
         inv_l = gram.transpose(0, 2, 1)
         good = []
         for i in range(len(raw)):
-            chol, info = lapack.dpotrf(inv_l[i], 1, 1, 1)
+            chol, info = flapack.dpotrf(inv_l[i], 1, 1, 1)
             if info == 0 and min(chol.diagonal().tolist()) >= 1e-6:
-                info = lapack.dtrtri(chol, 1, 0, 1)[1]
+                info = flapack.dtrtri(chol, 1, 0, 1)[1]
                 if info == 0:
                     good.append(i)
                     rejects = 0

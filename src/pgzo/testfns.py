@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, solveh_banded
 
-from .core import Array, ConfigError, ObjectiveSpec, RngHandle, l2_norm, sample_unit_sphere
+from .core import (Array, ConfigError, ObjectiveSpec, RngHandle, flapack, l2_norm,
+                   sample_unit_sphere)
 
 FUNCTION_IDS = ("f1", "f2", "f3", "f4")
 
@@ -56,20 +56,17 @@ def _make_f1(d: int) -> BenchFunction:
         out[0] -= 1.0
         return out
 
-    # Hessian is tridiag(-1, 2, -1): solve the banded optimality system for
-    # x*, take L and tau from its extreme eigenvalues.
-    band = np.vstack([np.full(d, 2.0), np.full(d, -1.0)])
-    band[1, -1] = 0.0
+    # Hessian is tridiag(-1, 2, -1): solve H x* = e1 for x*, take L and tau
+    # from its extreme eigenvalues. These are the LAPACK calls, with the same
+    # arguments, that scipy.linalg.solveh_banded makes for a 2-row band and
+    # eigh_tridiagonal(select="i") for one eigenvalue by index.
+    diag, off = np.full(d, 2.0), np.full(d - 1, -1.0)
     e1 = np.zeros(d)
     e1[0] = 1.0
-    x_star = solveh_banded(band, e1, lower=True)
-    f_star = f(x_star)
-    evals = eigh_tridiagonal(np.full(d, 2.0), np.full(d - 1, -1.0), eigvals_only=True,
-                             select="i", select_range=(0, 0))
-    evals_hi = eigh_tridiagonal(np.full(d, 2.0), np.full(d - 1, -1.0), eigvals_only=True,
-                                select="i", select_range=(d - 1, d - 1))
-    return BenchFunction("f1", d, f, f_batch, g, np.zeros(d), f_star,
-                         L=float(evals_hi[0]), tau=float(evals[0]))
+    x_star = flapack.dptsv(diag, off, e1, 0, 0, 0)[2]
+    tau, L = (float(flapack.dstebz(diag, off, 2, 0.0, 1.0, i, i, 0.0, "E")[1][0])
+              for i in (1, d))
+    return BenchFunction("f1", d, f, f_batch, g, np.zeros(d), f(x_star), L=L, tau=tau)
 
 
 def _make_f2(d: int) -> BenchFunction:

@@ -223,25 +223,44 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 IMPORT_GUARD = """
 import json, sys
 import pgzo, pgzo.bench, pgzo.cli, pgzo.diagnostics
-after_import = "scipy.stats" in sys.modules
+from pgzo.core import RngHandle
+from pgzo.greedy import GreedyConfig, run_greedy
+from pgzo.testfns import bench_function
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.special", "scipy._lib._array_api", "scipy.stats")
+            if m in sys.modules]
+
+after_import = loaded()
+fn = bench_function("f1", 12)
+run_greedy(fn.as_objective(), GreedyConfig(L_hat=fn.L, q=3, budget=60), 0)
+pgzo.diagnostics.mc_rgf_drift(12, 3, 1000, RngHandle(0))
+after_library = loaded()
 pgzo.cli.run_from_settings({"function": "f2", "dim": 12, "algo": "rgf", "q": 3,
                             "lhat_scale": 1.0, "budget": 60, "seeds": (0, 1),
                             "out": sys.argv[1]})
-print(json.dumps([after_import, "scipy.stats" in sys.modules]))
+print(json.dumps([after_import, after_library, loaded()]))
 """
 
 
 def test_scipy_stats_never_loaded(tmp_path):
-    # A fresh interpreter, so that no other test's import counts; the CLI run
-    # aggregates two seeds, which would execute any lazy import of it.
+    # A fresh interpreter, so that no other test's import counts. The import,
+    # a library run (f1 takes its constants from LAPACK, the run builds
+    # frames) and a Monte-Carlo check load none of scipy.linalg, scipy.special
+    # or the array-API layer they share: pgzo loads scipy's LAPACK extension
+    # directly. The CLI run aggregates two seeds, which loads scipy.special
+    # for the t-quantile and would execute any lazy import of scipy.stats.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     child = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "run")],
                            env=env, capture_output=True, text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    after_import, after_run = json.loads(child.stdout)
-    assert not after_import, "importing pgzo loaded scipy.stats"
-    assert not after_run, "a CLI run loaded scipy.stats"
+    after_import, after_library, after_run = json.loads(child.stdout)
+    assert after_import == [], f"importing pgzo loaded {after_import}"
+    assert after_library == [], f"a library run or check loaded {after_library}"
+    assert "scipy.stats" not in after_run, "a CLI run loaded scipy.stats"
+    assert "scipy.linalg" not in after_run, "a CLI run loaded scipy.linalg"
+    assert "scipy.special" in after_run  # the aggregate's quantile
     assert (tmp_path / "run.csv").is_file()
 
 

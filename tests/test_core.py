@@ -1,8 +1,12 @@
 import gc
+import json
+import os
+import subprocess
 import sys
 import threading
 import warnings
 from concurrent import futures
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,3 +385,45 @@ def test_stream_failure_reaches_the_consumer(monkeypatch):
         stream.take(3)
     stream.close()
     assert not helper_threads()
+
+
+# In a fresh interpreter: import scipy.linalg before or after pgzo, then use
+# scipy.linalg as a caller would.
+FLAPACK_INTEROP = """
+import json, sys
+if sys.argv[1] == "scipy_first":
+    import scipy.linalg
+from pgzo import core
+entry_left = "scipy.linalg._flapack" in sys.modules and "scipy.linalg" not in sys.modules
+import numpy as np
+import scipy.linalg
+from scipy.linalg import lapack
+x = scipy.linalg.solveh_banded(np.array([[2.0, 2.0], [-1.0, 0.0]]), np.array([1.0, 0.0]),
+                               lower=True)
+print(json.dumps({"entry_left": entry_left, "bound": hasattr(scipy.linalg, "_flapack"),
+                  "same": [getattr(core.flapack, f) is getattr(lapack, f)
+                           for f in ("dpotrf", "dtrtri", "dptsv", "dstebz")],
+                  "x": x.tolist()}))
+"""
+
+
+@pytest.mark.parametrize("order", ["pgzo_first", "scipy_first"])
+def test_flapack_is_scipy_linalg_lapack(order):
+    # pgzo loads scipy's LAPACK extension without scipy.linalg's init and
+    # leaves no sys.modules entry, so a later import of scipy.linalg binds its
+    # _flapack and hands out the very functions pgzo calls.
+    src = Path(__file__).resolve().parent.parent / "src"
+    child = subprocess.run([sys.executable, "-c", FLAPACK_INTEROP, order], capture_output=True,
+                           text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert child.returncode == 0, child.stderr
+    out = json.loads(child.stdout)
+    assert out["entry_left"] is False
+    assert out["bound"] and out["same"] == [True] * 4
+    assert out["x"] == pytest.approx([2 / 3, 1 / 3], rel=1e-15)
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg", raising=False)
+    monkeypatch.setattr(core, "EXTENSION_SUFFIXES", [".not-built.so"])
+    with pytest.raises(ImportError, match=r"_flapack\.not-built\.so"):
+        core._load_flapack()

@@ -43,6 +43,23 @@ def test_f1_minimizer_and_L():
     assert fn.tau == pytest.approx(2 - 2 * np.cos(np.pi / (d + 1)), abs=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 40, 256, 500])
+def test_f1_constants_equal_scipy_linalg_bit_for_bit(d):
+    # f1 calls the LAPACK routines behind these two scipy.linalg functions
+    # directly; its constants must not move by a bit.
+    from scipy.linalg import eigh_tridiagonal, solveh_banded
+    fn = bench_function("f1", d)
+    band = np.vstack([np.full(d, 2.0), np.full(d, -1.0)])
+    band[1, -1] = 0.0
+    e1 = np.zeros(d)
+    e1[0] = 1.0
+    diag, off = np.full(d, 2.0), np.full(d - 1, -1.0)
+    (tau,), (L,) = (eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                                     select_range=(i, i)) for i in (0, d - 1))
+    assert (fn.tau, fn.L) == (tau, L)
+    assert fn.f_star == fn.eval(solveh_banded(band, e1, lower=True))
+
+
 def test_f2_values():
     fn = bench_function("f2", 4)
     assert fn.eval(np.array([4.0, 0, 0, 0])) == pytest.approx(4.0)

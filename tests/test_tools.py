@@ -127,3 +127,20 @@ def test_failing_child_fails_the_harness(tmp_path):
     suite = ab.Suite({"case": ab.probe("raise SystemExit(3)")}, {})
     with pytest.raises(SystemExit, match="exited 3"):
         ab.measure(suite, stub_trees(tmp_path, {"base": 1.0, "head": 1.0}), pairs=1)
+
+
+def test_readahead_suite_holds_exactly_the_runs_that_read_ahead():
+    # A case whose block (queries per iteration times d) is below the
+    # threshold draws directly and cannot show a read-ahead change; of the
+    # eight algorithms at d = 256 and 500, every other case belongs in it.
+    from pgzo.ars import ArsConfig
+    from pgzo.bench import ARS_ALGOS
+    from pgzo.greedy import GreedyConfig
+    from pgzo.trace import READ_AHEAD_MIN_BLOCK
+    reads_ahead = set()
+    for algo, (q, _, cost) in ab.ALGOS.items():
+        family = ArsConfig if algo in ARS_ALGOS else GreedyConfig
+        assert family(L_hat=1.0, q=q, budget=cost, algo=algo).queries_per_iteration == cost
+        reads_ahead |= {(algo, d) for d in (256, 500) if cost * d >= READ_AHEAD_MIN_BLOCK}
+    assert set(ab.READAHEAD_CASES) == reads_ahead
+    assert set(ab.SUITES["readahead"].cases) == {f"{a} d={d}" for a, d in reads_ahead}

@@ -14,12 +14,14 @@ OpenMP pinned to one thread; it prints one JSON line last, and only that
 line is read.
 
 Suites:
-  readahead        microseconds per iteration and peak RSS of the eight
-                   algorithms at d = 256 and 500 (f2, L-hat = L, fd oracle,
-                   presets' q; a 50-iteration warm-up, then 1500 timed)
+  readahead        microseconds per iteration and peak RSS of the runs
+                   that read ahead: the eight algorithms at d = 500 and
+                   PARS-Est at d = 256 (f2, L-hat = L, fd oracle, presets'
+                   q; a 50-iteration warm-up, then 1500 timed)
   import           cold import of pgzo, pgzo.bench, pgzo.cli and
                    pgzo.diagnostics: seconds, peak RSS and whether
-                   scipy.stats got loaded
+                   scipy.stats, scipy.linalg, scipy.special and
+                   scipy._lib._array_api got loaded
   mc_batch         microseconds per sample and peak RSS of the Monte-Carlo
                    shapes of perfbench's contracts_small_d and of
                    check_lemma36(100, 5, 10, 1000); the result must be the
@@ -85,15 +87,21 @@ def probe(body: str, args=None) -> list:
     return ["-c", code, json.dumps(args)]
 
 
-# algorithm -> (q, prior), as in bench.preset; older trees may still require prior
-ALGOS = {"rgf": (11, "none"), "prgf": (10, "biased"), "history_prgf": (10, "historical"),
-         "ars": (11, "none"), "pars_naive": (10, "biased"), "pars_impl": (8, "biased"),
-         "pars_est": (10, "biased"), "history_pars": (10, "historical")}
+# algorithm -> (q, prior, dd-queries per iteration), as in bench.preset; older
+# trees may still require prior
+ALGOS = {"rgf": (11, "none", 11), "prgf": (10, "biased", 11),
+         "history_prgf": (10, "historical", 11), "ars": (11, "none", 11),
+         "pars_naive": (10, "biased", 11), "pars_impl": (8, "biased", 11),
+         "pars_est": (10, "biased", 33), "history_pars": (10, "historical", 11)}
+# The runs that read ahead: those whose block (queries per iteration times d)
+# reaches pgzo.trace.READ_AHEAD_MIN_BLOCK (4096). That is every algorithm at
+# d=500 (blocks 5500 and 16500), but at d=256 only PARS-Est (8448); the other
+# d=256 runs (2816) draw directly, so they cannot show a read-ahead change.
+READAHEAD_CASES = (*((algo, 500) for algo in ALGOS), ("pars_est", 256))
 READAHEAD = """
 from pgzo.bench import RunConfig, run_single
-algo, dim, q, prior = args
+algo, dim, q, prior, cost = args
 cfg = RunConfig(function="f2", dim=dim, algo=algo, q=q, prior=prior, lhat_scale=1.0, budget=0)
-cost = {"rgf": q, "ars": q, "pars_impl": q + 3, "pars_est": 3 * (q + 1)}.get(algo, q + 1)
 cfg.budget = cost * 50
 run_single(cfg, 1)
 cfg.budget = cost * 1500
@@ -101,10 +109,15 @@ t0 = time.perf_counter()
 trace = run_single(cfg, 2)
 out = {"us_per_iter": (time.perf_counter() - t0) / trace.rows[-1][0] * 1e6}
 """
+# import-suite key -> the scipy module whose presence after the import it reports
+SCIPY_LOADED = {"scipy_stats_loaded": "scipy.stats", "scipy_linalg_loaded": "scipy.linalg",
+                "scipy_special_loaded": "scipy.special",
+                "scipy_array_api_loaded": "scipy._lib._array_api"}
 IMPORT = """
 t0 = time.perf_counter()
 import pgzo, pgzo.bench, pgzo.cli, pgzo.diagnostics
-out = {"import_s": time.perf_counter() - t0, "scipy_stats_loaded": "scipy.stats" in sys.modules}
+out = {"import_s": time.perf_counter() - t0}
+out.update({key: module in sys.modules for key, module in args.items()})
 """
 # case -> (diagnostics function, args after the rng, kwargs, samples or iterations)
 MC_CASES = {
@@ -144,11 +157,12 @@ def perfbench_cases(trace: int) -> dict:
 
 
 SUITES = {
-    "readahead": Suite({f"{algo} d={d}": probe(READAHEAD, [algo, d, q, prior])
-                        for d in (256, 500) for algo, (q, prior) in ALGOS.items()},
+    "readahead": Suite({f"{algo} d={d}": probe(READAHEAD, [algo, d, *ALGOS[algo]])
+                        for algo, d in READAHEAD_CASES},
                        {"us_per_iter": "lower", "max_rss_mb": "lower"}),
-    "import": Suite({"import": probe(IMPORT)}, {"import_s": "lower", "max_rss_mb": "lower"},
-                    same=("scipy_stats_loaded",), pairs=12),
+    "import": Suite({"import": probe(IMPORT, SCIPY_LOADED)},
+                    {"import_s": "lower", "max_rss_mb": "lower"}, same=tuple(SCIPY_LOADED),
+                    pairs=12),
     "mc_batch": Suite({name: probe(MC_BATCH, spec) for name, spec in MC_CASES.items()},
                       {"us_per_unit": "lower", "max_rss_mb": "lower"}, match=("result",)),
     "perfbench": Suite(perfbench_cases(0), {m["name"]: m["better"] for m in MANIFEST["end_to_end"]},
