@@ -4,16 +4,16 @@ emit CSV traces and self-contained SVG convergence plots."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .ars import ArsConfig, run_ars
-from .core import DEFAULT_MU, ConfigError, RngHandle, require_finite_positive
+from .core import ConfigError, RngHandle, require_finite_positive
 from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function, biased_prior_feed
-from .trace import COLUMNS, RunTrace
+from .trace import COLUMNS, RunOptions, RunTrace
 
 # The prior each algorithm runs with, from the two families' tables: "biased"
 # is the function's biased-gradient feed (the external prior of every run
@@ -23,13 +23,18 @@ ALGO_PRIORS = {algo: "biased" if source == "external" else source
                for algo, source in family.ALGOS.items()}
 ARS_ALGOS = tuple(ArsConfig.ALGOS)
 # settings only the ARS family reads, with the defaults a greedy run keeps
-_ARS_SETTINGS = {"tau_hat": 0.0, "gamma0": None, "restart": False}
+_ARS_SETTINGS = {f.name: f.default for f in fields(ArsConfig)
+                 if f.name not in {g.name for g in fields(GreedyConfig)}}
 
 CSV_HEADER = ("seed",) + COLUMNS
 
 
-@dataclass
-class RunConfig:
+@dataclass(kw_only=True)
+class RunConfig(RunOptions):
+    """A seed batch: the function, the algorithm and its settings, the seeds
+    and the ``RunOptions``; ``run_single`` builds each seed's algorithm config
+    from these fields by name. ``algo``, ``q`` and ``budget`` (required here)
+    and the ARS settings (``tau_hat`` also takes "true") are declared again."""
     function: str
     dim: int
     algo: str
@@ -38,16 +43,13 @@ class RunConfig:
     lhat: Optional[float] = None          # absolute; or use lhat_scale
     lhat_scale: Optional[float] = None    # multiple of the true L
     tau_hat: Union[float, str] = 0.0      # "true" resolves to the function's tau
-    mu: float = DEFAULT_MU
     seeds: Sequence[int] = (0,)
     prior: Optional[str] = None           # defaults to ALGO_PRIORS[algo]
     restart: bool = False
     gamma0: Optional[float] = None
-    oracle_mode: str = "fd"
-    log_every: int = 1
+    # a batch records C_t/D_t only when asked; GreedyConfig's None records them
+    # whenever a true gradient exists
     diagnostics: bool = False
-    target_log10: Optional[float] = None
-    stop_on_target: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -60,6 +62,7 @@ class RunConfig:
         unread = [k for k, v in _ARS_SETTINGS.items() if getattr(self, k) != v]
         if unread and self.algo not in ARS_ALGOS:
             raise ConfigError(f"algo {self.algo!r} does not read {', '.join(unread)}")
+        super().__post_init__()
         if len(self.seeds) < 1:
             raise ConfigError("need at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
@@ -104,16 +107,11 @@ def run_single(config: RunConfig, seed: int) -> RunTrace:
         if fn.L is None:
             raise ConfigError(f"{fn.name} has no true L; pass an absolute lhat")
         lhat = config.lhat_scale * fn.L
-    if config.algo in ARS_ALGOS:
-        tau_hat = fn.tau if config.tau_hat == "true" else float(config.tau_hat)
-        family, run = ArsConfig, run_ars
-        ars = dict(tau_hat=tau_hat, gamma0=config.gamma0, restart=config.restart)
-    else:
-        family, run, ars = GreedyConfig, run_greedy, {}
-    cfg = family(L_hat=lhat, q=config.q, algo=config.algo, budget=config.budget,
-                 oracle_mode=config.oracle_mode, mu=config.mu, diagnostics=config.diagnostics,
-                 log_every=config.log_every, target_log10=config.target_log10,
-                 stop_on_target=config.stop_on_target, **ars)
+    family, run = (ArsConfig, run_ars) if config.algo in ARS_ALGOS else (GreedyConfig, run_greedy)
+    given = {f.name: getattr(config, f.name) for f in fields(family) if hasattr(config, f.name)}
+    if "tau_hat" in given:
+        given["tau_hat"] = fn.tau if config.tau_hat == "true" else float(config.tau_hat)
+    cfg = family(L_hat=lhat, **given)
     prior_feed = None
     if cfg.prior_source == "external":
         # dedicated stream so the frame noise is unchanged across prior modes
@@ -305,15 +303,15 @@ FIG2_BUDGET = 11 * 12000
 F3_LHAT = 256.0
 
 
+# the function (and, for Figure 1, the ARS family's tau_hat) of each preset
+_FIG1 = {"fig1_f1": ("f1", 0.0), "fig1_f2": ("f2", "true"), "fig1_f3": ("f3", 0.0)}
+_FIG2 = {"fig2_f1": "f1", "fig2_f2": "f2", "fig2_f4": "f4"}
+PRESETS = (*_FIG1, *_FIG2)
+
+
 def preset(name: str) -> List[RunConfig]:
-    fig1 = {
-        "fig1_f1": ("f1", 0.0),
-        "fig1_f2": ("f2", "true"),
-        "fig1_f3": ("f3", 0.0),
-    }
-    fig2 = {"fig2_f1": "f1", "fig2_f2": "f2", "fig2_f4": "f4"}
-    if name in fig1:
-        fn, tau = fig1[name]
+    if name in _FIG1:
+        fn, tau = _FIG1[name]
         lhat = dict(lhat_scale=1.0) if fn != "f3" else dict(lhat=F3_LHAT)
         mk = lambda **kw: RunConfig(function=fn, dim=256, budget=FIG1_BUDGET,
                                     seeds=DEFAULT_SEEDS, **lhat, **kw)
@@ -324,8 +322,8 @@ def preset(name: str) -> List[RunConfig]:
             mk(algo="pars_naive", q=Q_PRIOR, tau_hat=tau, label="PARS-Naive"),
             mk(algo="pars_impl", q=Q_IMPL, tau_hat=tau, label="PARS"),
         ]
-    if name in fig2:
-        fn = fig2[name]
+    if name in _FIG2:
+        fn = _FIG2[name]
         mk = lambda scale, **kw: RunConfig(function=fn, dim=500, budget=FIG2_BUDGET,
                                            seeds=DEFAULT_SEEDS, lhat_scale=scale, **kw)
         out = []
@@ -338,5 +336,4 @@ def preset(name: str) -> List[RunConfig]:
                    label=f"History-PARS{suffix}"),
             ]
         return out
-    raise ConfigError(f"unknown preset {name!r}; expected one of "
-                      "fig1_f1, fig1_f2, fig1_f3, fig2_f1, fig2_f2, fig2_f4")
+    raise ConfigError(f"unknown preset {name!r}; expected one of {', '.join(PRESETS)}")

@@ -1,8 +1,9 @@
 """Command-line benchmark runner.
 
 Configuration comes from an optional flat ``key = value`` file plus CLI
-flags; flags win. Exit codes: 0 success, 2 bad configuration or invalid prior,
-3 oracle failure, 4 I/O failure.
+flags; flags win. Every ``RunConfig`` field is both a flag and a key, read
+from text by the one parser of its annotation. Exit codes: 0 success, 2 bad
+configuration or invalid prior, 3 oracle failure, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -10,42 +11,50 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union, get_type_hints
 
-from .bench import (BatchResult, RunConfig, emit_csv, emit_svg, preset, run_batch)
+from .bench import (ALGO_PRIORS, PRESETS, BatchResult, RunConfig, emit_csv, emit_svg, preset,
+                    run_batch)
 from .core import ConfigError, InvalidPriorError, OracleFailureError
+from .testfns import FUNCTION_IDS
 
 EXIT_OK, EXIT_CONFIG, EXIT_ORACLE, EXIT_IO = 0, 2, 3, 4
 
-_BOOL_KEYS = {"restart", "diagnostics", "stop_on_target"}
-_INT_KEYS = {"dim", "q", "budget", "log_every"}
-_FLOAT_KEYS = {"lhat", "lhat_scale", "mu", "gamma0", "target_log10"}
 # the settings a preset run takes besides "preset" and "out"
 _PRESET_OVERRIDES = {"budget", "seeds", "mu", "log_every", "diagnostics", "oracle_mode", "dim"}
+
+
+def _bool(text: str) -> bool:
+    value = text.lower() in ("1", "true", "yes", "on")
+    if not value and text.lower() not in ("0", "false", "no", "off"):
+        raise ValueError(text)
+    return value
+
+
+# The parser of each RunConfig annotation; a field of any other type fails here.
+_PARSERS = {bool: _bool, int: int, float: float, Optional[float]: float,
+            Sequence[int]: lambda text: tuple(int(s) for s in text.split(",") if s.strip()),
+            Union[float, str]: lambda text: text if text == "true" else float(text),
+            str: str, Optional[str]: str}
+_HINTS = get_type_hints(RunConfig)
+_PARSE = {f.name: _PARSERS[_HINTS[f.name]] for f in dataclasses.fields(RunConfig)}
+_REQUIRED = [f.name for f in dataclasses.fields(RunConfig) if f.default is dataclasses.MISSING]
+_HELP = {"function": " | ".join(FUNCTION_IDS), "algo": " | ".join(ALGO_PRIORS),
+         "prior": f"{' | '.join(dict.fromkeys(ALGO_PRIORS.values()))}; follows from --algo",
+         "oracle_mode": "fd | exact", "lhat": "absolute smoothness upper bound",
+         "lhat_scale": "multiple of the true L", "mu": "finite-difference step",
+         "tau_hat": "number, or 'true' for the function's tau", "budget": "dd-query budget",
+         "seeds": "comma-separated seed list, e.g. 0,1,2"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pgzo", description="Zeroth-order optimization benchmarks")
     p.add_argument("--config", help="flat key = value config file; flags override")
-    p.add_argument("--preset", help="fig1_f1 | fig1_f2 | fig1_f3 | fig2_f1 | fig2_f2 | fig2_f4")
-    p.add_argument("--function", help="f1 | f2 | f3 | f4")
-    p.add_argument("--dim", type=int)
-    p.add_argument("--algo", help="rgf | prgf | history_prgf | ars | pars_naive | "
-                                  "pars_est | pars_impl | history_pars")
-    p.add_argument("--q", type=int)
-    p.add_argument("--lhat", type=float, help="absolute smoothness upper bound")
-    p.add_argument("--lhat-scale", type=float, help="multiple of the true L")
-    p.add_argument("--tau-hat", help="number, or 'true' for the function's tau")
-    p.add_argument("--mu", type=float, help="finite-difference step")
-    p.add_argument("--budget", type=int, help="directional-derivative query budget")
-    p.add_argument("--seeds", help="comma-separated seed list, e.g. 0,1,2")
-    p.add_argument("--prior", help="none | historical | biased; follows from --algo")
-    p.add_argument("--restart", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--gamma0", type=float)
-    p.add_argument("--oracle-mode", choices=("fd", "exact"))
-    p.add_argument("--log-every", type=int)
-    p.add_argument("--diagnostics", action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--preset", help=" | ".join(PRESETS))
     p.add_argument("--out", help="output path prefix for CSV/SVG files")
+    for name, parse in _PARSE.items():  # every RunConfig field, its value as text
+        action = argparse.BooleanOptionalAction if parse is _bool else None
+        p.add_argument("--" + name.replace("_", "-"), action=action, help=_HELP.get(name))
     return p
 
 
@@ -64,26 +73,12 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _coerce(key: str, val):
-    if not isinstance(val, str):
+    if not isinstance(val, str) or key not in _PARSE:
         return val
-    if key in _BOOL_KEYS:
-        if val.lower() in ("1", "true", "yes", "on"):
-            return True
-        if val.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {val!r}")
     try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
-        if key == "seeds":
-            return tuple(int(s) for s in val.split(",") if s.strip())
-        if key == "tau_hat":
-            return val if val == "true" else float(val)
+        return _PARSE[key](val)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {val!r}") from exc
-    return val
 
 
 def _merge_settings(args: argparse.Namespace) -> dict:
@@ -103,8 +98,7 @@ def _configs_from_settings(settings: dict) -> tuple[List[RunConfig], str]:
             raise ConfigError(f"preset {preset_name!r} does not take {', '.join(ignored)}")
         # replace() re-runs RunConfig's validation on the overridden values
         return [dataclasses.replace(cfg, **settings) for cfg in preset(preset_name)], out_prefix
-    required = ("function", "dim", "algo", "q", "budget")
-    missing = [k for k in required if k not in settings]
+    missing = [k for k in _REQUIRED if k not in settings]
     if missing:
         raise ConfigError(f"missing required settings: {', '.join(missing)}")
     try:
@@ -119,10 +113,11 @@ def _safe_label(label: str) -> str:
 
 def run_from_settings(settings: dict) -> List[BatchResult]:
     configs, out_prefix = _configs_from_settings(dict(settings))
-    results = [run_batch(cfg) for cfg in configs]
-    for res in results:
-        suffix = f"_{_safe_label(res.config.label)}" if len(results) > 1 else ""
-        emit_csv(res.traces, f"{out_prefix}{suffix}.csv")
+    results = []
+    for cfg in configs:  # each CSV is written as its batch ends, so a failure keeps them
+        results.append(run_batch(cfg))
+        suffix = f"_{_safe_label(cfg.label)}" if len(configs) > 1 else ""
+        emit_csv(results[-1].traces, f"{out_prefix}{suffix}.csv")
     emit_svg([r.aggregate for r in results], f"{out_prefix}.svg")
     return results
 

@@ -11,6 +11,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .ars import ArsConfig, alpha_beta_gamma, run_ars
 from .core import Array, ConfigError, RngHandle, sample_unit_sphere
 from .frames import (OrthonormalFrame, ProbeSet, _dot, build_frame, build_frames, cos_sq,
                      g2_unbiased, g2_variance_reduced, subspace_estimate)
@@ -234,3 +235,49 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
             checks.append(BoundCheck("strongly_convex_rate", T, mean, float(bound_strong)))
             checks.append(BoundCheck("smooth_convex_rate", T, mean, float(bound_smooth)))
     return checks
+
+
+def check_ars_bound(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int],
+                    tau_hat_mult: float = 1.0) -> List[BoundCheck]:
+    """Seed-averaged delta_T of ``ars`` against its accelerated convergence
+    bound on the diagonal quadratic (x* = 0), with an exact oracle, no
+    restart, L̂ = L and taû = ``tau_hat_mult`` * tau <= tau.
+
+    ``ars`` fixes theta = q^2/(L̂ d^2). The descent step from y_t along the
+    subspace estimate g1 gives f(x_{t+1}) <= f(y_t) - ||g1||^2/(2L̂), and
+    E||g1||^2 = (q/d)||grad f(y_t)||^2. Its momentum estimate g2 = (d/q) g1
+    has E g2 = grad f(y_t) and E||g2||^2 = (d/q)||grad f(y_t)||^2, so
+    E f(x_{t+1}) <= f(y_t) - (theta/2) E||g2||^2. Under that condition the
+    estimating-sequence argument of Nesterov & Spokoiny (2017, "Random
+    Gradient-Free Minimization of Convex Functions", Found. Comput. Math.)
+    and the source paper's ARS analysis, with alpha_t^2 = theta gamma_{t+1},
+    gamma_{t+1} = (1 - alpha_t) gamma_t + alpha_t taû, beta_t =
+    alpha_t gamma_t/(gamma_t + alpha_t taû) and m_{t+1} = (1 - lambda_t) m_t +
+    lambda_t y_t - (theta/alpha_t) g2 with lambda_t = alpha_t taû/gamma_{t+1},
+    give E Phi_{t+1} <= (1 - alpha_t) E Phi_t for Phi_t = f(x_t) - f* +
+    gamma_t/2 ||m_t - x*||^2 whenever L̂ >= L and taû <= tau. With m_0 = x_0:
+
+        E[f(x_T) - f*] <= psi_T (f(x_0) - f* + gamma_0/2 ||x_0 - x*||^2),
+        psi_T = prod_{t<T} (1 - alpha_t).
+
+    theta is fixed, so alpha_t and psi_T follow from ``alpha_beta_gamma``
+    alone. The bound has no slack.
+    """
+    if len(seeds) < 20:
+        raise ConfigError("bound checks need at least 20 seeds")
+    if not 0.0 <= tau_hat_mult <= 1.0:
+        raise ConfigError(f"the bound needs 0 <= taû <= tau, got tau_hat_mult={tau_hat_mult}")
+    fn = bench_function("f2", d)
+    T_max = max(T_values)
+    cfg = ArsConfig(L_hat=fn.L, q=q, algo="ars", budget=T_max * q, oracle_mode="exact",
+                    diagnostics=False, tau_hat=tau_hat_mult * fn.tau)
+    traces = [run_ars(fn.as_objective(), cfg, seed) for seed in seeds]
+    phi0 = fn.eval(fn.x0) - fn.f_star + cfg.gamma0 / 2.0 * float(fn.x0 @ fn.x0)
+    theta = q * q / (cfg.L_hat * d * d)
+    psi, gamma = [1.0], cfg.gamma0
+    for _ in range(T_max):
+        alpha, _, gamma = alpha_beta_gamma(theta, gamma, cfg.tau_hat)
+        psi.append(psi[-1] * (1.0 - alpha))
+    return [BoundCheck("ars_accelerated_rate", T,
+                       float(np.mean([_delta_at(tr, T, fn.f_star) for tr in traces])),
+                       psi[T] * phi0) for T in T_values]

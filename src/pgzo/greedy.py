@@ -9,30 +9,23 @@ loop (``trace.run_loop``) hands each step its prior.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
-from .core import (DEFAULT_MU, Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
-                   check_oracle_options, l2_norm, require_finite_positive)
+from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l2_norm,
+                   require_finite_positive)
 from .frames import ProbeSet, build_frame, cos_sq, probe, subspace_estimate
-from .trace import RunTrace, run_loop
+from .trace import RunOptions, RunTrace, run_loop
 
 
 @dataclass
-class GreedyConfig:
-    """One run of a greedy algorithm: the step, the budget and the run options
-    ``trace.run_loop`` reads. ``ArsConfig`` extends it for the ARS family."""
+class GreedyConfig(RunOptions):
+    """One run of a greedy algorithm: the step, the budget and the
+    ``RunOptions``. ``ArsConfig`` extends it for the ARS family."""
     L_hat: float
     q: int
     algo: str = "rgf"
     budget: int = 0            # total directional-derivative queries
-    oracle_mode: str = "fd"
-    mu: float = DEFAULT_MU
-    diagnostics: Optional[bool] = None  # None: record C_t/D_t whenever a true gradient exists
-    log_every: int = 1
-    target_log10: Optional[float] = None  # marks (and with stop_on_target ends at) a crossing
-    stop_on_target: bool = False
 
     # the family's algorithms by the prior they probe with
     ALGOS: ClassVar[dict] = {"rgf": "none", "prgf": "external", "history_prgf": "historical"}
@@ -42,15 +35,9 @@ class GreedyConfig:
             raise ConfigError(f"{self.algo}: not an algorithm of {type(self).__name__}; "
                               f"expected one of {tuple(self.ALGOS)}")
         require_finite_positive("L_hat", self.L_hat)
-        check_oracle_options(self.oracle_mode, self.mu)
+        super().__post_init__()
         if self.q < 1:
             raise ConfigError(f"q must be >= 1, got {self.q}")
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
-        if self.target_log10 is not None and math.isnan(self.target_log10):
-            raise ConfigError("target_log10 must not be NaN")
-        if self.stop_on_target and self.target_log10 is None:
-            raise ConfigError("stop_on_target needs a target_log10")
 
     @property
     def prior_source(self) -> str:

@@ -8,7 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (Array, ConfigError, NormalStream, ObjectiveSpec, OracleHandle, RngHandle,
+from .core import (DEFAULT_MU, Array, ConfigError, NormalStream, ObjectiveSpec,
+                   OracleFailureError, OracleHandle, RngHandle, check_oracle_options,
                    sample_unit_sphere)
 
 # Runs whose block (queries per iteration times d) reaches this draw their
@@ -79,27 +80,48 @@ class RunTrace:
             self.reached_queries = dd_queries
 
 
+@dataclass(kw_only=True)
+class RunOptions:
+    """The options ``run_loop`` reads, checked when a config is built; the
+    algorithm configs and ``bench.RunConfig`` extend it."""
+    oracle_mode: str = "fd"
+    mu: float = DEFAULT_MU
+    diagnostics: Optional[bool] = None  # None: record C_t/D_t whenever a true gradient exists
+    log_every: int = 1
+    target_log10: Optional[float] = None  # marks (and with stop_on_target ends at) a crossing
+    stop_on_target: bool = False
+
+    def __post_init__(self):
+        check_oracle_options(self.oracle_mode, self.mu)
+        if self.log_every < 1:
+            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
+        if self.target_log10 is not None and math.isnan(self.target_log10):
+            raise ConfigError("target_log10 must not be NaN")
+        if self.stop_on_target and self.target_log10 is None:
+            raise ConfigError("stop_on_target needs a target_log10")
+
+
 def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
              step: Callable, prior_feed: Optional[Callable[[Array], Array]]
              ) -> tuple[RunTrace, object]:
     """Step from x0 while another iteration of ``config.queries_per_iteration``
     queries fits ``config.budget``.
 
-    ``config`` (a ``GreedyConfig`` or ``ArsConfig``) also holds the run
-    options: ``oracle_mode``, ``mu``, ``diagnostics`` (None records C_t/D_t
-    whenever a true gradient exists), ``log_every`` and ``target_log10``,
-    whose first crossing is marked and, with ``stop_on_target``, ends the run.
-    ``new_state(x0)`` builds the optimizer state. Each iteration calls
-    ``step(state, oracle, config, rng, prior, diagnostics)`` with the prior
-    ``config.prior_source`` names: None ("none"), ``prior_feed(x_t)``
-    ("external") or ``state.prior`` ("historical", first drawn uniformly on
-    the sphere; ``greedy.descend`` keeps it). The state carries ``x``,
-    ``iteration`` and the step's ``last_C``/``last_D``/``last_theta``;
-    ``last_f`` is f(x_t) when the step's own queries paid for it, else None
-    and f(x_t) is read uncharged, only for a logged row or a target. Returns
-    the trace and the final state. A run whose block (queries per iteration
-    times d) reaches ``READ_AHEAD_MIN_BLOCK`` draws its normals through a
-    NormalStream, closed before it returns or raises.
+    ``config`` (a ``GreedyConfig`` or ``ArsConfig``) holds the ``RunOptions``
+    too: ``target_log10``'s first crossing is marked and, with
+    ``stop_on_target``, ends the run. ``new_state(x0)`` builds the optimizer
+    state. Each iteration calls ``step(state, oracle, config, rng, prior,
+    diagnostics)`` with the prior ``config.prior_source`` names: None
+    ("none"), ``prior_feed(x_t)`` ("external") or ``state.prior``
+    ("historical", first drawn uniformly on the sphere; ``greedy.descend``
+    keeps it). The state carries ``x``, ``iteration`` and the step's
+    ``last_C``/``last_D``/``last_theta``; ``last_f`` is f(x_t) when the step's
+    own queries paid for it, else None and f(x_t) is read uncharged, only for
+    a logged row or a target. Returns the trace and the final state. A run
+    whose block (queries per iteration times d) reaches
+    ``READ_AHEAD_MIN_BLOCK`` draws its normals through a NormalStream, closed
+    before it returns or raises. An ``OracleFailureError`` is raised again
+    with the algorithm, the iteration and the dd-queries spent in its message.
     """
     cost, budget = config.queries_per_iteration, config.budget
     if budget < cost:
@@ -144,10 +166,13 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
                              state.last_C, state.last_D, state.last_theta)
             if target_log10 is not None:
                 trace.mark_reached(target_log10, f_here, dd_before)
+        f_final = oracle.peek_function_value(state.x)
+    except OracleFailureError as exc:
+        raise OracleFailureError(f"{config.algo} at iteration {state.iteration} after "
+                                 f"{oracle.dd_queries} dd-queries: {exc}", exc.point) from exc
     finally:
         if rng.stream is not None:
             rng.stream.close()
-    f_final = oracle.peek_function_value(state.x)
     trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
     if target_log10 is not None:
         trace.mark_reached(target_log10, f_final, oracle.dd_queries)

@@ -80,16 +80,19 @@ def test_nan_target_is_a_config_error():
             family(L_hat=1.0, q=2, budget=10, target_log10=math.nan)
 
 
-@pytest.mark.parametrize("family", [GreedyConfig, ArsConfig])
+@pytest.mark.parametrize("family", [GreedyConfig, ArsConfig, RunConfig])
 @pytest.mark.parametrize("options,match", [
     ({"mu": math.nan}, "mu must be finite"),
     ({"mu": 0.0}, "mu must be finite"),
     ({"oracle_mode": "bogus"}, "unknown oracle mode 'bogus'"),
     ({"oracle_mode": "bogus", "mu": math.nan}, "mu must be finite"),
+    ({"log_every": 0}, "log_every must be >= 1"),
 ])
 def test_config_rejects_bad_oracle_options_when_built(family, options, match):
+    # RunConfig checks the same run options as the configs it builds
+    run = {"function": "f2", "dim": 10, "algo": "rgf", "lhat": 1.0}
     with pytest.raises(ConfigError, match=match):
-        family(L_hat=1.0, q=2, budget=10, **options)
+        family(q=2, budget=10, **(run if family is RunConfig else {"L_hat": 1.0}), **options)
 
 
 @pytest.mark.parametrize("algo", ["rgf", "history_prgf"])

@@ -1,11 +1,14 @@
+import dataclasses
 import os
+import typing
 import xml.etree.ElementTree as ET
 
 import pytest
 
 import pgzo.cli as cli
+from pgzo.bench import ALGO_PRIORS, RunConfig, preset, run_batch
 from pgzo.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from pgzo.core import InvalidPriorError
+from pgzo.core import InvalidPriorError, OracleFailureError
 
 
 def test_single_run_writes_outputs(tmp_path, capsys):
@@ -128,7 +131,28 @@ def test_oracle_failure_exit_code(tmp_path, capsys):
                    "--lhat", "1e-9", "--budget", "3000", "--seeds", "0",
                    "--oracle-mode", "exact", "--out", str(tmp_path / "boom")])
     assert rc == cli.EXIT_ORACLE
-    assert "oracle failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("oracle failure: rgf at iteration ") and "dd-queries" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_oracle_failure_keeps_the_finished_batches(tmp_path, monkeypatch):
+    # each batch's CSV is written when the batch ends, so exit 3 in the
+    # second of three entries leaves the first entry's CSV
+    calls = []
+
+    def failing_second(cfg):
+        calls.append(cfg.label)
+        if len(calls) == 2:
+            raise OracleFailureError(f"{cfg.algo}: objective returned non-finite value nan")
+        return run_batch(cfg)
+    monkeypatch.setattr(cli, "preset", lambda name: preset(name)[:3])
+    monkeypatch.setattr(cli, "run_batch", failing_second)
+    out = str(tmp_path / "fig")
+    rc = main(["--preset", "fig1_f1", "--budget", "110", "--seeds", "0", "--out", out])
+    assert rc == cli.EXIT_ORACLE and calls == ["RGF", "PRGF"]
+    assert os.path.exists(out + "_RGF.csv")
+    assert not os.path.exists(out + "_PRGF.csv") and not os.path.exists(out + ".svg")
 
 
 def test_invalid_prior_exit_code(monkeypatch, capsys):
@@ -171,6 +195,10 @@ ARS_F1 = ["--function", "f1", "--dim", "10", "--algo", "ars", "--q", "2", "--bud
      "does not read tau_hat, gamma0, restart"),
     (ARS_F1 + ["--lhat-scale", "1", "--seeds", "0,0"], "repeated seeds"),
     (ARS_F1 + ["--lhat-scale", "1", "--seeds=-1"], "seeds must be nonnegative"),
+    # flags are text until the one parser reads them, so no value exits through argparse
+    (["--function", "f2", "--dim", "abc", "--algo", "rgf", "--q", "2", "--budget", "100",
+      "--lhat-scale", "1"], "dim: cannot parse 'abc'"),
+    (ARS_F1 + ["--lhat-scale", "1", "--oracle-mode", "bogus"], "unknown oracle mode 'bogus'"),
 ])
 def test_bad_setting_exit_code(tmp_path, capsys, argv, reason):
     rc = main(argv + ["--out", str(tmp_path / "x")])
@@ -178,3 +206,33 @@ def test_bad_setting_exit_code(tmp_path, capsys, argv, reason):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and reason in err
     assert len(err.splitlines()) == 1
+
+
+def test_run_options_are_flags(tmp_path, capsys):
+    out = str(tmp_path / "flags")
+    rc = main(["--function", "f2", "--dim", "10", "--algo", "rgf", "--q", "2", "--budget", "2000",
+               "--lhat-scale", "1", "--target-log10", "-0.1", "--stop-on-target",
+               "--label", "X", "--out", out])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.startswith("X ")
+    last = open(out + ".csv").read().splitlines()[-1].split(",")
+    assert int(last[2]) < 2000 and float(last[5]) <= -0.1  # stopped at the target
+
+
+def test_every_run_config_field_is_a_flag_with_a_parser():
+    # a new RunConfig field gets its flag and config key from its annotation;
+    # an annotation without a parser must fail here, not pass its text on
+    hints = typing.get_type_hints(RunConfig)
+    dests = {action.dest for action in cli._build_parser()._actions}
+    for field in dataclasses.fields(RunConfig):
+        assert field.name in dests
+        assert hints[field.name] in cli._PARSERS
+        assert cli._PARSE[field.name] is not str or hints[field.name] in (str, typing.Optional[str])
+
+
+def test_help_lists_every_algorithm(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(algo in out for algo in ALGO_PRIORS)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pgzo.core import ConfigError, OracleHandle, RngHandle, sample_unit_sphere
-from pgzo.diagnostics import (_prior_with_quality, check_lemma36, check_theorem_bounds,
+from pgzo.diagnostics import (_prior_with_quality, check_ars_bound, check_lemma36,
+                              check_theorem_bounds,
                               mc_g2_moments, mc_prgf_drift, mc_rgf_drift,
                               subspace_optimality_margin)
 from pgzo.frames import (ProbeSet, build_frame, cos_sq, g2_unbiased, g2_variance_reduced,
@@ -100,6 +101,28 @@ def test_historical_bound_needs_large_T():
     with pytest.raises(ConfigError):
         check_theorem_bounds(30, 5, [10], seeds=range(20), L_hat_mult=10.0,
                              historical=True)
+
+
+# ARS at theta = q^2/(L d^2), exact oracle, 20 seeds: the seed mean of delta_T
+# against psi_T (f(x0) - f* + gamma0/2 ||x0 - x*||^2). At taû = tau the
+# momentum's lambda and beta depend on taû; at taû = 0 (the fig1 setting)
+# they do not. The long taû = 0 run is where a doubled momentum coefficient
+# theta/alpha ends above the bound (1.8x at T=800, over 1000x at T=1600).
+@pytest.mark.parametrize("d,q,T_values,tau_hat_mult", [
+    (50, 5, (100, 400), 1.0),
+    (100, 10, (100,), 0.0),
+    (20, 2, (800, 1600), 0.0),
+])
+def test_ars_meets_its_accelerated_bound(d, q, T_values, tau_hat_mult):
+    checks = check_ars_bound(d, q, T_values, seeds=range(20), tau_hat_mult=tau_hat_mult)
+    assert [c.T for c in checks] == list(T_values)
+    assert all(c.ok for c in checks), checks
+
+
+@pytest.mark.parametrize("kwargs", [{"seeds": range(5)}, {"tau_hat_mult": 1.5}])
+def test_ars_bound_check_rejects_its_bad_settings(kwargs):
+    with pytest.raises(ConfigError):
+        check_ars_bound(20, 4, [10], **{"seeds": range(20), **kwargs})
 
 
 # The Monte-Carlo checks as they were written before they built frames in
