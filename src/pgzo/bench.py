@@ -4,13 +4,14 @@ emit CSV traces and self-contained SVG convergence plots."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .ars import ArsConfig, run_ars
-from .core import ConfigError, RngHandle, require_finite_positive
+from .core import ConfigError, RngHandle, load_special_ufuncs, require_finite_positive
 from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function, biased_prior_feed
 from .trace import COLUMNS, RunOptions, RunTrace
@@ -59,6 +60,8 @@ class RunConfig(RunOptions):
         if self.prior not in (None, implied):
             raise ConfigError(f"algo {self.algo!r} runs with prior={implied!r}, got {self.prior!r}")
         self.prior = implied
+        if self.tau_hat != "true" and not isinstance(self.tau_hat, numbers.Real):
+            raise ConfigError(f"tau_hat must be a number or 'true', got {self.tau_hat!r}")
         unread = [k for k, v in _ARS_SETTINGS.items() if getattr(self, k) != v]
         if unread and self.algo not in ARS_ALGOS:
             raise ConfigError(f"algo {self.algo!r} does not read {', '.join(unread)}")
@@ -147,10 +150,10 @@ def aggregate_traces(traces: List[RunTrace], label: str = "") -> Aggregate:
     mean = mat.mean(axis=0)
     if n > 1:
         # stdtrit is the Student-t inverse CDF that stats.t.ppf wraps (same
-        # bits); scipy.stats itself would double pgzo's import time. Imported
-        # here, so that runs which aggregate nothing skip scipy.special's
-        # init (about 0.25 s).
-        from scipy.special import stdtrit
+        # bits), taken from scipy.special's ufunc extension without its
+        # package init; loaded here, so that runs which aggregate nothing
+        # skip even that.
+        stdtrit = load_special_ufuncs().stdtrit
         half = stdtrit(n - 1, 0.975) * mat.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         half = np.zeros_like(mean)

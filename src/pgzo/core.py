@@ -7,9 +7,11 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from pathlib import Path
+from types import ModuleType
 from typing import Callable, Optional
 
 import numpy as np
@@ -17,6 +19,19 @@ import numpy as np
 Array = np.ndarray
 
 DEFAULT_MU = 1e-6
+
+
+def _scipy_extension(package: str, stem: str) -> Path:
+    """The file of the compiled extension ``scipy.<package>.<stem>``;
+    ImportError naming it if it is missing. ``import scipy`` runs first: it
+    sets up the path the extension's shared libraries load from."""
+    import scipy
+
+    path = Path(scipy.__file__).parent / package / (stem + EXTENSION_SUFFIXES[0])
+    if not path.is_file():
+        raise ImportError(f"scipy's extension is missing: {path}",
+                          name=f"scipy.{package}.{stem}", path=str(path))
+    return path
 
 
 def _load_flapack():
@@ -29,28 +44,53 @@ def _load_flapack():
     the cold import of pgzo, pgzo.bench, pgzo.cli and pgzo.diagnostics from
     0.39 to 0.14 s and its peak RSS from 60 to 34 MB (2-vCPU host, scipy
     1.17.1, numpy 2.4.6, Python 3.11; medians of 12 interleaved pairs,
-    ``BENCH_ab_import.json``). ``import scipy`` runs first: it sets up the
-    path the extension's shared libraries load from. No ``sys.modules``
-    entry is left, so a later ``import scipy.linalg`` binds its own
-    ``_flapack``; CPython copies a single-phase extension's namespace into
-    each module it creates for it, so its functions are these same objects.
+    ``BENCH_ab_import.json``). No ``sys.modules`` entry is left, so a later
+    ``import scipy.linalg`` binds its own ``_flapack``; CPython copies a
+    single-phase extension's namespace into each module it creates for it,
+    so its functions are these same objects.
     """
     linalg = sys.modules.get("scipy.linalg")
     if linalg is not None:
         return linalg._flapack
-    import scipy
-
     name = "scipy.linalg._flapack"
-    path = Path(scipy.__file__).parent / "linalg" / ("_flapack" + EXTENSION_SUFFIXES[0])
-    if not path.is_file():
-        raise ImportError(f"scipy's LAPACK extension is missing: {path}", name=name,
-                          path=str(path))
+    path = _scipy_extension("linalg", "_flapack")
     module = module_from_spec(spec_from_loader(name, ExtensionFileLoader(name, str(path))))
     sys.modules.pop(name, None)  # creating a single-phase extension registers it
     return module
 
 
 flapack = _load_flapack()
+
+
+def load_special_ufuncs():
+    """scipy's compiled special-function ufuncs (``bench`` takes the Student-t
+    quantile ``stdtrit`` from them), loaded without running ``scipy.special``'s
+    init.
+
+    That init imports 56 scipy modules, the array-API layer among them; after
+    numpy and scipy it took 0.2-0.3 s and added 24 MB of peak RSS, the
+    extension alone 0.01 s and 2.4 MB (2-vCPU host, scipy 1.17.1). It
+    cannot load as ``_load_flapack`` loads LAPACK: it imports ``_ufuncs_cxx``,
+    ``_special_ufuncs``, ``_gufuncs`` and ``_ellip_harm_2`` relative to its
+    package. So a bare module whose ``__path__`` is scipy's ``special/``
+    directory stands in for ``scipy.special`` in ``sys.modules`` for the
+    length of that import only. The extension modules stay registered, so a
+    later ``import scipy.special`` runs the real init around them and hands
+    out these same ufuncs. If ``scipy.special`` is imported already, its
+    ``_ufuncs`` is returned as it is.
+    """
+    name = "scipy.special._ufuncs"
+    ufuncs = sys.modules.get(name)
+    if ufuncs is not None:
+        return ufuncs
+    package = ModuleType("scipy.special")
+    package.__path__ = [str(_scipy_extension("special", "_ufuncs").parent)]
+    sys.modules["scipy.special"] = package
+    try:
+        return import_module(name)
+    finally:
+        del sys.modules["scipy.special"]
+
 
 # NormalStream read-ahead. Each chunk's hand-over (one future's result, one
 # submit) waits on the interpreter lock, so chunks hold several frames: 32768

@@ -215,6 +215,40 @@ def test_full_basis_ars_matches_first_order_momentum():
     assert trace.final_f == pytest.approx(fn.eval(x), rel=1e-10)
 
 
+def test_full_basis_ars_matches_the_momentum_recursion_at_positive_tau_hat():
+    # As above, but at taû = tau > 0, where beta, gamma and lambda all enter;
+    # alpha, beta, gamma and lambda come from the paper's formulas here, not
+    # from alpha_beta_gamma.
+    d, T = 6, 25
+    fn = bench_function("f2", d)
+    obj = fn.as_objective()
+    tau_hat = fn.tau
+    cfg = ArsConfig(L_hat=fn.L, q=d, algo="ars", budget=d * T, tau_hat=tau_hat,
+                    oracle_mode="exact", diagnostics=False)
+    trace = run_ars(obj, cfg, seed=0)
+
+    theta = 1.0 / fn.L  # q^2/(L̂ d^2) with q = d
+    x = obj.x0.copy()
+    m = obj.x0.copy()
+    gamma = fn.L  # gamma0 defaults to L̂
+    f_values = [fn.eval(x)]
+    for _ in range(T):
+        # alpha > 0 solves alpha^2 + theta*(gamma - taû)*alpha - theta*gamma = 0
+        b = theta * (gamma - tau_hat)
+        alpha = (-b + math.sqrt(b * b + 4.0 * theta * gamma)) / 2.0
+        beta = alpha * gamma / (gamma + alpha * tau_hat)
+        gamma_next = (1.0 - alpha) * gamma + alpha * tau_hat
+        lam = alpha * tau_hat / gamma_next
+        y = (1.0 - beta) * x + beta * m
+        g = fn.grad(y)
+        x = y - g / fn.L
+        m = (1.0 - lam) * m + lam * y - (theta / alpha) * g
+        gamma = gamma_next
+        f_values.append(fn.eval(x))
+    assert trace.column("iteration").tolist() == list(range(T + 1))
+    np.testing.assert_allclose(trace.column("f_value"), f_values, rtol=1e-10, atol=0.0)
+
+
 # -- trace values the step already paid for -------------------------------------
 
 def _count_calls(monkeypatch, method="peek_function_value"):

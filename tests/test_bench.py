@@ -243,25 +243,81 @@ print(json.dumps([after_import, after_library, loaded()]))
 """
 
 
-def test_scipy_stats_never_loaded(tmp_path):
-    # A fresh interpreter, so that no other test's import counts. The import,
-    # a library run (f1 takes its constants from LAPACK, the run builds
-    # frames) and a Monte-Carlo check load none of scipy.linalg, scipy.special
-    # or the array-API layer they share: pgzo loads scipy's LAPACK extension
-    # directly. The CLI run aggregates two seeds, which loads scipy.special
-    # for the t-quantile and would execute any lazy import of scipy.stats.
+def run_fresh(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter that imports pgzo from
+    ``src``, so that no other test's imports count."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    child = subprocess.run([sys.executable, "-c", IMPORT_GUARD, str(tmp_path / "run")],
-                           env=env, capture_output=True, text=True, timeout=120)
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                           text=True, timeout=120)
     assert child.returncode == 0, child.stderr
-    after_import, after_library, after_run = json.loads(child.stdout)
+    return child.stdout
+
+
+def test_scipy_stats_never_loaded(tmp_path):
+    # The import, a library run (f1 takes its constants from LAPACK, the run
+    # builds frames), a Monte-Carlo check and a CLI run, which aggregates two
+    # seeds, load none of scipy.linalg, scipy.special, the array-API layer
+    # their inits share or scipy.stats: pgzo loads scipy's LAPACK and
+    # special-function extensions directly. The aggregate would also execute
+    # any lazy import of scipy.stats.
+    after_import, after_library, after_run = json.loads(
+        run_fresh(IMPORT_GUARD, str(tmp_path / "run")))
     assert after_import == [], f"importing pgzo loaded {after_import}"
     assert after_library == [], f"a library run or check loaded {after_library}"
-    assert "scipy.stats" not in after_run, "a CLI run loaded scipy.stats"
-    assert "scipy.linalg" not in after_run, "a CLI run loaded scipy.linalg"
-    assert "scipy.special" in after_run  # the aggregate's quantile
+    assert after_run == [], f"a CLI run loaded {after_run}"
     assert (tmp_path / "run.csv").is_file()
+
+
+# Aggregate 2, 3 and 10 synthetic traces with scipy.special imported before
+# or after pgzo, then use scipy.special and scipy.stats as a caller would.
+SPECIAL_INTEROP = """
+import json, math, sys
+import numpy as np
+if sys.argv[1] == "scipy_first":
+    import scipy.special
+from pgzo.bench import aggregate_traces
+from pgzo.core import load_special_ufuncs
+from pgzo.trace import RunTrace
+rng = np.random.default_rng(5)
+bands = {}
+for n in (2, 3, 10):
+    traces = [RunTrace(seed=s, rows=[(0, q, 0, math.nan, v, math.nan, math.nan, math.nan)
+                                     for q, v in zip((0, 4, 8), rng.normal(size=3))])
+              for s in range(n)]
+    agg = aggregate_traces(traces)
+    mat = np.array([tr.column("log10_rel_err") for tr in traces])
+    bands[n] = (agg, mat)
+ufuncs = load_special_ufuncs()
+placeholder_left = "scipy.special" in sys.modules and not hasattr(sys.modules["scipy.special"],
+                                                                  "__file__")
+import scipy.special
+from scipy import stats
+band_is_ppf = [bool(np.array_equal(agg.hi - agg.mean, stats.t.ppf(0.975, n - 1)
+                                   * mat.std(axis=0, ddof=1) / math.sqrt(n)))
+               for n, (agg, mat) in bands.items()]
+print(json.dumps({"placeholder_left": placeholder_left,
+                  "init_ran": scipy.special.__file__.endswith("__init__.py"),
+                  "same": [scipy.special._ufuncs is ufuncs,
+                           scipy.special.stdtrit is ufuncs.stdtrit],
+                  "ppf": [float(stats.t.ppf(0.975, df)) == float(ufuncs.stdtrit(df, 0.975))
+                          for df in (1, 2, 9)],
+                  "band_is_ppf": band_is_ppf}))
+"""
+
+
+@pytest.mark.parametrize("order", ["pgzo_first", "scipy_first"])
+def test_scipy_special_after_an_aggregate_is_the_one_pgzo_used(order):
+    # pgzo loads scipy.special's ufuncs under a placeholder package that it
+    # removes again; a later import of scipy.special runs the real init and
+    # hands out the same stdtrit, and scipy.stats' t quantile equals the
+    # band's. If scipy.special came first, pgzo takes its ufuncs as they are.
+    out = json.loads(run_fresh(SPECIAL_INTEROP, order))
+    assert out["placeholder_left"] is False
+    assert out["init_ran"] is True
+    assert out["same"] == [True, True]
+    assert out["ppf"] == [True] * 3
+    assert out["band_is_ppf"] == [True] * 3
 
 
 def test_no_module_imports_scipy_stats():

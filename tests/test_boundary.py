@@ -58,6 +58,13 @@ def test_run_config_takes_exactly_one_lhat():
                   lhat_scale=50.0)
 
 
+@pytest.mark.parametrize("value", ["abc", "", "True", None])
+def test_run_config_rejects_a_tau_hat_that_is_no_number(value):
+    # only "true" or a number; run_single would otherwise fail on float(value)
+    with pytest.raises(ConfigError, match="tau_hat must be a number or 'true'"):
+        RunConfig(function="f2", dim=10, algo="ars", q=2, budget=100, lhat=1.0, tau_hat=value)
+
+
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_objective_rejects_non_finite_x0(value):
     with pytest.raises(ConfigError, match="x0"):

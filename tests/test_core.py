@@ -427,3 +427,12 @@ def test_missing_lapack_extension_is_an_import_error(monkeypatch):
     monkeypatch.setattr(core, "EXTENSION_SUFFIXES", [".not-built.so"])
     with pytest.raises(ImportError, match=r"_flapack\.not-built\.so"):
         core._load_flapack()
+
+
+def test_missing_special_extension_is_an_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.special._ufuncs", raising=False)
+    monkeypatch.setattr(core, "EXTENSION_SUFFIXES", [".not-built.so"])
+    special = sys.modules.get("scipy.special")
+    with pytest.raises(ImportError, match=r"_ufuncs\.not-built\.so"):
+        core.load_special_ufuncs()
+    assert sys.modules.get("scipy.special") is special  # no placeholder was put in

@@ -144,3 +144,11 @@ def test_readahead_suite_holds_exactly_the_runs_that_read_ahead():
         reads_ahead |= {(algo, d) for d in (256, 500) if cost * d >= READ_AHEAD_MIN_BLOCK}
     assert set(ab.READAHEAD_CASES) == reads_ahead
     assert set(ab.SUITES["readahead"].cases) == {f"{a} d={d}" for a, d in reads_ahead}
+
+
+def test_import_suite_batch_aggregates_two_seeds(tmp_path):
+    # the cli_batch case runs this batch in a fresh interpreter after the import
+    from pgzo.cli import run_from_settings
+    [result] = run_from_settings(dict(ab.IMPORT_CASES["cli_batch"], out=str(tmp_path / "run")))
+    assert [tr.seed for tr in result.traces] == [0, 1]
+    assert (tmp_path / "run.csv").is_file() and (tmp_path / "run.svg").is_file()

@@ -19,9 +19,11 @@ Suites:
                    PARS-Est at d = 256 (f2, L-hat = L, fd oracle, presets'
                    q; a 50-iteration warm-up, then 1500 timed)
   import           cold import of pgzo, pgzo.bench, pgzo.cli and
-                   pgzo.diagnostics: seconds, peak RSS and whether
-                   scipy.stats, scipy.linalg, scipy.special and
-                   scipy._lib._array_api got loaded
+                   pgzo.diagnostics, alone (case import) and followed by a
+                   2-seed run_from_settings batch that aggregates (case
+                   cli_batch): seconds, peak RSS and whether the package
+                   inits of scipy.stats, scipy.linalg, scipy.special and
+                   scipy._lib._array_api ran
   mc_batch         microseconds per sample and peak RSS of the Monte-Carlo
                    shapes of perfbench's contracts_small_d and of
                    check_lemma36(100, 5, 10, 1000); the result must be the
@@ -113,11 +115,20 @@ out = {"us_per_iter": (time.perf_counter() - t0) / trace.rows[-1][0] * 1e6}
 SCIPY_LOADED = {"scipy_stats_loaded": "scipy.stats", "scipy_linalg_loaded": "scipy.linalg",
                 "scipy_special_loaded": "scipy.special",
                 "scipy_array_api_loaded": "scipy._lib._array_api"}
+# import-suite case -> the settings of the CLI batch it runs after the import,
+# if any; the batch writes its CSV and SVG into the side's tree
+IMPORT_CASES = {"import": None,
+                "cli_batch": {"function": "f2", "dim": 50, "algo": "rgf", "q": 10,
+                              "lhat_scale": 1.0, "budget": 2000, "seeds": [0, 1],
+                              "out": "cli_batch"}}
 IMPORT = """
+batch, loaded = args
 t0 = time.perf_counter()
 import pgzo, pgzo.bench, pgzo.cli, pgzo.diagnostics
-out = {"import_s": time.perf_counter() - t0}
-out.update({key: module in sys.modules for key, module in args.items()})
+if batch:
+    pgzo.cli.run_from_settings(batch)
+out = {"seconds": time.perf_counter() - t0}
+out.update({key: module in sys.modules for key, module in loaded.items()})
 """
 # case -> (diagnostics function, args after the rng, kwargs, samples or iterations)
 MC_CASES = {
@@ -159,9 +170,10 @@ def perfbench_cases(trace: int) -> dict:
 SUITES = {
     "readahead": Suite({f"{algo} d={d}": probe(READAHEAD, [algo, d, *ALGOS[algo]])
                         for algo, d in READAHEAD_CASES},
-                       {"us_per_iter": "lower", "max_rss_mb": "lower"}),
-    "import": Suite({"import": probe(IMPORT, SCIPY_LOADED)},
-                    {"import_s": "lower", "max_rss_mb": "lower"}, same=tuple(SCIPY_LOADED),
+                       {"us_per_iter": "lower", "max_rss_mb": "lower"}, pairs=10),
+    "import": Suite({case: probe(IMPORT, [batch, SCIPY_LOADED])
+                     for case, batch in IMPORT_CASES.items()},
+                    {"seconds": "lower", "max_rss_mb": "lower"}, same=tuple(SCIPY_LOADED),
                     pairs=12),
     "mc_batch": Suite({name: probe(MC_BATCH, spec) for name, spec in MC_CASES.items()},
                       {"us_per_unit": "lower", "max_rss_mb": "lower"}, match=("result",)),
@@ -281,8 +293,8 @@ def main(argv=None) -> int:
     ap.add_argument("suite", choices=SUITES)
     ap.add_argument("--rev", default="HEAD", help="the base commit (default HEAD)")
     ap.add_argument("--head", help="the head commit (default: this checkout's src as it stands)")
-    ap.add_argument("--pairs", type=int, help="pairs of runs (default 6; 10 for perfbench, "
-                    "12 for import, 1 for perfbench-trace)")
+    ap.add_argument("--pairs", type=int, help="pairs of runs (default: " + ", ".join(
+        f"{name} {suite.pairs}" for name, suite in SUITES.items()) + ")")
     ap.add_argument("--out", type=Path, help="the record to write (default "
                     "BENCH_ab_<suite>.json at the repository root)")
     args = ap.parse_args(argv)
