@@ -194,12 +194,16 @@ def read_csv(path: str) -> List[RunTrace]:
             if tuple(header) != CSV_HEADER:
                 raise ConfigError(f"unexpected CSV header in {path}: {header}")
             by_seed: dict[int, RunTrace] = {}
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                seed = int(parts[0])
-                vals = [float(p) if p else math.nan for p in parts[1:]]
-                tr = by_seed.setdefault(seed, RunTrace(seed=seed))
-                tr.rows.append(tuple([int(vals[0]), int(vals[1]), int(vals[2])] + vals[3:]))
+            for lineno, line in enumerate(fh, start=2):
+                try:
+                    seed, *parts = line.rstrip("\n").split(",")
+                    seed = int(seed)
+                    tr = by_seed.get(seed)
+                    if tr is None:
+                        tr = by_seed[seed] = RunTrace(seed=seed)
+                    tr.rows.append([float(p) if p else math.nan for p in parts])
+                except ValueError as exc:
+                    raise ConfigError(f"malformed row in {path}, line {lineno}: {exc}") from None
     except OSError as exc:
         raise OSError(f"cannot read CSV from {path}: {exc}") from exc
     return list(by_seed.values())

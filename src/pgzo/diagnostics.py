@@ -186,10 +186,10 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
 
 
 def _delta_at(trace, T: int, f_star: float) -> float:
-    rows = {int(r[0]): r[3] for r in trace.rows}
-    if T not in rows:
+    at = np.flatnonzero(trace.column("iteration") == T)
+    if not at.size:
         raise ConfigError(f"trace has no row for iteration {T}")
-    return rows[T] - f_star
+    return trace.rows[at[-1]][3] - f_star
 
 
 def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int],

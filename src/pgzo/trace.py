@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,6 +34,63 @@ READ_AHEAD_MIN_BLOCK = 4096
 
 COLUMNS = ("iteration", "dd_queries", "fn_evals", "f_value",
            "log10_rel_err", "C_t", "D_t", "theta_t")
+_WIDTH = len(COLUMNS)
+_PACK = struct.Struct(f"{_WIDTH}d").pack  # under half the time array("d", row) takes
+
+
+class TraceRows:
+    """The rows of a trace, packed into one float64 buffer of ``len(COLUMNS)``
+    values per row: 64 bytes a row, where a tuple of Python numbers took
+    about 300. ``append`` takes one full row of numbers whose first three
+    columns (iteration, dd_queries, fn_evals) are finite. Indexing and
+    iteration yield tuples in which those three are ints; slices return lists
+    of them, and ``repr`` is that of the list of tuples. ``==`` compares the
+    float64 bits, so NaN rows are equal and -0.0 differs from 0.0.
+    """
+
+    __slots__ = ("_buf",)
+
+    def __init__(self, rows=()):
+        self._buf = array("d")
+        for row in rows:
+            self.append(row)
+
+    def append(self, row) -> None:
+        try:  # packed whole, so a bad row leaves the buffer as it was
+            packed = _PACK(*row)
+        except struct.error as exc:
+            raise ValueError(f"a trace row holds {_WIDTH} numbers: {exc}") from None
+        if not math.isfinite(row[0] + row[1] + row[2]):
+            raise ValueError(f"a trace row's counts must be finite, got {tuple(row[:3])}")
+        self._buf.frombytes(packed)
+
+    def __len__(self) -> int:
+        return len(self._buf) // _WIDTH
+
+    def __getitem__(self, i):
+        picked = range(len(self))[i]
+        if isinstance(picked, range):
+            return [self[k] for k in picked]
+        row = self._buf[picked * _WIDTH:(picked + 1) * _WIDTH].tolist()
+        return (int(row[0]), int(row[1]), int(row[2]), *row[3:])
+
+    def __iter__(self):
+        # numpy turns whole columns into Python numbers; int() on each count
+        # read the rows twice as slowly. The view is gone when this returns.
+        table = np.frombuffer(self._buf, dtype=float).reshape(-1, _WIDTH)
+        return zip(*table[:, :3].astype(np.int64).T.tolist(), *table[:, 3:].T.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceRows):
+            return NotImplemented
+        return self._buf.tobytes() == other._buf.tobytes()
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def column(self, k: int) -> Array:
+        """A copy of column ``k``; a view of the buffer would block appends."""
+        return np.frombuffer(self._buf, dtype=float)[k::_WIDTH].copy()
 
 
 @dataclass
@@ -41,16 +100,21 @@ class RunTrace:
     Row t describes the iterate x_t: the queries spent to *reach* it, its
     function value, and the diagnostics of the step taken from it (NaN on the
     final row and wherever a quantity does not apply). ``log_every`` thins the
-    rows of long runs; the initial and final rows are always kept.
+    rows of long runs; the initial and final rows are always kept. ``rows``
+    may be given as a list of rows; it is held as ``TraceRows``.
     """
 
     seed: int = 0
     f0: Optional[float] = None
     f_star: Optional[float] = None
-    rows: list = field(default_factory=list)
+    rows: TraceRows = field(default_factory=TraceRows)
     reached_queries: Optional[int] = None
     restarts: int = 0
     guess_passes: list = field(default_factory=list)  # pars_est bookkeeping
+
+    def __post_init__(self):
+        if not isinstance(self.rows, TraceRows):
+            self.rows = TraceRows(self.rows)
 
     def log10_rel_err(self, f_value: float) -> float:
         if self.f_star is None or self.f0 is None or self.f0 <= self.f_star:
@@ -64,8 +128,7 @@ class RunTrace:
                           self.log10_rel_err(f_value), c_t, d_t, theta_t))
 
     def column(self, name: str) -> Array:
-        idx = COLUMNS.index(name)
-        return np.array([r[idx] for r in self.rows], dtype=float)
+        return self.rows.column(COLUMNS.index(name))
 
     @property
     def final_f(self) -> float:

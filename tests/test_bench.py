@@ -2,6 +2,7 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -100,6 +101,16 @@ def test_csv_exact_float_round_trip(tmp_path):
     back = read_csv(path)[0]
     assert back.rows[0][3] == 1 / 3
     assert back.rows[1][3] == math.pi * 1e-8
+
+
+@pytest.mark.parametrize("line, detail", [("0,1,11,12,0.5", "got 4"),
+                                          ("x,0,0,0,1,0,,,", "invalid literal"),
+                                          ("0,,0,0,1,0,,,", "counts must be finite")])
+def test_read_csv_rejects_a_malformed_row_naming_path_and_line(tmp_path, line, detail):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n0,0,0,0,1,0,,,\n" + line + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}, line 3: ") + f".*{detail}"):
+        read_csv(str(path))
 
 
 def test_svg_structure_two_series(tmp_path):

@@ -4,7 +4,8 @@ runs as written.
 
 The harness is driven here without git and without perfbench: its sides are
 two stub ``src/pgzo`` packages of one line each (so that a child starts in
-tens of milliseconds), and its cases are tiny probes."""
+tens of milliseconds), and its cases are tiny probes. The ``preset`` suite's
+probe runs on this checkout's ``src`` at a budget of three iterations."""
 
 import importlib.util
 import os
@@ -152,3 +153,15 @@ def test_import_suite_batch_aggregates_two_seeds(tmp_path):
     [result] = run_from_settings(dict(ab.IMPORT_CASES["cli_batch"], out=str(tmp_path / "run")))
     assert [tr.seed for tr in result.traces] == [0, 1]
     assert (tmp_path / "run.csv").is_file() and (tmp_path / "run.svg").is_file()
+
+
+def test_preset_suite_hashes_every_file_the_cli_writes(tmp_path):
+    # the preset case's probe, at a budget of three iterations, in a tree whose src is this one's
+    (tmp_path / "side").mkdir()
+    (tmp_path / "side" / "src").symlink_to(ROOT / "src")
+    argv = ab.PRESET_CASES["fig2_f2"] + ["--budget", "33"]
+    first, second = (ab.run_child(tmp_path / "side", ab.probe(ab.PRESET, argv), 0)
+                     for _ in range(2))
+    written = sorted(p.name for p in (tmp_path / "side" / "preset").iterdir())
+    assert len(written) == 9 and "fig2_f2.svg" in written
+    assert first["sha256"] == second["sha256"] and first["seconds"] > 0

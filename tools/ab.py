@@ -28,6 +28,10 @@ Suites:
                    shapes of perfbench's contracts_small_d and of
                    check_lemma36(100, 5, 10, 1000); the result must be the
                    same on both sides
+  preset           one full-budget CLI preset run, pgzo --preset fig2_f2
+                   --seeds 0,1 (192 000 trace rows): seconds of the run
+                   and peak RSS; the SHA-256 over every CSV and SVG it
+                   writes (names and bytes) must be the same on both sides
   perfbench        perfbench/run.py --workload W --seed 7+i --seconds 22
                    --trace 0 for each workload, pair i; correct, attempted
                    and failed must be the same on both sides
@@ -155,6 +159,24 @@ t0 = time.perf_counter()
 result = call(fargs)
 out = {"us_per_unit": (time.perf_counter() - t0) / count * 1e6, "result": repr(result)}
 """
+# preset-suite case -> the CLI arguments of its run, which writes into the side's tree
+PRESET_CASES = {"fig2_f2": ["--preset", "fig2_f2", "--seeds", "0,1", "--out", "preset/fig2_f2"]}
+PRESET = """
+import hashlib, pathlib, shutil
+from pgzo.cli import main
+out_dir = pathlib.Path(args[args.index("--out") + 1]).parent
+shutil.rmtree(out_dir, ignore_errors=True)
+out_dir.mkdir()
+t0 = time.perf_counter()
+code = main(args)
+if code:
+    raise SystemExit(code)
+out = {"seconds": time.perf_counter() - t0}
+digest = hashlib.sha256()
+for path in sorted(out_dir.iterdir()):
+    digest.update(path.name.encode() + b"\\0" + path.read_bytes())
+out["sha256"] = digest.hexdigest()
+"""
 PERFBENCH_MATCH = ("correct", "attempted", "failed")
 # per-layer metrics that count work rather than time it
 LAYER_COUNTS = tuple(m["name"] for m in MANIFEST["per_layer"]
@@ -177,6 +199,8 @@ SUITES = {
                     pairs=12),
     "mc_batch": Suite({name: probe(MC_BATCH, spec) for name, spec in MC_CASES.items()},
                       {"us_per_unit": "lower", "max_rss_mb": "lower"}, match=("result",)),
+    "preset": Suite({case: probe(PRESET, argv) for case, argv in PRESET_CASES.items()},
+                    {"seconds": "lower", "max_rss_mb": "lower"}, match=("sha256",), pairs=4),
     "perfbench": Suite(perfbench_cases(0), {m["name"]: m["better"] for m in MANIFEST["end_to_end"]},
                        match=PERFBENCH_MATCH, pairs=10, perfbench=True),
     "perfbench-trace": Suite(perfbench_cases(1), {}, match=PERFBENCH_MATCH, same=LAYER_COUNTS,
