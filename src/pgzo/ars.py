@@ -131,7 +131,7 @@ def maybe_restart(state: ArsState, f_y_current: float, config: ArsConfig) -> boo
 
 
 def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-             theta: float, prior: Optional[Array], diagnostics: bool):
+             theta: float, prior: Optional[Array]):
     """The step every variant takes once it has chosen theta: mix y, take the
     greedy descent step from y (see ``greedy.descend``), move m along g2,
     then test for a restart. Returns the probes for the variant's own
@@ -139,7 +139,7 @@ def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngH
     d = oracle.objective.dim
     alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
     y = (1.0 - beta) * state.x + beta * state.m
-    probes, g1 = descend(state, oracle, config, rng, y, prior, diagnostics)
+    probes, g1 = descend(state, oracle, config, rng, y, prior)
     if config.algo in ("ars", "pars_naive"):
         g2 = (d / config.q) * g1
     else:
@@ -155,14 +155,14 @@ def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngH
 
 
 def _step_ars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-              prior: Optional[Array] = None, diagnostics: bool = False):
+              prior: Optional[Array] = None):
     d = oracle.objective.dim
     theta = config.q ** 2 / (config.L_hat * d * d)
-    _descend(state, oracle, config, rng, theta, prior, diagnostics)
+    _descend(state, oracle, config, rng, theta, prior)
 
 
 def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-                    prior: Array, diagnostics: bool = False):
+                    prior: Array):
     d = oracle.objective.dim
     p = _unit_prior(prior)
     hist = state.norm_sq_history
@@ -185,14 +185,14 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
     state.last_Dhat = clipped_dhat(d1)
     theta = theta_from_D(state.last_Dhat, config.q, d, config.L_hat)
 
-    probes = _descend(state, oracle, config, rng, theta, p, diagnostics)
+    probes = _descend(state, oracle, config, rng, theta, p)
     state.norm_sq_history.append(estimate_grad_norm_sq(probes))
     if len(state.norm_sq_history) > AVG_WINDOW_K:
         state.norm_sq_history.pop(0)
 
 
 def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-                   prior: Array, diagnostics: bool = False):
+                   prior: Array):
     d = oracle.objective.dim
     p = _unit_prior(prior)
     pass_cost = config.q + 1
@@ -221,13 +221,13 @@ def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng
         theta = theta_floor(config.q, d, config.L_hat)
     state.guess_passes.append(passes)
     # a fresh frame for the estimates
-    _descend(state, oracle, config, rng, theta, p, diagnostics)
+    _descend(state, oracle, config, rng, theta, p)
 
 
 def _step_history_pars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-                       prior: Array, diagnostics: bool = False):
+                       prior: Array):
     d = oracle.objective.dim
-    probes = _descend(state, oracle, config, rng, state.theta_prev, prior, diagnostics)
+    probes = _descend(state, oracle, config, rng, state.theta_prev, prior)
     # theta for the *next* iteration, from this iteration's probes
     state.theta_prev = theta_from_D(estimate_Dt(probes), config.q, d, config.L_hat)
     state.last_theta = state.theta_prev

@@ -48,9 +48,6 @@ class RunConfig(RunOptions):
     prior: Optional[str] = None           # defaults to ALGO_PRIORS[algo]
     restart: bool = False
     gamma0: Optional[float] = None
-    # a batch records C_t/D_t only when asked; GreedyConfig's None records them
-    # whenever a true gradient exists
-    diagnostics: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -170,7 +167,7 @@ def run_batch(config: RunConfig) -> BatchResult:
 # -- CSV ---------------------------------------------------------------------
 
 def _fmt(v: float) -> str:
-    if v is None or (isinstance(v, float) and math.isnan(v)):
+    if math.isnan(v):
         return ""
     return format(v, ".17g")
 
@@ -289,7 +286,7 @@ def emit_svg(aggregates: List[Aggregate], path: str, title: str = "",
     parts.append("</svg>")
     try:
         with open(path, "w") as fh:
-            fh.write("\n".join(parts))
+            print(*parts, sep="\n", end="", file=fh)  # the document is not held a second time
     except OSError as exc:
         raise OSError(f"cannot write SVG to {path}: {exc}") from exc
     return path

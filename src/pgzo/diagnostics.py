@@ -212,8 +212,7 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
     L_prime = L / (1.0 - (1.0 - L / L_hat) ** 2) if L_hat > L else L
     T_max = max(T_values)
     cfg = GreedyConfig(L_hat=L_hat, q=q, algo="history_prgf" if historical else "rgf",
-                       budget=T_max * (q + 1 if historical else q), oracle_mode="exact",
-                       diagnostics=False)
+                       budget=T_max * (q + 1 if historical else q), oracle_mode="exact")
     deltas = {T: [] for T in T_values}
     for seed in seeds:
         trace = run_greedy(obj, cfg, seed)
@@ -270,7 +269,7 @@ def check_ars_bound(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int
     fn = bench_function("f2", d)
     T_max = max(T_values)
     cfg = ArsConfig(L_hat=fn.L, q=q, algo="ars", budget=T_max * q, oracle_mode="exact",
-                    diagnostics=False, tau_hat=tau_hat_mult * fn.tau)
+                    tau_hat=tau_hat_mult * fn.tau)
     traces = [run_ars(fn.as_objective(), cfg, seed) for seed in seeds]
     phi0 = fn.eval(fn.x0) - fn.f_star + cfg.gamma0 / 2.0 * float(fn.x0 @ fn.x0)
     theta = q * q / (cfg.L_hat * d * d)

@@ -60,16 +60,16 @@ class GreedyState:
 
 
 def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
-            prior: Optional[Array], diagnostics: bool) -> tuple[ProbeSet, Array]:
+            prior: Optional[Array]) -> tuple[ProbeSet, Array]:
     """The descent step both families take: probe a frame around ``prior`` at
-    ``point``, record C_t/D_t when ``diagnostics``, set ``state.x = point -
-    g1/L̂`` and count the iteration. A historical ``config.prior_source``
+    ``point``, record C_t/D_t when ``config.diagnostics``, set ``state.x =
+    point - g1/L̂`` and count the iteration. A historical ``config.prior_source``
     makes g1/‖g1‖ the next ``state.prior``. Greedy descends from x_t, the ARS
     family from y_t. Returns the probes and g1."""
     frame = build_frame(rng, oracle.objective.dim, config.q, prior=prior)
     probes = probe(oracle, point, frame)
     g1 = subspace_estimate(probes)
-    if diagnostics:
+    if config.diagnostics:
         grad = oracle.last_grad if oracle.last_grad is not None else oracle.gradient_at(point)
         state.last_C = cos_sq(grad, g1)
         state.last_D = cos_sq(grad, frame.prior) if frame.prior is not None else float("nan")
@@ -83,11 +83,10 @@ def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
 
 
 def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
-                rng: RngHandle, prior: Optional[Array] = None,
-                diagnostics: bool = False) -> GreedyState:
+                rng: RngHandle, prior: Optional[Array] = None) -> GreedyState:
     """One frame probe around ``prior`` and descent update from x_t; mutates
     and returns ``state``."""
-    descend(state, oracle, config, rng, state.x, prior, diagnostics)
+    descend(state, oracle, config, rng, state.x, prior)
     state.last_f = oracle.last_base_f
     return state
 

@@ -11,8 +11,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (DEFAULT_MU, Array, ConfigError, NormalStream, ObjectiveSpec,
-                   OracleFailureError, OracleHandle, RngHandle, check_oracle_options,
-                   sample_unit_sphere)
+                   OracleFailureError, OracleHandle, RngHandle, UnsupportedDiagnosticError,
+                   check_oracle_options, sample_unit_sphere)
 
 # Runs whose block (queries per iteration times d) reaches this draw their
 # normals through a NormalStream; smaller runs draw directly. Starting the
@@ -145,11 +145,12 @@ class RunTrace:
 
 @dataclass(kw_only=True)
 class RunOptions:
-    """The options ``run_loop`` reads, checked when a config is built; the
+    """The options ``run_loop`` reads, each declared once with the one default
+    the library and the CLI share, and checked when a config is built; the
     algorithm configs and ``bench.RunConfig`` extend it."""
     oracle_mode: str = "fd"
     mu: float = DEFAULT_MU
-    diagnostics: Optional[bool] = None  # None: record C_t/D_t whenever a true gradient exists
+    diagnostics: bool = False  # record C_t/D_t; needs the objective's true gradient
     log_every: int = 1
     target_log10: Optional[float] = None  # marks (and with stop_on_target ends at) a crossing
     stop_on_target: bool = False
@@ -173,12 +174,13 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
     ``config`` (a ``GreedyConfig`` or ``ArsConfig``) holds the ``RunOptions``
     too: ``target_log10``'s first crossing is marked and, with
     ``stop_on_target``, ends the run. ``new_state(x0)`` builds the optimizer
-    state. Each iteration calls ``step(state, oracle, config, rng, prior,
-    diagnostics)`` with the prior ``config.prior_source`` names: None
-    ("none"), ``prior_feed(x_t)`` ("external") or ``state.prior``
-    ("historical", first drawn uniformly on the sphere; ``greedy.descend``
-    keeps it). The state carries ``x``, ``iteration`` and the step's
-    ``last_C``/``last_D``/``last_theta``; ``last_f`` is f(x_t) when the step's
+    state. Each iteration calls ``step(state, oracle, config, rng, prior)``
+    with the prior ``config.prior_source`` names: None ("none"),
+    ``prior_feed(x_t)`` ("external") or ``state.prior`` ("historical", first
+    drawn uniformly on the sphere; ``greedy.descend`` keeps it). The state
+    carries ``x``, ``iteration`` and the step's ``last_C``/``last_D`` (set
+    only with ``config.diagnostics``, which needs the objective's true
+    gradient) and ``last_theta``; ``last_f`` is f(x_t) when the step's
     own queries paid for it, else None and f(x_t) is read uncharged, only for
     a logged row or a target. Returns the trace and the final state. A run
     whose block (queries per iteration times d) reaches
@@ -194,9 +196,9 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
     external = config.prior_source == "external"
     if external and prior_feed is None:
         raise ConfigError(f"{config.algo}: an external prior requires a prior_feed callable")
-    diagnostics, target_log10 = config.diagnostics, config.target_log10
-    if diagnostics is None:
-        diagnostics = objective.true_gradient is not None
+    if config.diagnostics and objective.true_gradient is None:
+        raise UnsupportedDiagnosticError(f"{config.algo}: diagnostics need a true_gradient")
+    target_log10 = config.target_log10
     oracle = OracleHandle(objective, mu=config.mu, mode=config.oracle_mode)
     rng = RngHandle(seed)
     if cost * objective.dim >= READ_AHEAD_MIN_BLOCK:
@@ -217,7 +219,7 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
             x_here = state.x
             dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
             prior = prior_feed(x_here) if external else state.prior
-            step(state, oracle, config, rng, prior, diagnostics)
+            step(state, oracle, config, rng, prior)
             t = state.iteration - 1  # index of the iterate the step started from
             if t % config.log_every and target_log10 is None:
                 continue  # row t is dropped and no target reads f(x_t)

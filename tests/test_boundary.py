@@ -1,5 +1,7 @@
 """Bad numbers fail at the boundary as ConfigError: non-finite or
-non-positive settings, a missing or non-finite x0 and a NaN target."""
+non-positive settings, a missing or non-finite x0 and a NaN target. C_t/D_t
+are recorded only when asked, and asking without a true gradient fails before
+any evaluation."""
 
 import math
 
@@ -8,7 +10,8 @@ import pytest
 
 from pgzo.ars import ArsConfig, run_ars
 from pgzo.bench import RunConfig
-from pgzo.core import ConfigError, ObjectiveSpec, OracleHandle, require_finite_positive
+from pgzo.core import (ConfigError, ObjectiveSpec, OracleHandle, UnsupportedDiagnosticError,
+                       require_finite_positive)
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
 
@@ -109,3 +112,42 @@ def test_eval_batch_with_one_value_per_point_or_a_config_error(algo):
                         eval_batch=lambda pts: fn.eval_batch(pts)[:, None])
     with pytest.raises(ConfigError, match=r"eval_batch returned shape \(\d+, 1\) for \d+ points"):
         run_greedy(obj, GreedyConfig(L_hat=fn.L, q=3, algo=algo, budget=40), 0)
+
+
+FAMILIES = [(GreedyConfig, run_greedy, "history_prgf"), (ArsConfig, run_ars, "history_pars")]
+
+
+@pytest.mark.parametrize("family,run,algo", FAMILIES, ids=["greedy", "ars"])
+def test_diagnostics_without_a_true_gradient_fail_before_any_evaluation(family, run, algo):
+    fn = bench_function("f2", 20)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return fn.eval(x)
+
+    obj = ObjectiveSpec(dim=20, eval=counted, x0=fn.x0)
+    cfg = family(L_hat=fn.L, q=5, algo=algo, budget=60, diagnostics=True)
+    with pytest.raises(UnsupportedDiagnosticError, match=algo):
+        run(obj, cfg, 0)
+    assert calls == []
+
+
+def test_diagnostics_default_to_off_in_every_config():
+    assert GreedyConfig(L_hat=1.0, q=2).diagnostics is False
+    assert ArsConfig(L_hat=1.0, q=2).diagnostics is False
+    assert RunConfig(function="f2", dim=10, algo="rgf", q=2, budget=10,
+                     lhat=1.0).diagnostics is False
+
+
+@pytest.mark.parametrize("family,run,algo", FAMILIES, ids=["greedy", "ars"])
+def test_diagnostics_are_recorded_only_when_asked(family, run, algo):
+    # f2 has a true gradient, yet a default fd run logs no C_t/D_t
+    fn = bench_function("f2", 20)
+    columns = {}
+    for asked in (False, True):
+        extra = {"diagnostics": True} if asked else {}
+        trace = run(fn.as_objective(), family(L_hat=fn.L, q=5, algo=algo, budget=60, **extra), 0)
+        columns[asked] = np.concatenate([trace.column("C_t")[:-1], trace.column("D_t")[:-1]])
+    assert columns[False].size == 20 and np.isnan(columns[False]).all()
+    assert np.isfinite(columns[True]).all()
