@@ -52,6 +52,8 @@ def theta_from_D(D: float, q: int, d: int, L_hat: float) -> float:
 
 def theta_floor(q: int, d: int, L_hat: float) -> float:
     """Worst-case theta (D = 0); every prior-guided variant stays above it."""
+    if q > d - 1:
+        raise ConfigError(f"q={q} must satisfy q <= d-1={d - 1}")
     return q * q / (L_hat * (d - 1) ** 2)
 
 
@@ -230,7 +232,6 @@ def _step_history_pars(state: ArsState, oracle: OracleHandle, config: ArsConfig,
     probes = _descend(state, oracle, config, rng, state.theta_prev, prior)
     # theta for the *next* iteration, from this iteration's probes
     state.theta_prev = theta_from_D(estimate_Dt(probes), config.q, d, config.L_hat)
-    state.last_theta = state.theta_prev
 
 
 _STEPPERS: dict[str, Callable] = {
@@ -245,9 +246,14 @@ _STEPPERS: dict[str, Callable] = {
 def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
             prior_feed: Optional[Callable[[Array], Array]] = None) -> RunTrace:
     """Run the configured ARS variant until the dd-query budget is exhausted."""
-    trace, state = run_loop(objective, config, seed,
-                            lambda x0: ArsState(x=x0, m=x0.copy(), gamma=config.gamma0),
-                            _STEPPERS[config.algo], prior_feed)
+    def new_state(x0: Array) -> ArsState:
+        state = ArsState(x=x0, m=x0.copy(), gamma=config.gamma0)
+        if config.algo == "history_pars":  # its first step runs at the floor
+            state.theta_prev = theta_floor(config.q, x0.size, config.L_hat)
+        return state
+
+    trace, state = run_loop(objective, config, seed, new_state, _STEPPERS[config.algo],
+                            prior_feed)
     trace.restarts = state.restarts
     trace.guess_passes = state.guess_passes
     return trace

@@ -7,7 +7,7 @@ import pytest
 from pgzo import ars
 from pgzo.ars import (ArsConfig, ArsState, alpha_beta_gamma, maybe_restart, run_ars,
                       theta_floor, theta_from_D)
-from pgzo.core import ConfigError, InvalidPriorError, OracleHandle, RngHandle
+from pgzo.core import ConfigError, InvalidPriorError, ObjectiveSpec, OracleHandle, RngHandle
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function, biased_prior_feed
 
@@ -116,7 +116,7 @@ def test_budget_never_exceeded():
 # -- variant behavior ----------------------------------------------------------
 
 def test_history_pars_first_iteration_is_stationary():
-    # theta_{-1} = 0 forces alpha_0 = 0 and y_0 = x_0
+    # m_0 = x_0 makes y_0 = x_0 whatever theta_0 is
     fn = bench_function("f2", 20)
     cfg = ArsConfig(L_hat=2.0, q=5, algo="history_pars", budget=6, diagnostics=False)
     trace = run_ars(fn.as_objective(), cfg, seed=0)
@@ -136,6 +136,35 @@ def test_theta_floor_across_run():
         thetas = thetas[~np.isnan(thetas)]
         assert thetas.size > 0
         assert np.all(thetas >= theta_floor(q, d, 2.0) - 1e-15)
+
+
+def test_history_pars_logs_the_theta_each_step_ran_with(monkeypatch):
+    # History-PARS calls alpha_beta_gamma once per step, with the theta it
+    # runs at; row t must log that theta, and the first one is the floor
+    used = []
+
+    def spy(theta, gamma, tau_hat):
+        used.append(theta)
+        return alpha_beta_gamma(theta, gamma, tau_hat)
+    monkeypatch.setattr(ars, "alpha_beta_gamma", spy)
+    d, q = 60, 10
+    fn = bench_function("f2", d)
+    cfg = ArsConfig(L_hat=2.0, q=q, algo="history_pars", budget=(q + 1) * 40,
+                    diagnostics=False)
+    trace = run_ars(fn.as_objective(), cfg, seed=0)
+    logged = trace.column("theta_t")
+    assert len(used) == 40 and math.isnan(logged[-1])
+    assert logged[:-1].tolist() == used
+    assert used[0] == theta_floor(q, d, 2.0)
+    assert min(used) >= theta_floor(q, d, 2.0)
+
+
+def test_history_pars_at_d_1_is_a_config_error():
+    # no theta floor exists at d = 1 (q <= d-1 = 0 fails)
+    obj = ObjectiveSpec(dim=1, eval=lambda x: float(x @ x), x0=np.ones(1))
+    cfg = ArsConfig(L_hat=2.0, q=1, algo="history_pars", budget=20, diagnostics=False)
+    with pytest.raises(ConfigError, match="d-1"):
+        run_ars(obj, cfg, seed=0)
 
 
 def test_pars_impl_dhat_clipped():

@@ -1,9 +1,12 @@
 """Both digests of ``tools/preset_digest.py`` are pinned, so a change to any
 trace, CSV byte or Monte-Carlo result it hashes fails here. A change that
 alters the random stream or the arithmetic on purpose updates these values
-and says so. The extended pin last changed when ``frames.cos_sq`` became
-``ab * ab / (aa * bb)``: C_t, D_t and the Monte-Carlo results moved by a few
-ulps, every other column of the run matrix stayed bit-identical."""
+and says so. Both pins last changed when History-PARS started at the theta
+floor and logged the theta each step ran with, not the next one: only the
+``fig2`` History-PARS CSVs and the ``history_pars`` runs of the extended
+matrix moved. Before that, the extended pin changed when ``frames.cos_sq``
+became ``ab * ab / (aa * bb)``: C_t, D_t and the Monte-Carlo results moved by
+a few ulps."""
 
 import importlib.util
 from pathlib import Path
@@ -12,8 +15,8 @@ import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "preset_digest.py"
 DIGESTS = {
-    "default": "8d6305cffb22e06af16f3795182fdbe9d72cdb1af64e0fb60aef4a370fc1bc78",
-    "extended": "27523705796b1082e85bb77ce863e93653f88b79b35c1eac08c36ed90503b9aa",
+    "default": "505a0f138de358468c50cb6b0421b8aeb036d13e69e07e44f90decab8b35a2d8",
+    "extended": "b64f46023fa2ba80c1618b4730f702ec567f4ac917f187930906c55193c8fe3c",
 }
 
 
