@@ -30,7 +30,7 @@ from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
 from .frames import (_unit_prior, build_frame, estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
                      probe)
 from .greedy import GreedyConfig, GreedyState, descend
-from .trace import RunTrace, run_loop
+from .trace import RunTrace, StepRow, run_loop
 
 B_UB = 0.6          # pars_impl: upper clip on the estimated prior quality D̂
 AVG_WINDOW_K = 10   # pars_impl: gradient-norm estimates in the running average
@@ -108,63 +108,55 @@ class ArsConfig(GreedyConfig):
 
 @dataclass(kw_only=True)
 class ArsState(GreedyState):
-    """``GreedyState`` plus the momentum point, gamma and each variant's
-    bookkeeping for traces and tests."""
+    """``GreedyState`` plus the momentum point and gamma, History-PARS's next
+    theta, PARS-Impl's norm window and the f(y) a restart compares against."""
     m: Array
     gamma: float
     theta_prev: float = 0.0
     norm_sq_history: List[float] = field(default_factory=list)
     last_f_y: Optional[float] = None
-    last_Dhat: float = float("nan")
-    guess_passes: List[int] = field(default_factory=list)  # pars_est, one entry per step
-    restarts: int = 0
 
 
 def maybe_restart(state: ArsState, f_y_current: float, config: ArsConfig) -> bool:
     """Adaptive restart: reset momentum when f(y_t) increased over f(y_{t-1})."""
-    restarted = False
-    if state.last_f_y is not None and f_y_current > state.last_f_y:
+    restarted = state.last_f_y is not None and f_y_current > state.last_f_y
+    if restarted:
         state.m = state.x.copy()
         state.gamma = config.gamma0
-        state.restarts += 1
-        restarted = True
     state.last_f_y = f_y_current
     return restarted
 
 
 def _descend(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-             theta: float, prior: Optional[Array]):
+             theta: float, prior: Optional[Array], f: Optional[float] = None,
+             guess_passes: Optional[int] = None) -> tuple:
     """The step every variant takes once it has chosen theta: mix y, take the
     greedy descent step from y (see ``greedy.descend``), move m along g2,
-    then test for a restart. Returns the probes for the variant's own
-    bookkeeping."""
+    then test for a restart. Returns the probes, for the variant's own
+    bookkeeping, and the step's ``StepRow`` with the variant's ``f`` and
+    ``guess_passes``."""
     d = oracle.objective.dim
     alpha, beta, gamma_next = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
     y = (1.0 - beta) * state.x + beta * state.m
-    probes, g1 = descend(state, oracle, config, rng, y, prior)
-    if config.algo in ("ars", "pars_naive"):
-        g2 = (d / config.q) * g1
-    else:
-        g2 = g2_unbiased(probes)
-    state.last_theta = theta
+    probes, g1, c_t, d_t = descend(state, oracle, config, rng, y, prior)
+    g2 = (d / config.q) * g1 if config.algo in ("ars", "pars_naive") else g2_unbiased(probes)
     lam = config.tau_hat * alpha / gamma_next
     coef = theta / alpha if alpha > 0.0 else 0.0  # theta=0 limit
     state.m = (1.0 - lam) * state.m + lam * y - coef * g2
     state.gamma = gamma_next
-    if config.restart:
-        maybe_restart(state, oracle.function_value(y), config)
-    return probes
+    restarted = config.restart and maybe_restart(state, oracle.function_value(y), config)
+    return probes, StepRow(f, c_t, d_t, theta, restarted, guess_passes)
 
 
 def _step_ars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-              prior: Optional[Array] = None):
+              prior: Optional[Array] = None) -> StepRow:
     d = oracle.objective.dim
     theta = config.q ** 2 / (config.L_hat * d * d)
-    _descend(state, oracle, config, rng, theta, prior)
+    return _descend(state, oracle, config, rng, theta, prior)[1]
 
 
 def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-                    prior: Array):
+                    prior: Array) -> StepRow:
     d = oracle.objective.dim
     p = _unit_prior(prior)
     hist = state.norm_sq_history
@@ -178,23 +170,23 @@ def _step_pars_impl(state: ArsState, oracle: OracleHandle, config: ArsConfig, rn
 
     # fixed-point pass 1: evaluate the prior derivative at y^(0) = x_t
     d0 = float(oracle.directional_derivatives(state.x, p[None, :])[0])
-    state.last_f = oracle.last_base_f
+    f = oracle.last_base_f
     theta = theta_from_D(clipped_dhat(d0), config.q, d, config.L_hat)
     # fixed-point pass 2: re-evaluate at the y this theta induces
     _, beta, _ = alpha_beta_gamma(theta, state.gamma, config.tau_hat)
     y1 = (1.0 - beta) * state.x + beta * state.m
     d1 = float(oracle.directional_derivatives(y1, p[None, :])[0])
-    state.last_Dhat = clipped_dhat(d1)
-    theta = theta_from_D(state.last_Dhat, config.q, d, config.L_hat)
+    theta = theta_from_D(clipped_dhat(d1), config.q, d, config.L_hat)
 
-    probes = _descend(state, oracle, config, rng, theta, p)
+    probes, row = _descend(state, oracle, config, rng, theta, p, f)
     state.norm_sq_history.append(estimate_grad_norm_sq(probes))
     if len(state.norm_sq_history) > AVG_WINDOW_K:
         state.norm_sq_history.pop(0)
+    return row
 
 
 def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-                   prior: Array):
+                   prior: Array) -> StepRow:
     d = oracle.objective.dim
     p = _unit_prior(prior)
     pass_cost = config.q + 1
@@ -205,7 +197,7 @@ def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng
         return theta_from_D(estimate_Dt(probes, conservative=True), config.q, d, config.L_hat)
 
     theta_bound = conservative_theta_at(state.x)  # theta=0 implies y = x_t
-    state.last_f = oracle.last_base_f
+    f = oracle.last_base_f
     theta = None
     passes = 0
     for _ in range(MAX_GUESS):
@@ -221,17 +213,17 @@ def _step_pars_est(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng
             break
     if theta is None:
         theta = theta_floor(config.q, d, config.L_hat)
-    state.guess_passes.append(passes)
     # a fresh frame for the estimates
-    _descend(state, oracle, config, rng, theta, p)
+    return _descend(state, oracle, config, rng, theta, p, f, passes)[1]
 
 
 def _step_history_pars(state: ArsState, oracle: OracleHandle, config: ArsConfig, rng: RngHandle,
-                       prior: Array):
+                       prior: Array) -> StepRow:
     d = oracle.objective.dim
-    probes = _descend(state, oracle, config, rng, state.theta_prev, prior)
+    probes, row = _descend(state, oracle, config, rng, state.theta_prev, prior)
     # theta for the *next* iteration, from this iteration's probes
     state.theta_prev = theta_from_D(estimate_Dt(probes), config.q, d, config.L_hat)
+    return row
 
 
 _STEPPERS: dict[str, Callable] = {
@@ -246,14 +238,9 @@ _STEPPERS: dict[str, Callable] = {
 def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
             prior_feed: Optional[Callable[[Array], Array]] = None) -> RunTrace:
     """Run the configured ARS variant until the dd-query budget is exhausted."""
-    def new_state(x0: Array) -> ArsState:
-        state = ArsState(x=x0, m=x0.copy(), gamma=config.gamma0)
-        if config.algo == "history_pars":  # its first step runs at the floor
-            state.theta_prev = theta_floor(config.q, x0.size, config.L_hat)
-        return state
-
-    trace, state = run_loop(objective, config, seed, new_state, _STEPPERS[config.algo],
-                            prior_feed)
-    trace.restarts = state.restarts
-    trace.guess_passes = state.guess_passes
-    return trace
+    # only History-PARS reads theta_prev: its first step runs at the floor
+    theta0 = (theta_floor(config.q, objective.dim, config.L_hat)
+              if config.algo == "history_pars" else 0.0)
+    return run_loop(objective, config, seed,
+                    lambda x0: ArsState(x=x0, m=x0.copy(), gamma=config.gamma0, theta_prev=theta0),
+                    _STEPPERS[config.algo], prior_feed)

@@ -15,7 +15,7 @@ from typing import Callable, ClassVar, Optional
 from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l2_norm,
                    require_finite_positive)
 from .frames import ProbeSet, build_frame, cos_sq, probe, subspace_estimate
-from .trace import RunOptions, RunTrace, run_loop
+from .trace import RunOptions, RunTrace, StepRow, run_loop
 
 
 @dataclass
@@ -53,42 +53,39 @@ class GreedyState:
     x: Array
     prior: Optional[Array] = None
     iteration: int = 0
-    last_f: Optional[float] = None    # f at the last step's start, if its probes paid for it
-    last_C: float = float("nan")
-    last_D: float = float("nan")
-    last_theta: float = float("nan")  # greedy has no step coefficient; logged as NaN
 
 
 def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
-            prior: Optional[Array]) -> tuple[ProbeSet, Array]:
+            prior: Optional[Array]) -> tuple[ProbeSet, Array, float, float]:
     """The descent step both families take: probe a frame around ``prior`` at
-    ``point``, record C_t/D_t when ``config.diagnostics``, set ``state.x =
-    point - g1/L̂`` and count the iteration. A historical ``config.prior_source``
-    makes g1/‖g1‖ the next ``state.prior``. Greedy descends from x_t, the ARS
-    family from y_t. Returns the probes and g1."""
+    ``point``, set ``state.x = point - g1/L̂`` and count the iteration. A
+    historical ``config.prior_source`` makes g1/‖g1‖ the next
+    ``state.prior``. Greedy descends from x_t, the ARS family from y_t.
+    Returns the probes, g1, and C_t and D_t (NaN unless
+    ``config.diagnostics``)."""
     frame = build_frame(rng, oracle.objective.dim, config.q, prior=prior)
     probes = probe(oracle, point, frame)
     g1 = subspace_estimate(probes)
+    c_t = d_t = float("nan")
     if config.diagnostics:
         grad = oracle.last_grad if oracle.last_grad is not None else oracle.gradient_at(point)
-        state.last_C = cos_sq(grad, g1)
-        state.last_D = cos_sq(grad, frame.prior) if frame.prior is not None else float("nan")
+        c_t = cos_sq(grad, g1)
+        d_t = cos_sq(grad, frame.prior) if frame.prior is not None else d_t
     state.x = point - g1 / config.L_hat
     state.iteration += 1
     if config.prior_source == "historical":
         n = l2_norm(g1)
         if n > 0.0:  # zero estimate: keep the old prior
             state.prior = g1 / n
-    return probes, g1
+    return probes, g1, c_t, d_t
 
 
 def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
-                rng: RngHandle, prior: Optional[Array] = None) -> GreedyState:
+                rng: RngHandle, prior: Optional[Array] = None) -> StepRow:
     """One frame probe around ``prior`` and descent update from x_t; mutates
-    and returns ``state``."""
-    descend(state, oracle, config, rng, state.x, prior)
-    state.last_f = oracle.last_base_f
-    return state
+    ``state`` and returns row t's ``StepRow``."""
+    _, _, c_t, d_t = descend(state, oracle, config, rng, state.x, prior)
+    return StepRow(oracle.last_base_f, c_t, d_t)
 
 
 def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
@@ -98,5 +95,4 @@ def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
     Row t's f-value reuses the base evaluation made by the step's own finite
     differences; only the first and last rows need uncharged diagnostic reads.
     """
-    trace, _ = run_loop(objective, config, seed, GreedyState, greedy_step, prior_feed)
-    return trace
+    return run_loop(objective, config, seed, GreedyState, greedy_step, prior_feed)

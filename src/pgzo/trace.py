@@ -6,7 +6,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -143,6 +143,16 @@ class RunTrace:
             self.reached_queries = dd_queries
 
 
+class StepRow(NamedTuple):
+    """What one step from x_t reports for row t."""
+    f: Optional[float]            # f(x_t) if the step's own queries paid for it, else None
+    C: float = math.nan           # C_t and D_t, NaN without diagnostics
+    D: float = math.nan
+    theta: float = math.nan       # the step coefficient it ran with; NaN for greedy
+    restarted: bool = False
+    guess_passes: Optional[int] = None  # pars_est's guess passes
+
+
 @dataclass(kw_only=True)
 class RunOptions:
     """The options ``run_loop`` reads, each declared once with the one default
@@ -166,27 +176,25 @@ class RunOptions:
 
 
 def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
-             step: Callable, prior_feed: Optional[Callable[[Array], Array]]
-             ) -> tuple[RunTrace, object]:
+             step: Callable, prior_feed: Optional[Callable[[Array], Array]]) -> RunTrace:
     """Step from x0 while another iteration of ``config.queries_per_iteration``
     queries fits ``config.budget``.
 
     ``config`` (a ``GreedyConfig`` or ``ArsConfig``) holds the ``RunOptions``
     too: ``target_log10``'s first crossing is marked and, with
     ``stop_on_target``, ends the run. ``new_state(x0)`` builds the optimizer
-    state. Each iteration calls ``step(state, oracle, config, rng, prior)``
-    with the prior ``config.prior_source`` names: None ("none"),
-    ``prior_feed(x_t)`` ("external") or ``state.prior`` ("historical", first
-    drawn uniformly on the sphere; ``greedy.descend`` keeps it). The state
-    carries ``x``, ``iteration`` and the step's ``last_C``/``last_D`` (set
-    only with ``config.diagnostics``, which needs the objective's true
-    gradient) and ``last_theta``; ``last_f`` is f(x_t) when the step's
-    own queries paid for it, else None and f(x_t) is read uncharged, only for
-    a logged row or a target. Returns the trace and the final state. A run
-    whose block (queries per iteration times d) reaches
-    ``READ_AHEAD_MIN_BLOCK`` draws its normals through a NormalStream, closed
-    before it returns or raises. An ``OracleFailureError`` is raised again
-    with the algorithm, the iteration and the dd-queries spent in its message.
+    state, which carries ``x`` and ``iteration``. Each iteration calls
+    ``step(state, oracle, config, rng, prior)`` with the prior
+    ``config.prior_source`` names: None ("none"), ``prior_feed(x_t)``
+    ("external") or ``state.prior`` ("historical", first drawn uniformly on
+    the sphere; ``greedy.descend`` keeps it) and logs the ``StepRow`` it
+    returns as row t, reading f(x_t) uncharged where ``f`` is None, only for
+    a logged row or a target. Every record, thinned away or not, counts in
+    ``RunTrace.restarts`` and ``guess_passes``. A run whose block (queries
+    per iteration times d) reaches ``READ_AHEAD_MIN_BLOCK`` draws its normals
+    through a NormalStream, closed before it returns or raises. An
+    ``OracleFailureError`` is raised again with the algorithm, the iteration
+    and the dd-queries spent in its message.
     """
     cost, budget = config.queries_per_iteration, config.budget
     if budget < cost:
@@ -219,16 +227,16 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
             x_here = state.x
             dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
             prior = prior_feed(x_here) if external else state.prior
-            step(state, oracle, config, rng, prior)
+            row = step(state, oracle, config, rng, prior)
+            trace.restarts += row.restarted
+            if row.guess_passes is not None:
+                trace.guess_passes.append(row.guess_passes)
             t = state.iteration - 1  # index of the iterate the step started from
             if t % config.log_every and target_log10 is None:
                 continue  # row t is dropped and no target reads f(x_t)
-            f_here = state.last_f
-            if f_here is None:
-                f_here = oracle.peek_function_value(x_here)
+            f_here = row.f if row.f is not None else oracle.peek_function_value(x_here)
             if t % config.log_every == 0:
-                trace.append(t, dd_before, fn_before, f_here,
-                             state.last_C, state.last_D, state.last_theta)
+                trace.append(t, dd_before, fn_before, f_here, row.C, row.D, row.theta)
             if target_log10 is not None:
                 trace.mark_reached(target_log10, f_here, dd_before)
         f_final = oracle.peek_function_value(state.x)
@@ -241,4 +249,4 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
     trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
     if target_log10 is not None:
         trace.mark_reached(target_log10, f_final, oracle.dd_queries)
-    return trace, state
+    return trace

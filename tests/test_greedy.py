@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,18 @@ def test_step_full_alignment_reaches_optimum():
     greedy_step(state, oracle, cfg, RngHandle(0), prior=np.array([0.0, 1.0]))
     # frame = {e2 prior, +-e1}: spans R^2, so g1 = grad and the step is exact
     np.testing.assert_allclose(state.x, [0.0, 0.0], atol=1e-12)
+
+
+def test_step_returns_the_row_of_its_start():
+    obj = half_norm_sq(4)
+    oracle = OracleHandle(obj, mu=1e-6)
+    cfg = GreedyConfig(L_hat=1.0, q=2, budget=10, diagnostics=True)
+    x0 = np.array([1.0, -2.0, 0.5, 3.0])
+    row = greedy_step(GreedyState(x=x0), oracle, cfg, RngHandle(0))
+    # f(x_t) from the fd base query; C_t from the true gradient; no prior, no theta
+    assert row.f == obj.eval(x0)
+    assert 0.0 < row.C <= 1.0 and math.isnan(row.D) and math.isnan(row.theta)
+    assert row.restarted is False and row.guess_passes is None
 
 
 def test_step_diagonal_direction_drop():
