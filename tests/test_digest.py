@@ -20,9 +20,17 @@ DIGESTS = {
 }
 
 
+# parts listed on stderr: 39 preset CSVs; extended adds the pars_est CSV,
+# 8 algorithms x 2 functions x 2 oracles x 2 seeds and the Monte-Carlo results
+PARTS = {"default": 39, "extended": 39 + 1 + 64 + 1}
+
+
 @pytest.mark.parametrize("kind", ["default", "extended"])
-def test_preset_digest_is_pinned(kind):
+def test_preset_digest_is_pinned(kind, capsys):
     spec = importlib.util.spec_from_file_location("preset_digest", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     assert tool.preset_digest(extended=kind == "extended") == DIGESTS[kind]
+    parts = [line.split(" ", 1) for line in capsys.readouterr().err.splitlines()]
+    assert len(parts) == len({name for _, name in parts}) == PARTS[kind]
+    assert all(len(sha) == 64 and int(sha, 16) >= 0 for sha, _ in parts)

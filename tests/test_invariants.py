@@ -194,7 +194,7 @@ def test_run_driver_contract(monkeypatch, algo, mode):
 
     fn = bench_function("f2", 20)
     cfg = RunConfig(function="f2", dim=20, algo=algo, q=4, budget=600, lhat_scale=1.0,
-                    oracle_mode=mode, diagnostics=True)
+                    oracle_mode=mode, diagnostics=True, restart=algo in ARS_ALGOS)
     full = run_single(cfg, 5)
     iterations = full.rows[-1][0]
     assert iterations == len(full.rows) - 1 > 6
@@ -206,6 +206,8 @@ def test_run_driver_contract(monkeypatch, algo, mode):
     # repr: exact for floats, and NaN diagnostics compare equal
     kept = [r for r in full.rows[:-1] if r[0] % 3 == 0] + [full.rows[-1]]
     assert repr(thinned.rows) == repr(kept)
+    # every step counts, logged or thinned away
+    assert (thinned.restarts, thinned.guess_passes) == (full.restarts, full.guess_passes)
 
     # stop at the first row whose error reaches that of a row midway through
     target = full.rows[iterations // 2][4]

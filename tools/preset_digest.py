@@ -8,7 +8,9 @@ Runs ``fig1_f1``, ``fig1_f2``, ``fig1_f3``, ``fig2_f1``, ``fig2_f2`` and
 reduced query budget, writes their CSVs to a temporary directory and prints
 one SHA-256 over every CSV's file name and bytes, in file-name order. A
 change that keeps every trace bit-identical prints the same digest as its
-parent.
+parent. To stderr it prints one SHA-256 per hashed part, so a moved digest
+says what moved: each CSV by file name and, with ``--extended``, each matrix
+run by ``(algo, function, mode, seed)`` and the Monte-Carlo results.
 
 No preset runs ``pars_est``, and the CSVs hold neither the target crossing
 nor the ARS restart and guess-pass counts. ``--extended`` adds one small
@@ -46,6 +48,12 @@ MATRIX_PRIORS = {"rgf": "none", "prgf": "biased", "history_prgf": "historical",
 MC_SAMPLES = 1000
 
 
+def hash_part(digest, name: str, data: bytes) -> None:
+    """Feed ``data`` to ``digest`` and print its own SHA-256 under ``name`` to stderr."""
+    digest.update(data)
+    print(hashlib.sha256(data).hexdigest(), name, file=sys.stderr)
+
+
 def hash_matrix(digest) -> None:
     from pgzo.bench import ARS_ALGOS, RunConfig, run_single
 
@@ -58,9 +66,10 @@ def hash_matrix(digest) -> None:
                                 stop_on_target=True, restart=algo in ARS_ALGOS)
                 for seed in SEEDS:
                     tr = run_single(cfg, seed)
+                    run = (algo, function, mode, seed)
                     # repr round-trips every float exactly
-                    digest.update(repr((algo, function, mode, seed, tr.rows, tr.reached_queries,
-                                        tr.restarts, tr.guess_passes)).encode())
+                    hash_part(digest, repr(run), repr((*run, tr.rows, tr.reached_queries,
+                                                       tr.restarts, tr.guess_passes)).encode())
 
 
 def hash_monte_carlo(digest) -> None:
@@ -75,7 +84,7 @@ def hash_monte_carlo(digest) -> None:
                dg.mc_g2_moments(6, 2, 0.5, n, RngHandle(0), variance_reduced=True),
                dg.subspace_optimality_margin(3, 2, 100, RngHandle(0)),
                dg.check_lemma36(20, 4, 10.0, 100, seed=0))
-    digest.update(repr(results).encode())
+    hash_part(digest, "monte_carlo", repr(results).encode())
 
 
 def preset_digest(extended: bool = False) -> str:
@@ -90,7 +99,7 @@ def preset_digest(extended: bool = False) -> str:
             run_from_settings(dict(settings, budget=BUDGET, seeds=SEEDS,
                                    out=str(Path(tmp) / name)))
         for csv in sorted(Path(tmp).glob("*.csv")):
-            digest.update(csv.name.encode() + b"\0" + csv.read_bytes())
+            hash_part(digest, csv.name, csv.name.encode() + b"\0" + csv.read_bytes())
     if extended:
         hash_matrix(digest)
         hash_monte_carlo(digest)
