@@ -14,7 +14,7 @@ from .core import (ConfigError, InvalidPriorError, ObjectiveSpec, OracleFailureE
 from .frames import (OrthonormalFrame, ProbeSet, build_frame, estimate_Dt,
                      estimate_grad_norm_sq, g2_unbiased, g2_variance_reduced,
                      probe, subspace_estimate)
-from .greedy import GreedyConfig, GreedyState, greedy_step, run_greedy
+from .greedy import GreedyConfig, GreedyState, greedy_step, run_greedy, run_greedy_lockstep
 from .testfns import BenchFunction, BiasedPriorGen, bench_function, biased_prior_feed
 from .trace import RunTrace
 
@@ -28,6 +28,6 @@ __all__ = [
     "bench_function", "biased_prior_feed", "build_frame",
     "directional_derivative", "estimate_Dt", "estimate_grad_norm_sq",
     "g2_unbiased", "g2_variance_reduced", "greedy_step", "maybe_restart",
-    "probe", "run_ars", "run_greedy", "sample_unit_sphere",
+    "probe", "run_ars", "run_greedy", "run_greedy_lockstep", "sample_unit_sphere",
     "subspace_estimate", "theta_floor", "theta_from_D",
 ]

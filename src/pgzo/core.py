@@ -337,30 +337,34 @@ class OracleHandle:
         """
         n = directions.shape[0]
         if self.mode == "exact":
-            g = self.gradient_at(x)
-            vals = directions @ g
-            self.last_base_f = None
-            self.last_grad = g
+            return directions @ self.exact_gradient(x, n)
+        base = self.function_value(x)
+        self.last_base_f = base
+        self.last_grad = None
+        pts = self.mu * directions
+        pts += x
+        if self.objective.eval_batch is not None:
+            fv = np.asarray(self.objective.eval_batch(pts), dtype=float)
+            if fv.shape != (n,):
+                raise ConfigError(f"eval_batch returned shape {fv.shape} for {n} points, "
+                                  f"expected ({n},)")
         else:
-            base = self.function_value(x)
-            self.last_base_f = base
-            self.last_grad = None
-            pts = self.mu * directions
-            pts += x
-            if self.objective.eval_batch is not None:
-                fv = np.asarray(self.objective.eval_batch(pts), dtype=float)
-                if fv.shape != (n,):
-                    raise ConfigError(f"eval_batch returned shape {fv.shape} for {n} points, "
-                                      f"expected ({n},)")
-            else:
-                fv = np.array([self.objective.eval(p) for p in pts], dtype=float)
-            self.fn_evals += n
-            if not np.isfinite(fv).all():
-                bad = pts[int(np.argmax(~np.isfinite(fv)))]
-                raise OracleFailureError("objective returned non-finite value", bad)
-            vals = (fv - base) / self.mu
+            fv = np.array([self.objective.eval(p) for p in pts], dtype=float)
+        self.fn_evals += n
+        if not np.isfinite(fv).all():
+            bad = pts[int(np.argmax(~np.isfinite(fv)))]
+            raise OracleFailureError("objective returned non-finite value", bad)
         self.dd_queries += n
-        return vals
+        return (fv - base) / self.mu
+
+    def exact_gradient(self, x: Array, n: int) -> Array:
+        """The true gradient at x, charged as the n exact-mode queries it
+        answers: a query's value is its direction's product with it."""
+        g = self.gradient_at(x)
+        self.last_base_f = None
+        self.last_grad = g
+        self.dd_queries += n
+        return g
 
 
 def directional_derivative(oracle: OracleHandle, x: Array, v: Array) -> float:

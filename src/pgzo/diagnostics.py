@@ -15,7 +15,7 @@ from .ars import ArsConfig, alpha_beta_gamma, run_ars
 from .core import Array, ConfigError, RngHandle, sample_unit_sphere
 from .frames import (OrthonormalFrame, ProbeSet, _dot, build_frame, build_frames, cos_sq,
                      g2_unbiased, g2_variance_reduced, subspace_estimate)
-from .greedy import GreedyConfig, run_greedy
+from .greedy import GreedyConfig, run_greedy, run_greedy_lockstep
 from .testfns import bench_function
 
 
@@ -213,11 +213,8 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
     T_max = max(T_values)
     cfg = GreedyConfig(L_hat=L_hat, q=q, algo="history_prgf" if historical else "rgf",
                        budget=T_max * (q + 1 if historical else q), oracle_mode="exact")
-    deltas = {T: [] for T in T_values}
-    for seed in seeds:
-        trace = run_greedy(obj, cfg, seed)
-        for T in T_values:
-            deltas[T].append(_delta_at(trace, T, fn.f_star))
+    traces = run_greedy_lockstep(obj, cfg, seeds)
+    deltas = {T: [_delta_at(trace, T, fn.f_star) for trace in traces] for T in T_values}
     delta0 = fn.eval(fn.x0) - fn.f_star
     R = float(d)  # farthest sublevel point puts all mass on the flattest axis
     checks: List[BoundCheck] = []

@@ -57,33 +57,50 @@ class ProbeSet:
 
 
 def _unit_prior(prior: Array) -> Array:
-    """``prior`` scaled to unit norm; InvalidPriorError unless its norm is
-    finite and at least RESIDUAL_EPS (a NaN norm fails the comparison)."""
+    """``prior`` scaled to unit norm, or each row of an (n, d) stack of
+    priors; InvalidPriorError unless every norm is finite and at least
+    RESIDUAL_EPS (a NaN norm fails the comparison)."""
     prior = np.asarray(prior, dtype=float)
-    pn = l2_norm(prior)
-    if not pn >= RESIDUAL_EPS or not math.isfinite(pn):
-        raise InvalidPriorError(f"prior must have a finite norm >= {RESIDUAL_EPS}, got {pn}")
+    if prior.ndim == 1:
+        pn = worst = l2_norm(prior)
+    else:  # per row the same ddot and correctly rounded sqrt as l2_norm
+        pn = np.sqrt(_dot(prior, prior))[:, None]
+        ok = (pn >= RESIDUAL_EPS) & (pn < math.inf)
+        worst = RESIDUAL_EPS if ok.all() else float(pn[~ok][0])
+    if not worst >= RESIDUAL_EPS or not math.isfinite(worst):
+        raise InvalidPriorError(f"prior must have a finite norm >= {RESIDUAL_EPS}, got {worst}")
     return prior / pn
 
 
-def build_frames(rng: RngHandle, d: int, q: int, n: Optional[int],
+def build_frames(rng, d: int, q: int, n: Optional[int],
                  prior: Optional[Array] = None) -> OrthonormalFrame:
     """n frames as one stack of (n, k, d) rows, or one frame of (k, d) rows
     when n is None: q directions sampled uniformly and orthonormalized (and
-    the prior, shared by every frame).
+    the prior).
+
+    ``rng`` is one ``RngHandle``, which draws the n frames in turn, or a
+    sequence of n handles, one per frame (the seeds of a lockstep run).
+    ``prior`` is one (d,) prior for every frame or, with one handle per
+    frame, an (n, d) stack of them, one per frame.
 
     The prior is only normalized, never rotated; the random directions are
     made orthogonal to it and to each other. Gaussian draws are used directly
     since projection + normalization is direction-invariant under scaling.
-    The stream is consumed as n ``build_frame`` calls would consume it, and
-    every frame is bit for bit the one that call would build: one (m, q, d)
-    draw holds the next m blocks, a rejected block passes its frame on to
-    the next block, and the frames still missing are drawn afterwards.
+    Every frame is bit for bit the one ``build_frame`` would build from its
+    handle, which is consumed as that call would consume it. One handle:
+    one (m, q, d) draw holds its next m blocks, a rejected block passes its
+    frame on to the next block, and the frames still missing are drawn
+    afterwards. One handle per frame: each pass draws one block from the
+    handle of every frame still missing, so a rejected frame redraws from its
+    own handle.
     """
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
     if n is not None and n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
+    per_frame = not isinstance(rng, RngHandle)
+    if per_frame and len(rng) != n:
+        raise ConfigError(f"{len(rng)} random handles for {n} frames")
     p = None
     if prior is not None:
         p = _unit_prior(prior)
@@ -101,11 +118,17 @@ def build_frames(rng: RngHandle, d: int, q: int, n: Optional[int],
     # call instead of q passes. The Cholesky diagonal equals the per-direction
     # Gram-Schmidt residual norms; a draw anywhere near degeneracy (where
     # CholQR's conditioning degrades) is discarded and the whole block redrawn.
-    done = rejects = 0
-    while done < len(rows):
-        raw = rng.normal((len(rows) - done, q, d))
+    missing = range(len(rows))  # the frames still to build, a list once a stack rejects
+    passes = rejects = 0
+    while missing:
+        passes += 1
+        if per_frame:
+            raw = np.concatenate([rng[i].normal((1, q, d)) for i in missing])
+        else:
+            raw = rng.normal((len(missing), q, d))
         if p is not None:
-            raw -= (raw @ p)[:, :, None] * p
+            pm = p if p.ndim == 1 else p[missing]
+            raw -= (raw @ pm[..., None]) * pm[..., None, :]
         # A Gram block is symmetric, so its transpose is the same matrix, and
         # Fortran-ordered: dpotrf and dtrtri overwrite it in place, leaving
         # L^-1 in the layout dtrtri returns it in. The flags go in by
@@ -122,13 +145,21 @@ def build_frames(rng: RngHandle, d: int, q: int, n: Optional[int],
                     good.append(i)
                     rejects = 0
                     continue
-            rejects += 1
+            # rejects in a row: of one handle's blocks, or of this frame's own
+            rejects = passes if per_frame else rejects + 1
             if rejects == 64:
                 raise ConfigError("could not build an orthonormal frame (d too small?)")
+        # with one handle per frame, a rejected frame stays and redraws from
+        # its own handle, so the frames built need not be the first missing
+        scattered = per_frame and (len(good) < len(raw) or not isinstance(missing, range))
         if len(good) < len(raw):
             raw, inv_l = raw[good], gram[good].transpose(0, 2, 1)
-        np.matmul(inv_l, raw, out=dirs[done:done + len(good)])
-        done += len(good)
+        if scattered:
+            dirs[[missing[i] for i in good]] = inv_l @ raw
+            missing = [missing[i] for i in range(len(missing)) if i not in good]
+        else:
+            np.matmul(inv_l, raw, out=dirs[missing[0]:missing[0] + len(good)])
+            missing = missing[len(good):]
     return OrthonormalFrame(rows if n is not None else rows[0], p is not None)
 
 
@@ -137,14 +168,29 @@ def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -
     return build_frames(rng, d, q, None, prior)
 
 
-def probe(oracle: OracleHandle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
-    """One directional-derivative query per frame vector (prior included)."""
-    if frame.dim != oracle.objective.dim:
-        raise ConfigError(f"frame dim {frame.dim} != oracle dim {oracle.objective.dim}")
-    vals = oracle.directional_derivatives(x, frame.stacked())
+def probe(oracle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
+    """One directional-derivative query per frame vector (prior included).
+    For a stack of frames, ``oracle`` and ``x`` hold one ``OracleHandle``
+    and one point per frame, and each oracle is charged for its own frame.
+    An exact oracle's products are then taken for the whole stack at once,
+    each frame's bit for bit as its own oracle takes them."""
+    rows = frame.stacked()
+    first = oracle if rows.ndim == 2 else oracle[0]
+    if frame.dim != first.objective.dim:
+        raise ConfigError(f"frame dim {frame.dim} != oracle dim {first.objective.dim}")
+    if first is oracle:
+        vals = oracle.directional_derivatives(x, rows)
+        if frame.prior is None:
+            return ProbeSet(frame, None, vals)
+        return ProbeSet(frame, float(vals[0]), vals[1:])
+    if first.mode == "exact":
+        grads = np.array([o.exact_gradient(xi, len(r)) for o, xi, r in zip(oracle, x, rows)])
+        vals = (rows @ grads[:, :, None])[..., 0]
+    else:
+        vals = np.array([o.directional_derivatives(xi, r) for o, xi, r in zip(oracle, x, rows)])
     if frame.prior is None:
         return ProbeSet(frame, None, vals)
-    return ProbeSet(frame, float(vals[0]), vals[1:])
+    return ProbeSet(frame, vals[:, :1], vals[:, 1:])
 
 
 def _dot(a: Array, b: Array) -> Array:

@@ -9,12 +9,16 @@ loop (``trace.run_loop``) hands each step its prior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Optional, Sequence
 
-from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, l2_norm,
+import numpy as np
+
+from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, l2_norm,
                    require_finite_positive)
-from .frames import ProbeSet, build_frame, cos_sq, probe, subspace_estimate
+from .frames import (ProbeSet, _dot, build_frame, build_frames, cos_sq, probe,
+                     subspace_estimate)
 from .trace import RunOptions, RunTrace, StepRow, run_loop
 
 
@@ -29,6 +33,7 @@ class GreedyConfig(RunOptions):
 
     # the family's algorithms by the prior they probe with
     ALGOS: ClassVar[dict] = {"rgf": "none", "prgf": "external", "history_prgf": "historical"}
+    LOCKSTEP: ClassVar[bool] = True  # the steps run a stack of seeds (see trace.run_loop)
 
     def __post_init__(self):
         if self.algo not in self.ALGOS:
@@ -50,42 +55,71 @@ class GreedyConfig(RunOptions):
 
 @dataclass
 class GreedyState:
+    """x (d,) and the historical prior, or (n, d) for a stack of n seeds."""
     x: Array
     prior: Optional[Array] = None
     iteration: int = 0
 
 
-def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
+def _adopt_prior(g1: Array, prior: Array) -> Array:
+    """g1/‖g1‖ where 0 < ‖g1‖ < inf, else the old prior; row by row for a
+    stack. A zero estimate has no direction, and one that overflowed would
+    make a zero prior."""
+    if g1.ndim == 1:
+        n = l2_norm(g1)
+        return g1 / n if 0.0 < n < math.inf else prior
+    n = np.sqrt(_dot(g1, g1))[:, None]  # per row the ddot and sqrt of l2_norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((0.0 < n) & (n < math.inf), g1 / n, prior)
+
+
+def _true_gradient(oracle: OracleHandle, x: Array) -> Array:
+    """The true gradient at x: the one an exact probe just answered from, or
+    an uncounted read."""
+    return oracle.last_grad if oracle.last_grad is not None else oracle.gradient_at(x)
+
+
+def descend(state, oracle, config, rng, point: Array,
             prior: Optional[Array]) -> tuple[ProbeSet, Array, float, float]:
     """The descent step both families take: probe a frame around ``prior`` at
     ``point``, set ``state.x = point - g1/L̂`` and count the iteration. A
     historical ``config.prior_source`` makes g1/‖g1‖ the next
     ``state.prior``. Greedy descends from x_t, the ARS family from y_t.
     Returns the probes, g1, and C_t and D_t (NaN unless
-    ``config.diagnostics``)."""
-    frame = build_frame(rng, oracle.objective.dim, config.q, prior=prior)
+    ``config.diagnostics``).
+
+    For a stack of n seeds, ``oracle`` and ``rng`` are lists of the seeds'
+    handles, ``point``, ``prior`` and ``state``'s arrays hold one row per
+    seed, and g1, C_t and D_t one value or row per seed."""
+    if isinstance(rng, list):
+        frame = build_frames(rng, point.shape[-1], config.q, len(rng), prior)
+    else:
+        frame = build_frame(rng, point.shape[-1], config.q, prior)
     probes = probe(oracle, point, frame)
     g1 = subspace_estimate(probes)
-    c_t = d_t = float("nan")
+    c_t = d_t = math.nan
     if config.diagnostics:
-        grad = oracle.last_grad if oracle.last_grad is not None else oracle.gradient_at(point)
+        grad = (np.array([_true_gradient(o, x) for o, x in zip(oracle, point)])
+                if isinstance(oracle, list) else _true_gradient(oracle, point))
         c_t = cos_sq(grad, g1)
         d_t = cos_sq(grad, frame.prior) if frame.prior is not None else d_t
     state.x = point - g1 / config.L_hat
     state.iteration += 1
     if config.prior_source == "historical":
-        n = l2_norm(g1)
-        if n > 0.0:  # zero estimate: keep the old prior
-            state.prior = g1 / n
+        state.prior = _adopt_prior(g1, state.prior)
     return probes, g1, c_t, d_t
 
 
-def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
-                rng: RngHandle, prior: Optional[Array] = None) -> StepRow:
+def greedy_step(state: GreedyState, oracle, config: GreedyConfig, rng, prior=None):
     """One frame probe around ``prior`` and descent update from x_t; mutates
-    ``state`` and returns row t's ``StepRow``."""
+    ``state`` and returns row t's ``StepRow``, or one per seed of a stack
+    (see ``descend``)."""
     _, _, c_t, d_t = descend(state, oracle, config, rng, state.x, prior)
-    return StepRow(oracle.last_base_f, c_t, d_t)
+    if not isinstance(oracle, list):
+        return StepRow(oracle.last_base_f, c_t, d_t)
+    n = len(oracle)
+    c_t, d_t = ([v] * n if isinstance(v, float) else v.tolist() for v in (c_t, d_t))
+    return list(map(StepRow, [o.last_base_f for o in oracle], c_t, d_t))
 
 
 def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
@@ -96,3 +130,13 @@ def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
     differences; only the first and last rows need uncharged diagnostic reads.
     """
     return run_loop(objective, config, seed, GreedyState, greedy_step, prior_feed)
+
+
+def run_greedy_lockstep(objective: ObjectiveSpec, config: GreedyConfig, seeds: Sequence[int],
+                        prior_feeds: Optional[Sequence[Callable[[Array], Array]]] = None
+                        ) -> list[RunTrace]:
+    """``run_greedy(objective, config, seed, prior_feeds[i])`` for every
+    ``seeds[i]``, run as one stack: each iteration steps every seed still
+    running at once. Returns one trace per seed, in order, each equal to the
+    one ``run_greedy`` returns (see ``trace.run_loop``)."""
+    return run_loop(objective, config, list(seeds), GreedyState, greedy_step, prior_feeds)

@@ -175,8 +175,8 @@ class RunOptions:
             raise ConfigError("stop_on_target needs a target_log10")
 
 
-def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
-             step: Callable, prior_feed: Optional[Callable[[Array], Array]]) -> RunTrace:
+def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: Callable,
+             prior_feed):
     """Step from x0 while another iteration of ``config.queries_per_iteration``
     queries fits ``config.budget``.
 
@@ -195,58 +195,123 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
     through a NormalStream, closed before it returns or raises. An
     ``OracleFailureError`` is raised again with the algorithm, the iteration
     and the dd-queries spent in its message.
+
+    ``seed`` is one seed, or a list of seeds run in lockstep as one stack
+    (only where ``config.LOCKSTEP``; otherwise a ConfigError), with
+    ``prior_feed`` a list of one feed per seed or None. Each seed keeps its
+    own ``RngHandle``, which draws directly, its own ``OracleHandle``, feed
+    and trace; ``state`` and the priors hold one row per seed still running,
+    ``step`` gets the lists of their handles and returns one ``StepRow`` per
+    seed, and a seed leaves the stack where its own run would end, with the
+    same final row. Returns the list of traces, each equal to the one its
+    seed's own run returns. A failure ends the whole stack, with the
+    message its seed's own run would give.
     """
+    stack = isinstance(seed, list)
+    seeds = seed if stack else [seed]
+    feeds = prior_feed if stack and prior_feed is not None else [prior_feed] * len(seeds)
     cost, budget = config.queries_per_iteration, config.budget
+    if stack and not config.LOCKSTEP:
+        raise ConfigError(f"{config.algo}: its steps run one seed at a time, not a stack")
+    if not seeds:
+        raise ConfigError("a stack needs at least one seed")
     if budget < cost:
         raise ConfigError(f"{config.algo}: budget {budget} is below one iteration's cost {cost}")
     if objective.x0 is None:
         raise ConfigError("the objective has no x0 to start from")
     external = config.prior_source == "external"
-    if external and prior_feed is None:
-        raise ConfigError(f"{config.algo}: an external prior requires a prior_feed callable")
+    if external and (prior_feed is None or len(feeds) != len(seeds)):
+        raise ConfigError(f"{config.algo}: an external prior requires a prior_feed callable "
+                          "per seed")
     if config.diagnostics and objective.true_gradient is None:
         raise UnsupportedDiagnosticError(f"{config.algo}: diagnostics need a true_gradient")
-    target_log10 = config.target_log10
-    oracle = OracleHandle(objective, mu=config.mu, mode=config.oracle_mode)
-    rng = RngHandle(seed)
-    if cost * objective.dim >= READ_AHEAD_MIN_BLOCK:
-        rng.stream = NormalStream(rng.gen.bit_generator)
-    try:
-        state = new_state(np.array(objective.x0, dtype=float))
-        if config.prior_source == "historical":
-            state.prior = sample_unit_sphere(rng, objective.dim)
+    target_log10, log_every = config.target_log10, config.log_every
+    oracles = [OracleHandle(objective, mu=config.mu, mode=config.oracle_mode) for _ in seeds]
+    rngs = [RngHandle(s) for s in seeds]
+    if not stack and cost * objective.dim >= READ_AHEAD_MIN_BLOCK:
+        rngs[0].stream = NormalStream(rngs[0].gen.bit_generator)
+    traces = []
+    live = list(range(len(seeds)))  # indices of the seeds still running, as stacked
 
-        f0 = oracle.peek_function_value(state.x)
-        trace = RunTrace(seed=seed, f0=f0, f_star=objective.f_star)
+    def log_row(i: int, row: StepRow, x_here: Array, dd_before: int, fn_before: int) -> None:
+        """Seed i's row t from the record of its step from x_t."""
+        trace, t = traces[i], state.iteration - 1
+        trace.restarts += row.restarted
+        if row.guess_passes is not None:
+            trace.guess_passes.append(row.guess_passes)
+        if t % log_every and target_log10 is None:
+            return  # row t is dropped and no target reads f(x_t)
+        f_here = row.f if row.f is not None else oracles[i].peek_function_value(x_here)
+        if t % log_every == 0:
+            trace.append(t, dd_before, fn_before, f_here, row.C, row.D, row.theta)
         if target_log10 is not None:
-            trace.mark_reached(target_log10, f0, 0)
+            trace.mark_reached(target_log10, f_here, dd_before)
 
-        while oracle.dd_queries + cost <= budget:
-            if config.stop_on_target and trace.reached_queries is not None:
-                break
-            x_here = state.x
-            dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
-            prior = prior_feed(x_here) if external else state.prior
-            row = step(state, oracle, config, rng, prior)
-            trace.restarts += row.restarted
-            if row.guess_passes is not None:
-                trace.guess_passes.append(row.guess_passes)
-            t = state.iteration - 1  # index of the iterate the step started from
-            if t % config.log_every and target_log10 is None:
-                continue  # row t is dropped and no target reads f(x_t)
-            f_here = row.f if row.f is not None else oracle.peek_function_value(x_here)
-            if t % config.log_every == 0:
-                trace.append(t, dd_before, fn_before, f_here, row.C, row.D, row.theta)
+    def finish(i: int, x: Array) -> None:
+        """Seed i's final row, at x."""
+        oracle, trace = oracles[i], traces[i]
+        f_final = oracle.peek_function_value(x)
+        trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
+        if target_log10 is not None:
+            trace.mark_reached(target_log10, f_final, oracle.dd_queries)
+
+    try:
+        x0 = np.array(objective.x0, dtype=float)
+        state = new_state(np.tile(x0, (len(seeds), 1)) if stack else x0)
+        if config.prior_source == "historical":
+            priors = [sample_unit_sphere(rng, objective.dim) for rng in rngs]
+            state.prior = np.array(priors) if stack else priors[0]
+        for s, oracle in zip(seeds, oracles):
+            f0 = oracle.peek_function_value(x0)
+            traces.append(RunTrace(seed=s, f0=f0, f_star=objective.f_star))
             if target_log10 is not None:
-                trace.mark_reached(target_log10, f_here, dd_before)
-        f_final = oracle.peek_function_value(state.x)
+                traces[-1].mark_reached(target_log10, f0, 0)
+
+        if not stack:
+            oracle, rng, trace, feed = oracles[0], rngs[0], traces[0], feeds[0]
+            while oracle.dd_queries + cost <= budget:
+                if config.stop_on_target and trace.reached_queries is not None:
+                    break
+                x_here = state.x
+                dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
+                prior = feed(x_here) if external else state.prior
+                log_row(0, step(state, oracle, config, rng, prior), x_here, dd_before, fn_before)
+            finish(0, state.x)
+        while stack:
+            # a seed whose own run would stop here leaves the stack; the seeds
+            # of a greedy stack spend alike, so their budgets end together
+            if oracles[live[0]].dd_queries + cost > budget:
+                ending = live
+            elif config.stop_on_target:
+                ending = [i for i in live if traces[i].reached_queries is not None]
+            else:
+                ending = ()
+            if ending:
+                for i, x in zip(live, state.x):
+                    if i in ending:
+                        finish(i, x)
+                stay = [j for j, i in enumerate(live) if i not in ending]
+                if not stay:
+                    break
+                live = [live[j] for j in stay]
+                state.x = state.x[stay]
+                if state.prior is not None:
+                    state.prior = state.prior[stay]
+            points = state.x
+            before = [(oracles[i].dd_queries, oracles[i].fn_evals) for i in live]
+            prior = (np.array([feeds[i](x) for i, x in zip(live, points)]) if external
+                     else state.prior)
+            rows = step(state, [oracles[i] for i in live], config, [rngs[i] for i in live],
+                        prior)
+            for i, row, x_here, (dd_before, fn_before) in zip(live, rows, points, before):
+                log_row(i, row, x_here, dd_before, fn_before)
     except OracleFailureError as exc:
+        # the seeds of a greedy stack have spent alike when a step starts; the
+        # one that failed was not charged for the call that failed
+        spent = min(oracles[i].dd_queries for i in live)
         raise OracleFailureError(f"{config.algo} at iteration {state.iteration} after "
-                                 f"{oracle.dd_queries} dd-queries: {exc}", exc.point) from exc
+                                 f"{spent} dd-queries: {exc}", exc.point) from exc
     finally:
-        if rng.stream is not None:
-            rng.stream.close()
-    trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
-    if target_log10 is not None:
-        trace.mark_reached(target_log10, f_final, oracle.dd_queries)
-    return trace
+        if rngs[0].stream is not None:
+            rngs[0].stream.close()
+    return traces if stack else traces[0]

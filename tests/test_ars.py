@@ -7,7 +7,8 @@ import pytest
 from pgzo import ars
 from pgzo.ars import (ArsConfig, ArsState, alpha_beta_gamma, maybe_restart, run_ars,
                       theta_floor, theta_from_D)
-from pgzo.core import ConfigError, InvalidPriorError, ObjectiveSpec, OracleHandle, RngHandle
+from pgzo.core import (ConfigError, InvalidPriorError, ObjectiveSpec, OracleFailureError,
+                       OracleHandle, RngHandle)
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function, biased_prior_feed
 
@@ -408,3 +409,15 @@ def test_config_validation():
             (ArsConfig, dict(stop_on_target=True), "stop_on_target")]:
         with pytest.raises(ConfigError, match=match):
             family(**{"L_hat": 1.0, "q": 5, "budget": 100, **settings})
+
+
+def test_overflowed_history_pars_fails_as_an_oracle_failure():
+    # L̂ = L/4: the run diverges and g1 overflows; the historical prior keeps
+    # its last direction instead of becoming g1/inf = 0, so the divergence
+    # ends in the oracle's failure, with its context, not in the next frame
+    fn = bench_function("f2", 30)
+    cfg = ArsConfig(L_hat=0.5, q=5, algo="history_pars", budget=480, restart=True)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OracleFailureError,
+                          match="^history_pars at iteration 38 after 228 dd-queries: "):
+        run_ars(fn.as_objective(), cfg, 0)

@@ -136,6 +136,19 @@ def test_oracle_failure_exit_code(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_overflowed_historical_prior_run_exits_as_an_oracle_failure(tmp_path, capsys):
+    # the run's g1 overflows; the prior keeps its last direction, so the
+    # divergence exits 3 with its context instead of 2 for a zero prior
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["--function", "f2", "--dim", "30", "--algo", "history_pars", "--q", "5",
+                   "--lhat", "0.5", "--restart", "--seeds", "0", "--budget", "480",
+                   "--out", str(tmp_path / "boom")])
+    assert rc == cli.EXIT_ORACLE
+    err = capsys.readouterr().err
+    assert err.startswith("oracle failure: history_pars at iteration 38 after 228 dd-queries")
+
+
 def test_oracle_failure_keeps_the_finished_batches(tmp_path, monkeypatch):
     # each batch's CSV is written when the batch ends, so exit 3 in the
     # second of three entries leaves the first entry's CSV

@@ -10,6 +10,8 @@ from pgzo.diagnostics import (_prior_with_quality, check_ars_bound, check_lemma3
                               subspace_optimality_margin)
 from pgzo.frames import (ProbeSet, build_frame, cos_sq, g2_unbiased, g2_variance_reduced,
                          subspace_estimate)
+from pgzo.greedy import GreedyConfig, run_greedy
+from pgzo.testfns import bench_function
 
 
 def test_rgf_drift_small():
@@ -95,6 +97,29 @@ def test_bound_checks_require_enough_seeds():
 def test_bound_checks_pass_on_f2():
     checks = check_theorem_bounds(30, 5, [60], seeds=range(20))
     assert all(c.ok for c in checks)
+
+
+def _per_seed_deltas(d, q, T_values, seeds, L_hat_mult=1.0, historical=False):
+    """The reference loop: one ``run_greedy`` per seed, delta_T at each T."""
+    fn = bench_function("f2", d)
+    cfg = GreedyConfig(L_hat=L_hat_mult * fn.L, q=q, algo="history_prgf" if historical else "rgf",
+                       budget=max(T_values) * (q + 1 if historical else q), oracle_mode="exact")
+    traces = [run_greedy(fn.as_objective(), cfg, seed) for seed in seeds]
+    return [[tr.rows[T][3] - fn.f_star for tr in traces] for T in T_values]
+
+
+# perfbench's two shapes: the plain rates at T=100, and the historical
+# factor-2 bound at L̂ = 50 L
+@pytest.mark.parametrize("T_values,kwargs", [([100], {}),
+                                             ([50, 100], {"L_hat_mult": 50.0, "historical": True})])
+def test_bound_checks_equal_their_per_seed_loop(T_values, kwargs):
+    seeds = range(20, 40)
+    checks = check_theorem_bounds(50, 5, T_values, seeds, **kwargs)
+    means = [float(np.mean(deltas)) for deltas in _per_seed_deltas(50, 5, T_values, seeds,
+                                                                       **kwargs)]
+    per_T = 1 if kwargs else 2  # the plain rates check each T twice
+    assert [c.T for c in checks] == [T for T in T_values for _ in range(per_T)]
+    assert [c.observed for c in checks] == [m for m in means for _ in range(per_T)]
 
 
 def test_historical_bound_needs_large_T():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pgzo.core import ConfigError, ObjectiveSpec, OracleHandle, RngHandle
+from pgzo.core import ConfigError, ObjectiveSpec, OracleFailureError, OracleHandle, RngHandle
 from pgzo.frames import build_frame, probe, subspace_estimate
 from pgzo.greedy import GreedyConfig, GreedyState, greedy_step, run_greedy
 from pgzo.testfns import bench_function
@@ -154,3 +154,14 @@ def test_target_stops_early():
     assert trace.reached_queries is not None
     assert trace.final_queries < 5 * 10 ** 5
     assert trace.rows[-1][4] <= -1.0
+
+
+def test_overflowed_history_prgf_fails_as_an_oracle_failure():
+    # exact oracle at L̂ = L/4 diverges until g1 overflows; the historical
+    # prior keeps its last direction, so the oracle's failure ends the run
+    fn = bench_function("f2", 30)
+    cfg = GreedyConfig(L_hat=0.5, q=5, algo="history_prgf", budget=6000, oracle_mode="exact")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(OracleFailureError,
+                          match="^history_prgf at iteration 339 after 2034 dd-queries: "):
+        run_greedy(fn.as_objective(), cfg, 0)

@@ -130,21 +130,39 @@ def test_failing_child_fails_the_harness(tmp_path):
         ab.measure(suite, stub_trees(tmp_path, {"base": 1.0, "head": 1.0}), pairs=1)
 
 
-def test_readahead_suite_holds_exactly_the_runs_that_read_ahead():
-    # A case whose block (queries per iteration times d) is below the
-    # threshold draws directly and cannot show a read-ahead change; of the
-    # eight algorithms at d = 256 and 500, every other case belongs in it.
+def test_algos_suite_times_every_algorithm_at_both_dimensions():
+    # the table of ROADMAP aim 1: each algorithm at d = 256 and d = 500, with
+    # the dd-queries per iteration its config charges
     from pgzo.ars import ArsConfig
-    from pgzo.bench import ARS_ALGOS
+    from pgzo.bench import ALGO_PRIORS, ARS_ALGOS
     from pgzo.greedy import GreedyConfig
-    from pgzo.trace import READ_AHEAD_MIN_BLOCK
-    reads_ahead = set()
+    assert set(ab.ALGOS) == set(ALGO_PRIORS)
     for algo, (q, _, cost) in ab.ALGOS.items():
         family = ArsConfig if algo in ARS_ALGOS else GreedyConfig
         assert family(L_hat=1.0, q=q, budget=cost, algo=algo).queries_per_iteration == cost
-        reads_ahead |= {(algo, d) for d in (256, 500) if cost * d >= READ_AHEAD_MIN_BLOCK}
-    assert set(ab.READAHEAD_CASES) == reads_ahead
-    assert set(ab.SUITES["readahead"].cases) == {f"{a} d={d}" for a, d in reads_ahead}
+    assert set(ab.SUITES["algos"].cases) == {f"{a} d={d}" for a in ab.ALGOS for d in (256, 500)}
+    assert set(ab.SUITES["algos"].better) == {"us_per_iter", "dd_queries_per_s", "max_rss_mb"}
+
+
+def test_algos_probe_reports_both_rates(tmp_path):
+    (tmp_path / "side").mkdir()
+    (tmp_path / "side" / "src").symlink_to(ROOT / "src")
+    body = ab.ALGOS_RUN.replace("cost * 1500", "cost * 3")
+    out = ab.run_child(tmp_path / "side", ab.probe(body, ["history_prgf", 20, 3, "historical", 4]),
+                       0)
+    # three iterations of four dd-queries each
+    assert out["dd_queries_per_s"] * out["us_per_iter"] == pytest.approx(4e6)
+
+
+def test_mc_batch_times_perfbench_bound_check_shapes():
+    plain = ab.MC_CASES["theorem_bounds(50,5)"]
+    hist = ab.MC_CASES["theorem_bounds(50,5,hist)"]
+    assert plain[:2] == ("check_theorem_bounds", [50, 5, [100]])
+    assert hist[:2] == ("check_theorem_bounds", [50, 5, [50, 100]])
+    assert plain[3] == {"seeds": list(range(20))}
+    assert hist[3] == {"seeds": list(range(20)), "L_hat_mult": 50.0, "historical": True}
+    assert plain[4] == hist[4] == 20 * 100  # seed-iterations
+    assert ab.SUITES["mc_batch"].match == ("result",)
 
 
 def test_import_suite_batch_aggregates_two_seeds(tmp_path):

@@ -14,9 +14,9 @@ OpenMP pinned to one thread; it prints one JSON line last, and only that
 line is read.
 
 Suites:
-  readahead        microseconds per iteration and peak RSS of the runs
-                   that read ahead: the eight algorithms at d = 500 and
-                   PARS-Est at d = 256 (f2, L-hat = L, fd oracle, presets'
+  algos            one run of each of the eight algorithms at d = 256 and
+                   d = 500: microseconds per iteration, dd-queries per
+                   second and peak RSS (f2, L-hat = L, fd oracle, presets'
                    q; a 50-iteration warm-up, then 1500 timed)
   import           cold import of pgzo, pgzo.bench, pgzo.cli and
                    pgzo.diagnostics, alone (case import) and followed by a
@@ -24,10 +24,11 @@ Suites:
                    cli_batch): seconds, peak RSS and whether the package
                    inits of scipy.stats, scipy.linalg, scipy.special and
                    scipy._lib._array_api ran
-  mc_batch         microseconds per sample and peak RSS of the Monte-Carlo
-                   shapes of perfbench's contracts_small_d and of
-                   check_lemma36(100, 5, 10, 1000); the result must be the
-                   same on both sides
+  mc_batch         microseconds per sample or iteration and peak RSS of
+                   the Monte-Carlo shapes of perfbench's contracts_small_d,
+                   of check_lemma36(100, 5, 10, 1000) and of its two
+                   check_theorem_bounds shapes over 20 seeds; the result
+                   must be the same on both sides
   preset           one full-budget CLI preset run, pgzo --preset fig2_f2
                    --seeds 0,1 (192 000 trace rows): seconds of the run
                    and peak RSS; the SHA-256 over every CSV and SVG it
@@ -99,12 +100,8 @@ ALGOS = {"rgf": (11, "none", 11), "prgf": (10, "biased", 11),
          "history_prgf": (10, "historical", 11), "ars": (11, "none", 11),
          "pars_naive": (10, "biased", 11), "pars_impl": (8, "biased", 11),
          "pars_est": (10, "biased", 33), "history_pars": (10, "historical", 11)}
-# The runs that read ahead: those whose block (queries per iteration times d)
-# reaches pgzo.trace.READ_AHEAD_MIN_BLOCK (4096). That is every algorithm at
-# d=500 (blocks 5500 and 16500), but at d=256 only PARS-Est (8448); the other
-# d=256 runs (2816) draw directly, so they cannot show a read-ahead change.
-READAHEAD_CASES = (*((algo, 500) for algo in ALGOS), ("pars_est", 256))
-READAHEAD = """
+ALGOS_CASES = tuple((algo, d) for d in (256, 500) for algo in ALGOS)
+ALGOS_RUN = """
 from pgzo.bench import RunConfig, run_single
 algo, dim, q, prior, cost = args
 cfg = RunConfig(function="f2", dim=dim, algo=algo, q=q, prior=prior, lhat_scale=1.0, budget=0)
@@ -113,7 +110,9 @@ run_single(cfg, 1)
 cfg.budget = cost * 1500
 t0 = time.perf_counter()
 trace = run_single(cfg, 2)
-out = {"us_per_iter": (time.perf_counter() - t0) / trace.rows[-1][0] * 1e6}
+seconds = time.perf_counter() - t0
+out = {"us_per_iter": seconds / trace.rows[-1][0] * 1e6,
+       "dd_queries_per_s": trace.rows[-1][1] / seconds}
 """
 # import-suite key -> the scipy module whose presence after the import it reports
 SCIPY_LOADED = {"scipy_stats_loaded": "scipy.stats", "scipy_linalg_loaded": "scipy.linalg",
@@ -134,27 +133,35 @@ if batch:
 out = {"seconds": time.perf_counter() - t0}
 out.update({key: module in sys.modules for key, module in loaded.items()})
 """
-# case -> (diagnostics function, args after the rng, kwargs, samples or iterations)
+# case -> (diagnostics function, args, warm-up args, kwargs, samples or seed-iterations);
+# the mc_ functions get RngHandle(11) after their args
+BOUND_SEEDS = list(range(20))
 MC_CASES = {
-    "mc_rgf_drift(50,5)": ("mc_rgf_drift", [50, 5, 4000], {}, 4000),
-    "mc_prgf_drift(101,10,D=0.25)": ("mc_prgf_drift", [101, 10, 0.25, 2000], {}, 2000),
-    "mc_prgf_drift(101,10,D=0.9)": ("mc_prgf_drift", [101, 10, 0.9, 2000], {}, 2000),
-    "mc_g2_moments(20,4)": ("mc_g2_moments", [20, 4, 0.5, 4000], {}, 4000),
-    "mc_g2_moments(20,4,vr)": ("mc_g2_moments", [20, 4, 0.5, 4000],
+    "mc_rgf_drift(50,5)": ("mc_rgf_drift", [50, 5, 4000], [50, 5, 1000], {}, 4000),
+    "mc_prgf_drift(101,10,D=0.25)": ("mc_prgf_drift", [101, 10, 0.25, 2000],
+                                     [101, 10, 0.25, 1000], {}, 2000),
+    "mc_prgf_drift(101,10,D=0.9)": ("mc_prgf_drift", [101, 10, 0.9, 2000],
+                                    [101, 10, 0.9, 1000], {}, 2000),
+    "mc_g2_moments(20,4)": ("mc_g2_moments", [20, 4, 0.5, 4000], [20, 4, 0.5, 400], {}, 4000),
+    "mc_g2_moments(20,4,vr)": ("mc_g2_moments", [20, 4, 0.5, 4000], [20, 4, 0.5, 400],
                                {"variance_reduced": True}, 4000),
-    "check_lemma36(100,5)": ("check_lemma36", [100, 5, 10.0, 1000], {"seed": 3}, 1000),
+    "check_lemma36(100,5)": ("check_lemma36", [100, 5, 10.0, 1000], [100, 5, 10.0, 100],
+                             {"seed": 3}, 1000),
+    "theorem_bounds(50,5)": ("check_theorem_bounds", [50, 5, [100]], [50, 5, [10]],
+                                         {"seeds": BOUND_SEEDS}, 20 * 100),
+    "theorem_bounds(50,5,hist)": (
+        "check_theorem_bounds", [50, 5, [50, 100]], [50, 5, [50]],
+        {"seeds": BOUND_SEEDS, "L_hat_mult": 50.0, "historical": True}, 20 * 100),
 }
 MC_BATCH = """
 from pgzo import diagnostics as dg
 from pgzo.core import RngHandle
-fname, fargs, kwargs, count = args
+fname, fargs, warm, kwargs, count = args
 fn = getattr(dg, fname)
 def call(fargs):
-    if fname == "check_lemma36":
-        return fn(*fargs, **kwargs)
-    *head, n = fargs
-    return fn(*head, n, RngHandle(11), **kwargs)
-call(fargs[:-1] + [max(fargs[-1] // 10, 1000 if "drift" in fname else 2)])
+    rng = [RngHandle(11)] if fname.startswith("mc_") else []
+    return fn(*fargs, *rng, **kwargs)
+call(warm)
 t0 = time.perf_counter()
 result = call(fargs)
 out = {"us_per_unit": (time.perf_counter() - t0) / count * 1e6, "result": repr(result)}
@@ -190,9 +197,10 @@ def perfbench_cases(trace: int) -> dict:
 
 
 SUITES = {
-    "readahead": Suite({f"{algo} d={d}": probe(READAHEAD, [algo, d, *ALGOS[algo]])
-                        for algo, d in READAHEAD_CASES},
-                       {"us_per_iter": "lower", "max_rss_mb": "lower"}, pairs=10),
+    "algos": Suite({f"{algo} d={d}": probe(ALGOS_RUN, [algo, d, *ALGOS[algo]])
+                    for algo, d in ALGOS_CASES},
+                   {"us_per_iter": "lower", "dd_queries_per_s": "higher", "max_rss_mb": "lower"},
+                   pairs=10),
     "import": Suite({case: probe(IMPORT, [batch, SCIPY_LOADED])
                      for case, batch in IMPORT_CASES.items()},
                     {"seconds": "lower", "max_rss_mb": "lower"}, same=tuple(SCIPY_LOADED),
