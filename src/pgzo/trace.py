@@ -277,34 +277,35 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
                 prior = feed(x_here) if external else state.prior
                 log_row(0, step(state, oracle, config, rng, prior), x_here, dd_before, fn_before)
             finish(0, state.x)
-        while stack:
-            # a seed whose own run would stop here leaves the stack; the seeds
-            # of a greedy stack spend alike, so their budgets end together
-            if oracles[live[0]].dd_queries + cost > budget:
-                ending = live
-            elif config.stop_on_target:
-                ending = [i for i in live if traces[i].reached_queries is not None]
-            else:
-                ending = ()
-            if ending:
-                for i, x in zip(live, state.x):
-                    if i in ending:
-                        finish(i, x)
-                stay = [j for j, i in enumerate(live) if i not in ending]
-                if not stay:
-                    break
-                live = [live[j] for j in stay]
-                state.x = state.x[stay]
-                if state.prior is not None:
-                    state.prior = state.prior[stay]
-            points = state.x
-            before = [(oracles[i].dd_queries, oracles[i].fn_evals) for i in live]
-            prior = (np.array([feeds[i](x) for i, x in zip(live, points)]) if external
-                     else state.prior)
-            rows = step(state, [oracles[i] for i in live], config, [rngs[i] for i in live],
-                        prior)
-            for i, row, x_here, (dd_before, fn_before) in zip(live, rows, points, before):
-                log_row(i, row, x_here, dd_before, fn_before)
+        else:
+            while True:
+                # a seed whose own run would stop here leaves the stack; the seeds
+                # of a greedy stack spend alike, so their budgets end together
+                if oracles[live[0]].dd_queries + cost > budget:
+                    ending = live
+                elif config.stop_on_target:
+                    ending = [i for i in live if traces[i].reached_queries is not None]
+                else:
+                    ending = ()
+                if ending:
+                    for i, x in zip(live, state.x):
+                        if i in ending:
+                            finish(i, x)
+                    stay = [j for j, i in enumerate(live) if i not in ending]
+                    if not stay:
+                        break
+                    live = [live[j] for j in stay]
+                    state.x = state.x[stay]
+                    if state.prior is not None:
+                        state.prior = state.prior[stay]
+                points = state.x  # x_t of each seed; the step sets a new state.x
+                before = [(oracles[i].dd_queries, oracles[i].fn_evals) for i in live]
+                prior = (np.array([feeds[i](x) for i, x in zip(live, points)]) if external
+                         else state.prior)
+                rows = step(state, [oracles[i] for i in live], config, [rngs[i] for i in live],
+                            prior)
+                for i, row, x_here, (dd_before, fn_before) in zip(live, rows, points, before):
+                    log_row(i, row, x_here, dd_before, fn_before)
     except OracleFailureError as exc:
         # the seeds of a greedy stack have spent alike when a step starts; the
         # one that failed was not charged for the call that failed
