@@ -6,7 +6,9 @@ none of it is charged to oracle query counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -173,15 +175,11 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
     trace = run_greedy(fn.as_objective(), cfg, seed)
     a = (1.0 - 1.0 / L_hat_mult) ** 2
     c_col, d_col = trace.column("C_t"), trace.column("D_t")
-    samples: List[DriftSample] = []
-    violations = 0
-    for t in range(1, iterations):
-        c_prev, d_t = c_col[t - 1], d_col[t]
-        if np.isnan(c_prev) or np.isnan(d_t):
-            continue
-        samples.append(DriftSample(C_t=float(c_col[t]), D_t=float(d_t), iteration=t))
-        if d_t < a * c_prev - tol:
-            violations += 1
+    c_prev, c_t, d_t = c_col[:iterations - 1], c_col[1:iterations], d_col[1:iterations]
+    paired = ~(np.isnan(c_prev) | np.isnan(d_t))  # t = 1 .. iterations-1 where both are set
+    violations = int(np.count_nonzero(d_t[paired] < a * c_prev[paired] - tol))
+    samples = list(map(DriftSample, c_t[paired].tolist(), d_t[paired].tolist(),
+                       (np.flatnonzero(paired) + 1).tolist()))
     return violations, samples
 
 
@@ -190,6 +188,14 @@ def _delta_at(trace, T: int, f_star: float) -> float:
     if not at.size:
         raise ConfigError(f"trace has no row for iteration {T}")
     return trace.rows[at[-1]][3] - f_star
+
+
+def _log_every(T_values: Sequence[int]) -> int:
+    """gcd(T_values): a bound check logs only the rows it reads, at each T and the
+    last; ConfigError unless T_values is a non-empty sequence of positive integers."""
+    if len(T_values) == 0 or not all(isinstance(T, Integral) and T >= 1 for T in T_values):
+        raise ConfigError(f"T_values must be positive integers, got {T_values!r}")
+    return math.gcd(*T_values)
 
 
 def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int],
@@ -205,6 +211,9 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
     """
     if len(seeds) < 20:
         raise ConfigError("bound checks need at least 20 seeds")
+    log_every = _log_every(T_values)
+    if historical and min(T_values) < 5 * d / q:
+        raise ConfigError(f"historical-prior bound needs T >= 5d/q, got T={min(T_values)}")
     fn = bench_function("f2", d)
     obj = fn.as_objective()
     L, tau = fn.L, fn.tau
@@ -212,7 +221,8 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
     L_prime = L / (1.0 - (1.0 - L / L_hat) ** 2) if L_hat > L else L
     T_max = max(T_values)
     cfg = GreedyConfig(L_hat=L_hat, q=q, algo="history_prgf" if historical else "rgf",
-                       budget=T_max * (q + 1 if historical else q), oracle_mode="exact")
+                       budget=T_max * (q + 1 if historical else q), oracle_mode="exact",
+                       log_every=log_every)
     traces = run_greedy_lockstep(obj, cfg, seeds)
     deltas = {T: [_delta_at(trace, T, fn.f_star) for trace in traces] for T in T_values}
     delta0 = fn.eval(fn.x0) - fn.f_star
@@ -221,8 +231,6 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
     for T in T_values:
         mean = float(np.mean(deltas[T]))
         if historical:
-            if T < 5 * d / q:
-                raise ConfigError(f"historical-prior bound needs T >= 5d/q, got T={T}")
             bound = 2.0 * np.exp(-0.1 * (q / d) * (tau / L) * T) * delta0
             checks.append(BoundCheck("history_factor2_rate", T, mean, float(bound)))
         else:
@@ -261,12 +269,13 @@ def check_ars_bound(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int
     """
     if len(seeds) < 20:
         raise ConfigError("bound checks need at least 20 seeds")
+    log_every = _log_every(T_values)
     if not 0.0 <= tau_hat_mult <= 1.0:
         raise ConfigError(f"the bound needs 0 <= taû <= tau, got tau_hat_mult={tau_hat_mult}")
     fn = bench_function("f2", d)
     T_max = max(T_values)
     cfg = ArsConfig(L_hat=fn.L, q=q, algo="ars", budget=T_max * q, oracle_mode="exact",
-                    tau_hat=tau_hat_mult * fn.tau)
+                    tau_hat=tau_hat_mult * fn.tau, log_every=log_every)
     traces = [run_ars(fn.as_objective(), cfg, seed) for seed in seeds]
     phi0 = fn.eval(fn.x0) - fn.f_star + cfg.gamma0 / 2.0 * float(fn.x0 @ fn.x0)
     theta = q * q / (cfg.L_hat * d * d)

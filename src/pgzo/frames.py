@@ -14,10 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, ConfigError, InvalidPriorError, OracleHandle, RngHandle, flapack, l2_norm
+from .core import Array, ConfigError, InvalidPriorError, OracleHandle, RngHandle, flapack
 
 # Smallest prior norm a frame accepts.
 RESIDUAL_EPS = 1e-12
+# rows[..., 0, :] and rows[..., 1:, :], built once (a slice is built anew on every use)
+_FIRST_ROW, _LATER_ROWS = (..., 0, slice(None)), (..., slice(1, None), slice(None))
 
 
 class OrthonormalFrame:
@@ -34,7 +36,7 @@ class OrthonormalFrame:
         self._rows = rows
         self.dim = rows.shape[-1]
         if with_prior:
-            self.prior, self.directions = rows[..., 0, :], rows[..., 1:, :]
+            self.prior, self.directions = rows[_FIRST_ROW], rows[_LATER_ROWS]
         else:
             self.prior, self.directions = None, rows
 
@@ -62,7 +64,7 @@ def _unit_prior(prior: Array) -> Array:
     RESIDUAL_EPS (a NaN norm fails the comparison)."""
     prior = np.asarray(prior, dtype=float)
     if prior.ndim == 1:
-        pn = worst = l2_norm(prior)
+        pn = worst = math.sqrt(prior @ prior)  # l2_norm(prior)
     else:  # per row the same ddot and correctly rounded sqrt as l2_norm
         pn = np.sqrt(_dot(prior, prior))[:, None]
         ok = (pn >= RESIDUAL_EPS) & (pn < math.inf)
@@ -98,8 +100,7 @@ def build_frames(rng, d: int, q: int, n: Optional[int],
         raise ConfigError(f"q must be >= 1, got {q}")
     if n is not None and n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    per_frame = not isinstance(rng, RngHandle)
-    if per_frame and len(rng) != n:
+    if not isinstance(rng, RngHandle) and len(rng) != n:
         raise ConfigError(f"{len(rng)} random handles for {n} frames")
     p = None
     if prior is not None:
@@ -109,58 +110,59 @@ def build_frames(rng, d: int, q: int, n: Optional[int],
     elif q > d:
         raise ConfigError(f"q={q} exceeds dimension d={d}")
 
-    k = q if p is None else q + 1
-    rows = np.empty((1 if n is None else n, k, d))
+    rows = np.empty((1 if n is None else n, q + (p is not None), d))
     if p is not None:
-        rows[:, 0] = p
-    dirs = rows[:, k - q:]
-    # Cholesky-QR: identical to Gram-Schmidt in exact arithmetic, one LAPACK
-    # call instead of q passes. The Cholesky diagonal equals the per-direction
-    # Gram-Schmidt residual norms; a draw anywhere near degeneracy (where
-    # CholQR's conditioning degrades) is discarded and the whole block redrawn.
-    missing = range(len(rows))  # the frames still to build, a list once a stack rejects
-    passes = rejects = 0
-    while missing:
-        passes += 1
-        if per_frame:
-            raw = np.concatenate([rng[i].normal((1, q, d)) for i in missing])
-        else:
-            raw = rng.normal((len(missing), q, d))
-        if p is not None:
-            pm = p if p.ndim == 1 else p[missing]
-            raw -= (raw @ pm[..., None]) * pm[..., None, :]
-        # A Gram block is symmetric, so its transpose is the same matrix, and
-        # Fortran-ordered: dpotrf and dtrtri overwrite it in place, leaving
-        # L^-1 in the layout dtrtri returns it in. The flags go in by
-        # position, (lower, clean, overwrite_a) and (lower, unitdiag,
-        # overwrite_c): f2py's keyword parsing costs a microsecond per frame.
-        gram = raw @ raw.transpose(0, 2, 1)
-        inv_l = gram.transpose(0, 2, 1)
-        good = []
-        for i in range(len(raw)):
-            chol, info = flapack.dpotrf(inv_l[i], 1, 1, 1)
-            if info == 0 and min(chol.diagonal().tolist()) >= 1e-6:
-                info = flapack.dtrtri(chol, 1, 0, 1)[1]
-                if info == 0:
-                    good.append(i)
-                    rejects = 0
-                    continue
-            # rejects in a row: of one handle's blocks, or of this frame's own
-            rejects = passes if per_frame else rejects + 1
-            if rejects == 64:
-                raise ConfigError("could not build an orthonormal frame (d too small?)")
-        # with one handle per frame, a rejected frame stays and redraws from
-        # its own handle, so the frames built need not be the first missing
-        scattered = per_frame and (len(good) < len(raw) or not isinstance(missing, range))
-        if len(good) < len(raw):
-            raw, inv_l = raw[good], gram[good].transpose(0, 2, 1)
-        if scattered:
-            dirs[[missing[i] for i in good]] = inv_l @ raw
-            missing = [missing[i] for i in range(len(missing)) if i not in good]
-        else:
-            np.matmul(inv_l, raw, out=dirs[missing[0]:missing[0] + len(good)])
-            missing = missing[len(good):]
+        rows[_FIRST_ROW] = p
+    raw, inv_l, rejected = _cholqr_pass(rng, len(rows), q, d, p)
+    if not rejected:  # the common case: one pass built every frame
+        np.matmul(inv_l, raw, out=rows[:, -q:])
+    else:
+        per_frame, passes, rejects = not isinstance(rng, RngHandle), 0, 0
+        missing = list(range(len(rows)))  # the frames still to build
+        while True:
+            passes += 1
+            for i in range(len(raw)):  # rejects in a row: of the handle's blocks, or a frame's
+                rejects = (passes if per_frame else rejects + 1) if i in rejected else 0
+                if rejects == 64:
+                    raise ConfigError("could not build an orthonormal frame (d too small?)")
+            good = [i for i in range(len(raw)) if i not in rejected]
+            built = [missing[i] for i in good] if per_frame else missing[:len(good)]
+            rows[:, -q:][built] = inv_l.transpose(0, 2, 1)[good].transpose(0, 2, 1) @ raw[good]
+            missing = [missing[i] for i in rejected] if per_frame else missing[len(good):]
+            if not missing:
+                break
+            raw, inv_l, rejected = _cholqr_pass(
+                [rng[i] for i in missing] if per_frame else rng, len(missing), q, d,
+                p if p is None or p.ndim == 1 else p[missing])
     return OrthonormalFrame(rows if n is not None else rows[0], p is not None)
+
+
+def _cholqr_pass(rng, m: int, q: int, d: int, p: Optional[Array]) -> tuple[Array, Array, list]:
+    """m (q, d) blocks of normals from ``rng`` (one handle, or one block from
+    each handle of a list) made orthogonal to ``p`` (one unit prior or one
+    per block); L^-1 for each block's Gram matrix L L^T, so that L^-1 @ block
+    is a frame (Cholesky-QR: Gram-Schmidt in exact arithmetic, with its
+    residual norms on L's diagonal); and the blocks rejected as near degenerate.
+    A Gram block's transpose is itself and Fortran-ordered, so dpotrf and dtrtri
+    overwrite it in place; their flags go in by position (f2py's keyword
+    parsing costs a microsecond per frame)."""
+    if isinstance(rng, RngHandle):
+        raw = rng.normal((m, q, d))
+    else:
+        raw = np.concatenate([h.normal((1, q, d)) for h in rng])
+    if p is not None:
+        raw -= (raw @ p[..., None]) * p[..., None, :]
+    inv_l = (raw @ raw.transpose(0, 2, 1)).transpose(0, 2, 1)  # the Gram blocks
+    if m == 1:
+        chol, info = flapack.dpotrf(inv_l[0], 1, 1, 1)
+        if not info and min(chol.diagonal().tolist()) >= 1e-6:
+            if not flapack.dtrtri(chol, 1, 0, 1)[1]:
+                return raw, inv_l, []
+        return raw, inv_l, [0]
+    infos = [flapack.dpotrf(chol, 1, 1, 1)[1] for chol in inv_l]
+    wide = (inv_l.diagonal(0, 1, 2) >= 1e-6).all(1).tolist()
+    return raw, inv_l, [i for i, (chol, info, ok) in enumerate(zip(inv_l, infos, wide))
+                        if info or not ok or flapack.dtrtri(chol, 1, 0, 1)[1]]
 
 
 def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -> OrthonormalFrame:
@@ -174,15 +176,17 @@ def probe(oracle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
     and one point per frame, and each oracle is charged for its own frame.
     An exact oracle's products are then taken for the whole stack at once,
     each frame's bit for bit as its own oracle takes them."""
-    rows = frame.stacked()
-    first = oracle if rows.ndim == 2 else oracle[0]
-    if frame.dim != first.objective.dim:
-        raise ConfigError(f"frame dim {frame.dim} != oracle dim {first.objective.dim}")
-    if first is oracle:
+    rows = frame._rows
+    if isinstance(oracle, OracleHandle):
+        if frame.dim != oracle.objective.dim:
+            raise ConfigError(f"frame dim {frame.dim} != oracle dim {oracle.objective.dim}")
         vals = oracle.directional_derivatives(x, rows)
         if frame.prior is None:
             return ProbeSet(frame, None, vals)
-        return ProbeSet(frame, float(vals[0]), vals[1:])
+        return ProbeSet(frame, vals.item(0), vals[1:])
+    first = oracle[0]
+    if frame.dim != first.objective.dim:
+        raise ConfigError(f"frame dim {frame.dim} != oracle dim {first.objective.dim}")
     if first.mode == "exact":
         grads = np.array([o.exact_gradient(xi, len(r)) for o, xi, r in zip(oracle, x, rows)])
         vals = (rows @ grads[:, :, None])[..., 0]
@@ -248,8 +252,8 @@ def cos_sq(a: Array, b: Array):
     gives: ``_dot`` takes the same dot products and every other operation is
     one correctly rounded multiplication or division."""
     if b.ndim == 1:
-        ab, aa, bb = float(a @ b), float(a @ a), float(b @ b)
-        return ab * ab / (aa * bb) if aa * bb != 0.0 else math.nan
+        ab, aa_bb = float(a @ b), float(a @ a) * float(b @ b)
+        return ab * ab / aa_bb if aa_bb != 0.0 else math.nan
     ab = _dot(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         return ab * ab / (_dot(a, a) * _dot(b, b))

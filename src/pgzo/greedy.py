@@ -15,7 +15,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, l2_norm,
+from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
                    require_finite_positive)
 from .frames import (ProbeSet, _dot, build_frame, build_frames, cos_sq, probe,
                      subspace_estimate)
@@ -66,7 +66,7 @@ def _adopt_prior(g1: Array, prior: Array) -> Array:
     stack. A zero estimate has no direction, and one that overflowed would
     make a zero prior."""
     if g1.ndim == 1:
-        n = l2_norm(g1)
+        n = math.sqrt(g1 @ g1)  # l2_norm(g1)
         return g1 / n if 0.0 < n < math.inf else prior
     n = np.sqrt(_dot(g1, g1))[:, None]  # per row the ddot and sqrt of l2_norm
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -82,30 +82,30 @@ def _true_gradient(oracle: OracleHandle, x: Array) -> Array:
 def descend(state, oracle, config, rng, point: Array,
             prior: Optional[Array]) -> tuple[ProbeSet, Array, float, float]:
     """The descent step both families take: probe a frame around ``prior`` at
-    ``point``, set ``state.x = point - g1/L̂`` and count the iteration. A
-    historical ``config.prior_source`` makes g1/‖g1‖ the next
-    ``state.prior``. Greedy descends from x_t, the ARS family from y_t.
+    ``point``, set ``state.x = point - g1/L̂`` and count the iteration. The
+    historical prior (``state.prior``, which ``run_loop`` sets for it alone)
+    becomes g1/‖g1‖. Greedy descends from x_t, the ARS family from y_t.
     Returns the probes, g1, and C_t and D_t (NaN unless
     ``config.diagnostics``).
 
     For a stack of n seeds, ``oracle`` and ``rng`` are lists of the seeds'
     handles, ``point``, ``prior`` and ``state``'s arrays hold one row per
     seed, and g1, C_t and D_t one value or row per seed."""
-    if isinstance(rng, list):
-        frame = build_frames(rng, point.shape[-1], config.q, len(rng), prior)
-    else:
+    if single := isinstance(rng, RngHandle):
         frame = build_frame(rng, point.shape[-1], config.q, prior)
+    else:
+        frame = build_frames(rng, point.shape[-1], config.q, len(rng), prior)
     probes = probe(oracle, point, frame)
     g1 = subspace_estimate(probes)
     c_t = d_t = math.nan
     if config.diagnostics:
-        grad = (np.array([_true_gradient(o, x) for o, x in zip(oracle, point)])
-                if isinstance(oracle, list) else _true_gradient(oracle, point))
+        grad = (_true_gradient(oracle, point) if single
+                else np.array([_true_gradient(o, x) for o, x in zip(oracle, point)]))
         c_t = cos_sq(grad, g1)
-        d_t = cos_sq(grad, frame.prior) if frame.prior is not None else d_t
+        d_t = cos_sq(grad, frame.prior) if prior is not None else d_t
     state.x = point - g1 / config.L_hat
     state.iteration += 1
-    if config.prior_source == "historical":
+    if state.prior is not None:
         state.prior = _adopt_prior(g1, state.prior)
     return probes, g1, c_t, d_t
 

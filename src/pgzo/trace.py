@@ -233,16 +233,17 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
     traces = []
     live = list(range(len(seeds)))  # indices of the seeds still running, as stacked
 
-    def log_row(i: int, row: StepRow, x_here: Array, dd_before: int, fn_before: int) -> None:
-        """Seed i's row t from the record of its step from x_t."""
-        trace, t = traces[i], state.iteration - 1
-        trace.restarts += row.restarted
+    def log_row(trace, oracle, row: StepRow, x_here: Array, dd_before: int, fn_before: int):
+        """A seed's row t from the record of its step from x_t."""
+        t = state.iteration - 1
+        if row.restarted:
+            trace.restarts += 1
         if row.guess_passes is not None:
             trace.guess_passes.append(row.guess_passes)
-        if t % log_every and target_log10 is None:
+        if not (logged := t % log_every == 0) and target_log10 is None:
             return  # row t is dropped and no target reads f(x_t)
-        f_here = row.f if row.f is not None else oracles[i].peek_function_value(x_here)
-        if t % log_every == 0:
+        f_here = row.f if row.f is not None else oracle.peek_function_value(x_here)
+        if logged:
             trace.append(t, dd_before, fn_before, f_here, row.C, row.D, row.theta)
         if target_log10 is not None:
             trace.mark_reached(target_log10, f_here, dd_before)
@@ -275,7 +276,8 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
                 x_here = state.x
                 dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
                 prior = feed(x_here) if external else state.prior
-                log_row(0, step(state, oracle, config, rng, prior), x_here, dd_before, fn_before)
+                log_row(trace, oracle, step(state, oracle, config, rng, prior), x_here,
+                        dd_before, fn_before)
             finish(0, state.x)
         else:
             while True:
@@ -305,7 +307,7 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
                 rows = step(state, [oracles[i] for i in live], config, [rngs[i] for i in live],
                             prior)
                 for i, row, x_here, (dd_before, fn_before) in zip(live, rows, points, before):
-                    log_row(i, row, x_here, dd_before, fn_before)
+                    log_row(traces[i], oracles[i], row, x_here, dd_before, fn_before)
     except OracleFailureError as exc:
         # the seeds of a greedy stack have spent alike when a step starts; the
         # one that failed was not charged for the call that failed

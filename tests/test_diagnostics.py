@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import pgzo.diagnostics
+from pgzo.ars import ArsConfig, run_ars
 from pgzo.core import ConfigError, OracleHandle, RngHandle, sample_unit_sphere
-from pgzo.diagnostics import (_prior_with_quality, check_ars_bound, check_lemma36,
+from pgzo.diagnostics import (DriftSample, _prior_with_quality, check_ars_bound, check_lemma36,
                               check_theorem_bounds,
                               mc_g2_moments, mc_prgf_drift, mc_rgf_drift,
                               subspace_optimality_margin)
@@ -83,6 +86,32 @@ def test_lemma36_computes_each_gradient_once(monkeypatch):
     assert len(calls) == 100
 
 
+def _ref_lemma36(d, q, L_hat_mult, iterations, seed, tol=1e-9):
+    """check_lemma36 as a loop over the iterations, pairing C_(t-1) with D_t
+    one by one in numpy scalars: the reference its column pairing must equal."""
+    fn = bench_function("f2", d)
+    cfg = GreedyConfig(L_hat=L_hat_mult * fn.L, q=q, algo="history_prgf",
+                       budget=iterations * (q + 1), oracle_mode="exact", diagnostics=True)
+    trace = run_greedy(fn.as_objective(), cfg, seed)
+    a = (1.0 - 1.0 / L_hat_mult) ** 2
+    c_col, d_col = trace.column("C_t"), trace.column("D_t")
+    samples, violations = [], 0
+    for t in range(1, iterations):
+        c_prev, d_t = c_col[t - 1], d_col[t]
+        if np.isnan(c_prev) or np.isnan(d_t):
+            continue
+        samples.append(DriftSample(C_t=float(c_col[t]), D_t=float(d_t), iteration=t))
+        if d_t < a * c_prev - tol:
+            violations += 1
+    return violations, samples
+
+
+@pytest.mark.parametrize("L_hat_mult", [0.5, 1.0, 10.0])
+def test_lemma36_equals_its_pairing_loop(L_hat_mult):
+    assert check_lemma36(40, 4, L_hat_mult, 200, seed=0) == _ref_lemma36(40, 4, L_hat_mult,
+                                                                          200, 0)
+
+
 def test_lemma36_reports_out_of_hypothesis_runs():
     # L̂ < L is outside the lemma's hypotheses: must report, not assert
     violations, _ = check_lemma36(40, 4, 0.5, 200, seed=0)
@@ -148,6 +177,64 @@ def test_ars_meets_its_accelerated_bound(d, q, T_values, tau_hat_mult):
 def test_ars_bound_check_rejects_its_bad_settings(kwargs):
     with pytest.raises(ConfigError):
         check_ars_bound(20, 4, [10], **{"seeds": range(20), **kwargs})
+
+
+@pytest.fixture
+def f2_evals(monkeypatch):
+    """The objective evaluations of the bound checks: f2's ``eval`` and
+    ``grad``, counted through the ``bench_function`` they call."""
+    calls = {"eval": 0, "grad": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+        return wrapper
+
+    def counting_bench_function(name, d):
+        bf = bench_function(name, d)
+        return dataclasses.replace(bf, eval=counted("eval", bf.eval),
+                                   grad=counted("grad", bf.grad))
+    monkeypatch.setattr(pgzo.diagnostics, "bench_function", counting_bench_function)
+    return calls
+
+
+@pytest.mark.parametrize("check,T_values,kwargs", [
+    (check_theorem_bounds, [10], {"L_hat_mult": 10.0, "historical": True}),  # T < 5d/q
+    (check_theorem_bounds, [], {}),
+    (check_theorem_bounds, [60, 0], {}),
+    (check_theorem_bounds, [60, 2.5], {}),
+    (check_ars_bound, [], {}),
+    (check_ars_bound, [-60], {}),
+    (check_ars_bound, (60.0,), {}),
+])
+def test_bound_checks_reject_bad_T_values_before_evaluating(f2_evals, check, T_values, kwargs):
+    with pytest.raises(ConfigError):
+        check(30, 5, T_values, seeds=range(20), **kwargs)
+    assert f2_evals == {"eval": 0, "grad": 0}
+
+
+# (check, T_values, kwargs, rows logged per seed before the final row)
+@pytest.mark.parametrize("check,T_values,kwargs,logged", [
+    (check_theorem_bounds, [60, 90], {}, 3),         # gcd 30: rows 0, 30, 60
+    (check_theorem_bounds, [50, 100], {"L_hat_mult": 50.0, "historical": True}, 2),
+    (check_ars_bound, (40, 100), {}, 5),             # gcd 20: rows 0, 20, ..., 80
+])
+def test_thinned_bound_checks_evaluate_f_only_at_logged_rows(f2_evals, check, T_values, kwargs,
+                                                              logged):
+    check(30, 5, T_values, seeds=range(20), **kwargs)
+    # per seed f(x0), each logged row and the final row; once more for the bound
+    assert f2_evals["eval"] == 20 * (1 + logged + 1) + 1
+
+
+def test_ars_bound_check_equals_its_per_seed_loop_logging_every_row():
+    fn = bench_function("f2", 30)
+    cfg = ArsConfig(L_hat=fn.L, q=5, algo="ars", budget=100 * 5, oracle_mode="exact",
+                    tau_hat=fn.tau)
+    traces = [run_ars(fn.as_objective(), cfg, seed) for seed in range(20)]
+    checks = check_ars_bound(30, 5, (40, 100), seeds=range(20))
+    assert [c.observed for c in checks] == [
+        float(np.mean([tr.rows[T][3] - fn.f_star for tr in traces])) for T in (40, 100)]
 
 
 # The Monte-Carlo checks as they were written before they built frames in

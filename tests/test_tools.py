@@ -5,9 +5,11 @@ runs as written.
 The harness is driven here without git and without perfbench: its sides are
 two stub ``src/pgzo`` packages of one line each (so that a child starts in
 tens of milliseconds), and its cases are tiny probes. The ``preset`` suite's
-probe runs on this checkout's ``src`` at a budget of three iterations."""
+probe runs on this checkout's ``src`` at a budget of three iterations, the
+``opcodes`` suite's at a few dozen."""
 
 import importlib.util
+import math
 import os
 import statistics
 import subprocess
@@ -183,3 +185,35 @@ def test_preset_suite_hashes_every_file_the_cli_writes(tmp_path):
     written = sorted(p.name for p in (tmp_path / "side" / "preset").iterdir())
     assert len(written) == 9 and "fig2_f2.svg" in written
     assert first["sha256"] == second["sha256"] and first["seconds"] > 0
+
+
+def test_opcodes_suite_counts_every_algorithm_and_the_contract_shapes():
+    assert set(ab.SUITES["opcodes"].cases) == ({f"{a} d=500" for a in ab.ALGOS}
+                                               | {"check_lemma36(100,5)", "check_lemma36(100,5) run",
+                                                  "theorem_bounds(50,5)",
+                                                  "theorem_bounds(50,5,hist)"})
+    assert ab.SUITES["opcodes"].match == ("result",)
+    for name in ("theorem_bounds(50,5)", "theorem_bounds(50,5,hist)"):
+        fname, short, long, kwargs, units = ab.OPCODES_CASES[name]
+        # perfbench's shape, extended by T's that keep the rows each seed logs
+        assert (fname, short, kwargs) == (ab.MC_CASES[name][0], ab.MC_CASES[name][1],
+                                          ab.MC_CASES[name][3])
+        assert math.gcd(*short[2]) == math.gcd(*long[2])
+        assert units == 20 * (max(long[2]) - max(short[2]))  # seed-iterations between them
+
+
+@pytest.mark.parametrize("spec", [
+    ["check_lemma36", [20, 4, 10.0, 10], [20, 4, 10.0, 30], {"seed": 0}, 20],
+    ["lemma_run", [20, 4, 10.0, 10], [20, 4, 10.0, 30], {"seed": 0}, None],
+    ["run", ["history_prgf", 10, "historical", 11 * 2], ["history_prgf", 10, "historical", 11 * 5],
+     {}, None],
+])
+def test_opcodes_probe_counts_opcodes_per_iteration(tmp_path, spec):
+    (tmp_path / "side").mkdir()
+    (tmp_path / "side" / "src").symlink_to(ROOT / "src")
+    first, second = (ab.run_child(tmp_path / "side", ab.probe(ab.OPCODES, spec), 0)
+                     for _ in range(2))
+    assert first["result"] == second["result"]
+    assert 100 < first["opcodes_per_unit"] < 5000
+    if spec[0] != "run":  # a run at d=500 reads ahead, and its waits on the helper vary
+        assert first["opcodes_per_unit"] == second["opcodes_per_unit"]

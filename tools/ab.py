@@ -29,6 +29,19 @@ Suites:
                    of check_lemma36(100, 5, 10, 1000) and of its two
                    check_theorem_bounds shapes over 20 seeds; the result
                    must be the same on both sides
+  opcodes          Python opcodes (sys.settrace opcode events of the main
+                   thread) per iteration of one run of each of the eight
+                   algorithms at d = 500 (f2, L-hat = L, fd oracle, a
+                   target, log_every 512, presets' q), per iteration of
+                   check_lemma36(100, 5, 10) and of the run it makes,
+                   alone, and per seed-iteration of perfbench's two
+                   check_theorem_bounds shapes: the difference of two run
+                   lengths after a warm-up, divided by the iterations
+                   between them. Counts do not depend on host speed, so one
+                   pair suffices; at d = 500 the main thread's waits on the
+                   read-ahead helper move them by a few per iteration. The
+                   SHA-256 of the longer run's result must be the same on
+                   both sides
   preset           one full-budget CLI preset run, pgzo --preset fig2_f2
                    --seeds 0,1 (192 000 trace rows): seconds of the run
                    and peak RSS; the SHA-256 over every CSV and SVG it
@@ -166,6 +179,73 @@ t0 = time.perf_counter()
 result = call(fargs)
 out = {"us_per_unit": (time.perf_counter() - t0) / count * 1e6, "result": repr(result)}
 """
+# case -> (function, short args, long args, kwargs, units between the two for a
+# diagnostics check); "run" runs one seed of ALGOS[algo] at d = 500 with
+# perfbench's greedy_f2_d500 settings (fd oracle, target, log_every = 512),
+# "lemma_run" the History-PRGF run check_lemma36 makes, without its pairing
+OPCODE_ITERS = (40, 240)
+OPCODES_CASES = {
+    **{f"{algo} d=500": ("run", [algo, q, prior, cost * OPCODE_ITERS[0]],
+                         [algo, q, prior, cost * OPCODE_ITERS[1]], {}, None)
+       for algo, (q, prior, cost) in ALGOS.items()},
+    "check_lemma36(100,5)": ("check_lemma36", [100, 5, 10.0, 100], [100, 5, 10.0, 300],
+                             {"seed": 3}, 200),
+    "check_lemma36(100,5) run": ("lemma_run", [100, 5, 10.0, 100], [100, 5, 10.0, 300],
+                                 {"seed": 3}, None),
+    # the T-lists keep their gcd, so both lengths log the same rows per seed
+    "theorem_bounds(50,5)": ("check_theorem_bounds", [50, 5, [100]], [50, 5, [100, 200]],
+                             {"seeds": BOUND_SEEDS}, 20 * 100),
+    "theorem_bounds(50,5,hist)": (
+        "check_theorem_bounds", [50, 5, [50, 100]], [50, 5, [50, 100, 150, 200]],
+        {"seeds": BOUND_SEEDS, "L_hat_mult": 50.0, "historical": True}, 20 * 100),
+}
+OPCODES = """
+import hashlib
+fname, short, long, kwargs, units = args
+if fname == "run":
+    from pgzo.bench import RunConfig, run_single
+    def call(fargs):
+        algo, q, prior, budget = fargs
+        trace = run_single(RunConfig(function="f2", dim=500, algo=algo, q=q, prior=prior,
+                                     lhat_scale=1.0, budget=budget, target_log10=-0.15,
+                                     log_every=512), 1)
+        return trace.rows[-1][0], (trace.rows, trace.reached_queries, trace.guess_passes)
+elif fname == "lemma_run":
+    from pgzo.greedy import GreedyConfig, run_greedy
+    from pgzo.testfns import bench_function
+    def call(fargs):
+        d, q, mult, iterations = fargs
+        fn = bench_function("f2", d)
+        cfg = GreedyConfig(L_hat=mult * fn.L, q=q, algo="history_prgf", oracle_mode="exact",
+                           budget=iterations * (q + 1), diagnostics=True)
+        trace = run_greedy(fn.as_objective(), cfg, kwargs["seed"])
+        return trace.rows[-1][0], trace.rows
+else:
+    from pgzo import diagnostics
+    def call(fargs):
+        return 0, getattr(diagnostics, fname)(*fargs, **kwargs)
+def counted(fargs):
+    # the main thread's opcode events; a read-ahead helper's are not traced
+    n = 0
+    def local(frame, event, arg):
+        nonlocal n
+        n += event == "opcode"
+        return local
+    def enter(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+    sys.settrace(enter)
+    try:
+        iters, result = call(fargs)
+    finally:
+        sys.settrace(None)
+    return n, iters, result
+call(short)
+n_short, i_short, _ = counted(short)
+n_long, i_long, result = counted(long)
+out = {"opcodes_per_unit": (n_long - n_short) / (units or i_long - i_short),
+       "result": hashlib.sha256(repr(result).encode()).hexdigest()}
+"""
 # preset-suite case -> the CLI arguments of its run, which writes into the side's tree
 PRESET_CASES = {"fig2_f2": ["--preset", "fig2_f2", "--seeds", "0,1", "--out", "preset/fig2_f2"]}
 PRESET = """
@@ -207,6 +287,8 @@ SUITES = {
                     pairs=12),
     "mc_batch": Suite({name: probe(MC_BATCH, spec) for name, spec in MC_CASES.items()},
                       {"us_per_unit": "lower", "max_rss_mb": "lower"}, match=("result",)),
+    "opcodes": Suite({name: probe(OPCODES, spec) for name, spec in OPCODES_CASES.items()},
+                     {"opcodes_per_unit": "lower"}, match=("result",), pairs=1),
     "preset": Suite({case: probe(PRESET, argv) for case, argv in PRESET_CASES.items()},
                     {"seconds": "lower", "max_rss_mb": "lower"}, match=("sha256",), pairs=4),
     "perfbench": Suite(perfbench_cases(0), {m["name"]: m["better"] for m in MANIFEST["end_to_end"]},
