@@ -167,6 +167,24 @@ def test_mc_batch_times_perfbench_bound_check_shapes():
     assert ab.SUITES["mc_batch"].match == ("result",)
 
 
+def test_mc_batch_digests_each_result_and_any_difference_fails(tmp_path):
+    # stub sides whose Monte-Carlo "check" returns a float one ulp apart
+    trees = stub_trees(tmp_path, {"base": 1.0, "head": 1.0, "ulp": math.nextafter(1.0, 2.0)})
+    for tree in trees.values():
+        (tree / "src" / "pgzo" / "core.py").write_text("RngHandle = int\n")
+        (tree / "src" / "pgzo" / "diagnostics.py").write_text(
+            "from . import VALUE\ndef mc_stub(n, rng):\n    return n * VALUE, rng\n")
+    suite = ab.Suite({"case": ab.probe(ab.MC_BATCH, ["mc_stub", [3], [1], {}, 3])}, {},
+                     match=("result",))
+    cases = ab.measure(suite, {"base": trees["base"], "head": trees["head"]}, 1)
+    [run] = cases["case"]["runs"]["base"]
+    assert len(run["result"]) == 64 and int(run["result"], 16) >= 0  # a SHA-256, not a repr
+    assert cases["case"]["match"] == {"result": True}
+    cases = ab.measure(suite, {"base": trees["base"], "head": trees["ulp"]}, 1)
+    assert cases["case"]["match"] == {"result": False}
+    assert ab.report(cases) == 1
+
+
 def test_import_suite_batch_aggregates_two_seeds(tmp_path):
     # the cli_batch case runs this batch in a fresh interpreter after the import
     from pgzo.cli import run_from_settings
@@ -187,11 +205,16 @@ def test_preset_suite_hashes_every_file_the_cli_writes(tmp_path):
     assert first["sha256"] == second["sha256"] and first["seconds"] > 0
 
 
+MC_OPCODE_CASES = {"mc_rgf_drift(50,5)", "mc_prgf_drift(101,10)", "mc_g2_moments(20,4)",
+                   "mc_g2_moments(20,4,vr)"}
+
+
 def test_opcodes_suite_counts_every_algorithm_and_the_contract_shapes():
     assert set(ab.SUITES["opcodes"].cases) == ({f"{a} d=500" for a in ab.ALGOS}
                                                | {"check_lemma36(100,5)", "check_lemma36(100,5) run",
                                                   "theorem_bounds(50,5)",
-                                                  "theorem_bounds(50,5,hist)"})
+                                                  "theorem_bounds(50,5,hist)"}
+                                               | MC_OPCODE_CASES)
     assert ab.SUITES["opcodes"].match == ("result",)
     for name in ("theorem_bounds(50,5)", "theorem_bounds(50,5,hist)"):
         fname, short, long, kwargs, units = ab.OPCODES_CASES[name]
@@ -217,3 +240,28 @@ def test_opcodes_probe_counts_opcodes_per_iteration(tmp_path, spec):
     assert 100 < first["opcodes_per_unit"] < 5000
     if spec[0] != "run":  # a run at d=500 reads ahead, and its waits on the helper vary
         assert first["opcodes_per_unit"] == second["opcodes_per_unit"]
+
+
+@pytest.mark.parametrize("name", sorted(MC_OPCODE_CASES))
+def test_opcodes_suite_counts_perfbench_monte_carlo_shapes_per_sample(name):
+    # perfbench's contracts_small_d shapes, at its D = 0.5 where it has one
+    fname, short, long, kwargs, units = ab.OPCODES_CASES[name]
+    perfbench = {"mc_rgf_drift": [50, 5], "mc_prgf_drift": [101, 10, 0.5],
+                 "mc_g2_moments": [20, 4, 0.5]}[fname]
+    assert short[:-1] == long[:-1] == perfbench
+    assert kwargs == ({"variance_reduced": True} if name.endswith(",vr)") else {})
+    assert short[-1] >= 1000 and units == long[-1] - short[-1]  # samples between them
+
+
+@pytest.mark.parametrize("spec", [
+    ["mc_prgf_drift", [21, 4, 0.5, 1000], [21, 4, 0.5, 1400], {}, 400],
+    ["mc_g2_moments", [20, 4, 0.5, 300], [20, 4, 0.5, 700], {"variance_reduced": True}, 400],
+])
+def test_opcodes_probe_counts_opcodes_per_monte_carlo_sample(tmp_path, spec):
+    (tmp_path / "side").mkdir()
+    (tmp_path / "side" / "src").symlink_to(ROOT / "src")
+    first, second = (ab.run_child(tmp_path / "side", ab.probe(ab.OPCODES, spec), 0)
+                     for _ in range(2))
+    assert first == second  # counts and result digest alike
+    # blocks of many frames: a few Python opcodes per sample, not a frame's few hundred
+    assert 1 < first["opcodes_per_unit"] < 100

@@ -27,17 +27,20 @@ Suites:
   mc_batch         microseconds per sample or iteration and peak RSS of
                    the Monte-Carlo shapes of perfbench's contracts_small_d,
                    of check_lemma36(100, 5, 10, 1000) and of its two
-                   check_theorem_bounds shapes over 20 seeds; the result
-                   must be the same on both sides
+                   check_theorem_bounds shapes over 20 seeds; the SHA-256
+                   of the result's repr must be the same on both sides
   opcodes          Python opcodes (sys.settrace opcode events of the main
                    thread) per iteration of one run of each of the eight
                    algorithms at d = 500 (f2, L-hat = L, fd oracle, a
                    target, log_every 512, presets' q), per iteration of
                    check_lemma36(100, 5, 10) and of the run it makes,
-                   alone, and per seed-iteration of perfbench's two
-                   check_theorem_bounds shapes: the difference of two run
-                   lengths after a warm-up, divided by the iterations
-                   between them. Counts do not depend on host speed, so one
+                   alone, per seed-iteration of perfbench's two
+                   check_theorem_bounds shapes, and per sample of its
+                   Monte-Carlo shapes (mc_rgf_drift(50, 5), mc_prgf_drift(101,
+                   10), mc_g2_moments(20, 4) plain and variance-reduced; 1000
+                   and 3000 samples): the difference of two run
+                   lengths after a warm-up, divided by the iterations or
+                   samples between them. Counts do not depend on host speed, so one
                    pair suffices; at d = 500 the main thread's waits on the
                    read-ahead helper move them by a few per iteration. The
                    SHA-256 of the longer run's result must be the same on
@@ -167,6 +170,7 @@ MC_CASES = {
         {"seeds": BOUND_SEEDS, "L_hat_mult": 50.0, "historical": True}, 20 * 100),
 }
 MC_BATCH = """
+import hashlib
 from pgzo import diagnostics as dg
 from pgzo.core import RngHandle
 fname, fargs, warm, kwargs, count = args
@@ -177,13 +181,16 @@ def call(fargs):
 call(warm)
 t0 = time.perf_counter()
 result = call(fargs)
-out = {"us_per_unit": (time.perf_counter() - t0) / count * 1e6, "result": repr(result)}
+out = {"us_per_unit": (time.perf_counter() - t0) / count * 1e6,
+       "result": hashlib.sha256(repr(result).encode()).hexdigest()}
 """
 # case -> (function, short args, long args, kwargs, units between the two for a
 # diagnostics check); "run" runs one seed of ALGOS[algo] at d = 500 with
 # perfbench's greedy_f2_d500 settings (fd oracle, target, log_every = 512),
-# "lemma_run" the History-PRGF run check_lemma36 makes, without its pairing
+# "lemma_run" the History-PRGF run check_lemma36 makes, without its pairing;
+# the mc_ functions get RngHandle(11) after their args, as in MC_CASES
 OPCODE_ITERS = (40, 240)
+OPCODE_SAMPLES = (1000, 3000)
 OPCODES_CASES = {
     **{f"{algo} d=500": ("run", [algo, q, prior, cost * OPCODE_ITERS[0]],
                          [algo, q, prior, cost * OPCODE_ITERS[1]], {}, None)
@@ -198,6 +205,14 @@ OPCODES_CASES = {
     "theorem_bounds(50,5,hist)": (
         "check_theorem_bounds", [50, 5, [50, 100]], [50, 5, [50, 100, 150, 200]],
         {"seeds": BOUND_SEEDS, "L_hat_mult": 50.0, "historical": True}, 20 * 100),
+    **{name: (fname, [*shape, OPCODE_SAMPLES[0]], [*shape, OPCODE_SAMPLES[1]], kwargs,
+              OPCODE_SAMPLES[1] - OPCODE_SAMPLES[0])
+       for name, fname, shape, kwargs in (
+           ("mc_rgf_drift(50,5)", "mc_rgf_drift", [50, 5], {}),
+           ("mc_prgf_drift(101,10)", "mc_prgf_drift", [101, 10, 0.5], {}),
+           ("mc_g2_moments(20,4)", "mc_g2_moments", [20, 4, 0.5], {}),
+           ("mc_g2_moments(20,4,vr)", "mc_g2_moments", [20, 4, 0.5],
+            {"variance_reduced": True}))},
 }
 OPCODES = """
 import hashlib
@@ -222,8 +237,10 @@ elif fname == "lemma_run":
         return trace.rows[-1][0], trace.rows
 else:
     from pgzo import diagnostics
+    from pgzo.core import RngHandle
     def call(fargs):
-        return 0, getattr(diagnostics, fname)(*fargs, **kwargs)
+        rng = [RngHandle(11)] if fname.startswith("mc_") else []
+        return 0, getattr(diagnostics, fname)(*fargs, *rng, **kwargs)
 def counted(fargs):
     # the main thread's opcode events; a read-ahead helper's are not traced
     n = 0
