@@ -89,13 +89,8 @@ def build_frames(rng, d: int, q: int, n: Optional[int],
     made orthogonal to it and to each other. Gaussian draws are used directly
     since projection + normalization is direction-invariant under scaling.
     Every frame is bit for bit the one ``build_frame`` would build from its
-    handle, which is consumed as that call would consume it. One handle:
-    one (m, q, d) draw holds its next m blocks, a rejected block passes its
-    frame on to the next block, and the frames still missing are drawn
-    afterwards. One handle per frame: each pass draws one block from the
-    handle of every frame still missing, so a rejected frame redraws from its
-    own handle.
-    """
+    handle, which is consumed as that call would consume it: one pass, run
+    again on the frames it rejects, builds them all (``_cholqr``)."""
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
     if n is not None and n < 1:
@@ -113,43 +108,26 @@ def build_frames(rng, d: int, q: int, n: Optional[int],
     rows = np.empty((1 if n is None else n, q + (p is not None), d))
     if p is not None:
         rows[_FIRST_ROW] = p
-    raw, inv_l, rejected = _cholqr_pass(rng, len(rows), q, d, p)
-    if not rejected:  # the common case: one pass built every frame
-        np.matmul(inv_l, raw, out=rows[:, -q:])
-    else:
-        per_frame, passes, rejects = not isinstance(rng, RngHandle), 0, 0
-        missing = list(range(len(rows)))  # the frames still to build
-        while True:
-            passes += 1
-            for i in range(len(raw)):  # rejects in a row: of the handle's blocks, or a frame's
-                rejects = (passes if per_frame else rejects + 1) if i in rejected else 0
-                if rejects == 64:
-                    raise ConfigError("could not build an orthonormal frame (d too small?)")
-            good = [i for i in range(len(raw)) if i not in rejected]
-            built = [missing[i] for i in good] if per_frame else missing[:len(good)]
-            rows[:, -q:][built] = inv_l.transpose(0, 2, 1)[good].transpose(0, 2, 1) @ raw[good]
-            missing = [missing[i] for i in rejected] if per_frame else missing[len(good):]
-            if not missing:
-                break
-            raw, inv_l, rejected = _cholqr_pass(
-                [rng[i] for i in missing] if per_frame else rng, len(missing), q, d,
-                p if p is None or p.ndim == 1 else p[missing])
+    _cholqr(rng, rows[:, -q:], p)
     return OrthonormalFrame(rows if n is not None else rows[0], p is not None)
 
 
-def _cholqr_pass(rng, m: int, q: int, d: int, p: Optional[Array]) -> tuple[Array, Array, list]:
-    """m (q, d) blocks of normals from ``rng`` (one handle, or one block from
-    each handle of a list) made orthogonal to ``p`` (one unit prior or one
-    per block); L^-1 for each block's Gram matrix L L^T, so that L^-1 @ block
-    is a frame (Cholesky-QR: Gram-Schmidt in exact arithmetic, with its
-    residual norms on L's diagonal); and the blocks rejected as near degenerate.
-    A Gram block's transpose is itself and Fortran-ordered, so dpotrf and dtrtri
-    overwrite it in place; their flags go in by position (f2py's keyword
-    parsing costs a microsecond per frame)."""
-    if isinstance(rng, RngHandle):
-        raw = rng.normal((m, q, d))
-    else:
-        raw = np.concatenate([h.normal((1, q, d)) for h in rng])
+def _cholqr(rng, out: Array, p: Optional[Array], rejects: int = 0) -> None:
+    """Fills ``out``, m (q, d) blocks, with frames: m blocks of normals from
+    ``rng`` (one handle, or one block from each handle of a list) made
+    orthogonal to ``p`` (one unit prior or one per block), each times L^-1
+    for its Gram matrix L L^T (Cholesky-QR: Gram-Schmidt in exact arithmetic,
+    with its residual norms on L's diagonal). A Gram block's transpose is
+    itself and Fortran-ordered, so dpotrf and dtrtri overwrite it in place;
+    their flags go in by position (f2py's keyword parsing costs a
+    microsecond per frame). The pass runs again on the frames of the blocks
+    it rejects as near degenerate: with one handle, a rejected block passes
+    its frame to the next and the tail is drawn anew; with one handle per
+    frame, each from its own handle. ``rejects`` counts rejects in a row so
+    far (of the handle's blocks, or of every frame not yet built)."""
+    m, q, d = out.shape
+    raw = (rng.normal((m, q, d)) if isinstance(rng, RngHandle)
+           else np.concatenate([h.normal((1, q, d)) for h in rng]))
     if p is not None:
         raw -= (raw @ p[..., None]) * p[..., None, :]
     inv_l = (raw @ raw.transpose(0, 2, 1)).transpose(0, 2, 1)  # the Gram blocks
@@ -157,12 +135,32 @@ def _cholqr_pass(rng, m: int, q: int, d: int, p: Optional[Array]) -> tuple[Array
         chol, info = flapack.dpotrf(inv_l[0], 1, 1, 1)
         if not info and min(chol.diagonal().tolist()) >= 1e-6:
             if not flapack.dtrtri(chol, 1, 0, 1)[1]:
-                return raw, inv_l, []
-        return raw, inv_l, [0]
-    infos = [flapack.dpotrf(chol, 1, 1, 1)[1] for chol in inv_l]
-    wide = (inv_l.diagonal(0, 1, 2) >= 1e-6).all(1).tolist()
-    return raw, inv_l, [i for i, (chol, info, ok) in enumerate(zip(inv_l, infos, wide))
-                        if info or not ok or flapack.dtrtri(chol, 1, 0, 1)[1]]
+                np.matmul(inv_l, raw, out=out)
+                return
+        rejected = [0]
+    else:
+        infos = [flapack.dpotrf(chol, 1, 1, 1)[1] for chol in inv_l]
+        wide = (inv_l.diagonal(0, 1, 2) >= 1e-6).all(1).tolist()
+        rejected = [i for i, (chol, info, ok) in enumerate(zip(inv_l, infos, wide))
+                    if info or not ok or flapack.dtrtri(chol, 1, 0, 1)[1]]
+        np.matmul(inv_l, raw, out=out)  # a rejected block's rows are written again below
+        if not rejected:
+            return
+    if isinstance(rng, RngHandle):
+        for i in range(m):  # rejects in a row of the handle's blocks
+            rejects = rejects + 1 if i in rejected else 0
+            if rejects == 64:
+                break
+        accepted = [i for i in range(m) if i not in rejected]
+        out[:len(accepted)] = out[accepted]  # first, in stream order
+        redo = slice(len(accepted), None)
+    else:  # every frame not yet built was rejected on every pass
+        rejects, rng, redo = rejects + 1, [rng[i] for i in rejected], rejected
+    if rejects == 64:
+        raise ConfigError("could not build an orthonormal frame (d too small?)")
+    rebuilt = out[redo]  # the tail's view, or a copy of the rejected frames
+    _cholqr(rng, rebuilt, p if p is None or p.ndim == 1 else p[redo], rejects)
+    out[redo] = rebuilt
 
 
 def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -> OrthonormalFrame:

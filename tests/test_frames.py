@@ -208,6 +208,19 @@ def test_64_consecutive_rejects_raise_in_a_batch(with_prior):
                                       for _ in range(10)]))
 
 
+@pytest.mark.parametrize("with_prior", [False, True])
+def test_an_accepted_block_resets_the_rejects_in_a_row(with_prior):
+    d, q = 9, 4
+    q, prior = frame_shape(d, q, with_prior)
+    # 40 bad blocks, a good one, then 40 more: 80 rejects, never 64 in a row
+    bad = [*range(2, 42), *range(43, 83)]
+    batch = build_frames(TapeRng(4, q, d, 100, bad), d, q, 5, prior=prior)
+    seq = TapeRng(4, q, d, 100, bad)
+    np.testing.assert_array_equal(
+        batch.stacked(), np.array([build_frame(seq, d, q, prior=prior).stacked()
+                                   for _ in range(5)]))
+
+
 def test_build_frames_rejects_empty_batch():
     with pytest.raises(ConfigError, match="n must be >= 1"):
         build_frames(RngHandle(0), 5, 2, 0)
