@@ -21,11 +21,12 @@ from .greedy import GreedyConfig, run_greedy, run_greedy_lockstep
 from .testfns import bench_function
 
 
-# Normals drawn per block of Monte-Carlo samples, q * d per frame: 128 KiB
-# of doubles. The block bounds memory, not speed: on a 2-vCPU host
-# (OpenBLAS 0.3.31) the AC02-AC05 shapes ran as fast with 16384 as with
-# 32768 and slower with 65536, and at (d, q) = (101, 10) blocks of 64
-# frames (65k values) raised peak RSS by 1.5 MB over one frame at a time.
+# Frame values per block of Monte-Carlo samples, (q + 1) * d per frame with
+# a prior and q * d without: at most 128 KiB of doubles, glibc's initial mmap
+# threshold, above which the heap's history decides whether a block's rows
+# are mmapped. The block bounds memory, not speed: on a 2-vCPU host (OpenBLAS
+# 0.3.31) the AC02-AC05 shapes ran as fast with 16384 as with 32768 and
+# slower with 65536; at (101, 10) blocks of 64 frames raised peak RSS 1.5 MB.
 MC_BLOCK_VALUES = 16384
 
 
@@ -69,10 +70,10 @@ def _prior_with_quality(grad: Array, D: float, rng: RngHandle) -> Array:
     return np.sqrt(D) * g_hat + np.sqrt(1.0 - D) * w
 
 
-def _blocks(n_samples: int, q: int, d: int):
-    """(start, size) of each block of samples whose frames hold about
-    MC_BLOCK_VALUES values; the last block is shorter."""
-    block = max(1, MC_BLOCK_VALUES // (q * d))
+def _blocks(n_samples: int, rows: int, d: int):
+    """(start, size) of each block of samples: as many frames of ``rows``
+    rows as MC_BLOCK_VALUES values hold (at least one); the last is shorter."""
+    block = max(1, MC_BLOCK_VALUES // (rows * d))
     for start in range(0, n_samples, block):
         yield start, min(block, n_samples - start)
 
@@ -92,7 +93,7 @@ def _mc_drift(d: int, q: int, n_samples: int, rng: RngHandle,
     grad = sample_unit_sphere(rng, d)
     prior = None if D_fixed is None else _prior_with_quality(grad, D_fixed, rng)
     cs = np.empty(n_samples)
-    for start, size in _blocks(n_samples, q, d):
+    for start, size in _blocks(n_samples, q + (prior is not None), d):
         frames = build_frames(rng, d, q, size, prior=prior)
         cs[start:start + size] = cos_sq(grad, subspace_estimate(_exact_probes(frames, grad)))
     return float(cs.mean()), float(cs.std(ddof=1) / np.sqrt(n_samples))
@@ -127,7 +128,7 @@ def mc_g2_moments(d: int, q: int, D: float, n_samples: int, rng: RngHandle,
     prior = _prior_with_quality(grad, D, rng)
     acc = np.zeros(d)
     norm_sq = 0.0
-    for _, size in _blocks(n_samples, q, d):
+    for _, size in _blocks(n_samples, q + (not variance_reduced), d):
         if variance_reduced:
             frames = build_frames(rng, d, q, size)
             g2 = g2_variance_reduced(_exact_probes(frames, grad), prior, float(prior @ grad))

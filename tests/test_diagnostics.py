@@ -11,8 +11,8 @@ from pgzo.diagnostics import (DriftSample, _prior_with_quality, check_ars_bound,
                               check_theorem_bounds,
                               mc_g2_moments, mc_prgf_drift, mc_rgf_drift,
                               subspace_optimality_margin)
-from pgzo.frames import (ProbeSet, build_frame, cos_sq, g2_unbiased, g2_variance_reduced,
-                         subspace_estimate)
+from pgzo.frames import (ProbeSet, build_frame, build_frames, cos_sq, g2_unbiased,
+                         g2_variance_reduced, subspace_estimate)
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
 
@@ -300,6 +300,33 @@ def test_mc_at_full_span_equals_per_sample_loop():
     assert mc_rgf_drift(3, 3, 1000, RngHandle(0)) == ref_mc_drift(3, 3, 1000, RngHandle(0), None)
     assert (mc_g2_moments(6, 2, 0.5, 1000, RngHandle(0))
             == ref_mc_g2_moments(6, 2, 0.5, 1000, RngHandle(0)))
+
+
+@pytest.mark.parametrize("check,args,kwargs,rows", [
+    (mc_rgf_drift, (50, 5, 1000), {}, 5),                  # AC02 and perfbench
+    (mc_rgf_drift, (101, 10, 1000), {}, 10),
+    (mc_prgf_drift, (101, 10, 0.5, 1000), {}, 11),         # AC03 and perfbench
+    (mc_g2_moments, (20, 4, 0.5, 1000), {}, 5),            # AC05 and perfbench
+    (mc_g2_moments, (20, 4, 0.5, 1000), {"variance_reduced": True}, 4),
+])
+def test_monte_carlo_blocks_hold_at_most_the_block_values(monkeypatch, check, args, kwargs,
+                                                          rows):
+    # a block counts the rows its frames allocate, prior included, so that its
+    # (n, rows, d) array stays within MC_BLOCK_VALUES doubles
+    shapes = []
+
+    def recording(*a, **kw):
+        frames = build_frames(*a, **kw)
+        shapes.append(frames.stacked().shape)
+        return frames
+    monkeypatch.setattr(pgzo.diagnostics, "build_frames", recording)
+    check(*args, RngHandle(0), **kwargs)
+    assert {shape[1:] for shape in shapes} == {(rows, args[0])}
+    assert sum(shape[0] for shape in shapes) == args[-1] and len(shapes) > 1
+    values = [n * rows * args[0] for n, _, _ in shapes]
+    assert max(values) <= pgzo.diagnostics.MC_BLOCK_VALUES
+    # and a block holds as many frames as fit
+    assert values[0] + rows * args[0] > pgzo.diagnostics.MC_BLOCK_VALUES
 
 
 @pytest.mark.parametrize("n", [0, -1])
