@@ -36,15 +36,15 @@ Suites:
                    check_lemma36(100, 5, 10) and of the run it makes,
                    alone, per seed-iteration of perfbench's two
                    check_theorem_bounds shapes, and per sample of its
-                   Monte-Carlo shapes (mc_rgf_drift(50, 5), mc_prgf_drift(101,
-                   10), mc_g2_moments(20, 4) plain and variance-reduced; 1000
-                   and 3000 samples): the difference of two run
-                   lengths after a warm-up, divided by the iterations or
-                   samples between them. Counts do not depend on host speed, so one
-                   pair suffices; at d = 500 the main thread's waits on the
-                   read-ahead helper move them by a few per iteration. The
-                   SHA-256 of the longer run's result must be the same on
-                   both sides
+                   Monte-Carlo shapes (mc_rgf_drift(50, 5),
+                   mc_prgf_drift(101, 10), mc_g2_moments(20, 4) plain and
+                   variance-reduced; 1000 and 3000 samples): the difference
+                   of two run lengths after a warm-up, divided by the
+                   iterations or samples between them. Counts do not depend
+                   on host speed, so one pair suffices; at d = 500 the main
+                   thread's waits on the read-ahead helper move them by a
+                   few per iteration. The SHA-256 of the longer run's result
+                   must be the same on both sides
   preset           one full-budget CLI preset run, pgzo --preset fig2_f2
                    --seeds 0,1 (192 000 trace rows): seconds of the run
                    and peak RSS; the SHA-256 over every CSV and SVG it
