@@ -25,8 +25,7 @@ from typing import Callable, ClassVar, List, Optional
 
 import numpy as np
 
-from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
-                   require_finite_positive)
+from .core import Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle
 from .frames import (_unit_prior, build_frame, estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
                      probe)
 from .greedy import GreedyConfig, GreedyState, descend
@@ -78,10 +77,9 @@ def alpha_beta_gamma(theta: float, gamma: float, tau_hat: float) -> tuple[float,
 
 @dataclass
 class ArsConfig(GreedyConfig):
-    """``GreedyConfig`` plus the momentum settings of the ARS family."""
+    """``GreedyConfig`` plus the ARS family's momentum settings; gamma starts at ``L_hat``."""
     algo: str = "ars"
     tau_hat: float = 0.0
-    gamma0: Optional[float] = None   # defaults to L_hat
     restart: bool = False
 
     ALGOS: ClassVar[dict] = {"ars": "none", "pars_naive": "external", "pars_impl": "external",
@@ -90,13 +88,9 @@ class ArsConfig(GreedyConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 <= self.tau_hat < math.inf:
-            raise ConfigError(f"tau_hat must be finite and nonnegative, got {self.tau_hat}")
-        if self.gamma0 is None:
-            self.gamma0 = self.L_hat
-        require_finite_positive("gamma0", self.gamma0)
-        if self.gamma0 < self.tau_hat:
-            raise ConfigError(f"gamma0 must be >= tau_hat, got {self.gamma0}")
+        if not 0.0 <= self.tau_hat <= self.L_hat:  # gamma falls from L_hat toward tau_hat
+            raise ConfigError(f"tau_hat must be finite, nonnegative and <= L_hat={self.L_hat}, "
+                              f"got {self.tau_hat}")
 
     @property
     def queries_per_iteration(self) -> int:
@@ -114,16 +108,16 @@ class ArsState(GreedyState):
     m: Array
     gamma: float
     theta_prev: float = 0.0
-    norm_sq_history: List[float] = field(default_factory=list)
-    last_f_y: Optional[float] = None
+    norm_sq_history: List[float] = field(init=False, default_factory=list)
+    last_f_y: Optional[float] = field(init=False, default=None)
 
 
 def maybe_restart(state: ArsState, f_y_current: float, config: ArsConfig) -> bool:
-    """Adaptive restart: reset momentum when f(y_t) increased over f(y_{t-1})."""
+    """Adaptive restart: m <- x and gamma <- L̂ when f(y_t) increased over f(y_{t-1})."""
     restarted = state.last_f_y is not None and f_y_current > state.last_f_y
     if restarted:
         state.m = state.x.copy()
-        state.gamma = config.gamma0
+        state.gamma = config.L_hat
     state.last_f_y = f_y_current
     return restarted
 
@@ -243,5 +237,5 @@ def run_ars(objective: ObjectiveSpec, config: ArsConfig, seed: int,
     theta0 = (theta_floor(config.q, objective.dim, config.L_hat)
               if config.algo == "history_pars" else 0.0)
     return run_loop(objective, config, seed,
-                    lambda x0: ArsState(x=x0, m=x0.copy(), gamma=config.gamma0, theta_prev=theta0),
+                    lambda x0: ArsState(x=x0, m=x0.copy(), gamma=config.L_hat, theta_prev=theta0),
                     _STEPPERS[config.algo], prior_feed)

@@ -11,7 +11,8 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .ars import ArsConfig, run_ars
-from .core import ConfigError, RngHandle, load_special_ufuncs, require_finite_positive
+from .core import (ConfigError, RngHandle, load_special_ufuncs, require_finite_positive,
+                   require_int_at_least)
 from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function, biased_prior_feed
 from .trace import COLUMNS, RunOptions, RunTrace
@@ -47,7 +48,6 @@ class RunConfig(RunOptions):
     seeds: Sequence[int] = (0,)
     prior: Optional[str] = None           # defaults to ALGO_PRIORS[algo]
     restart: bool = False
-    gamma0: Optional[float] = None
     label: str = ""
 
     def __post_init__(self):
@@ -63,12 +63,15 @@ class RunConfig(RunOptions):
         if unread and self.algo not in ARS_ALGOS:
             raise ConfigError(f"algo {self.algo!r} does not read {', '.join(unread)}")
         super().__post_init__()
+        require_int_at_least("dim", self.dim, 1)
+        require_int_at_least("q", self.q, 1)
+        require_int_at_least("budget", self.budget, 0)
         if len(self.seeds) < 1:
             raise ConfigError("need at least one seed")
+        for seed in self.seeds:
+            require_int_at_least("seeds", seed, 0)
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"repeated seeds in {tuple(self.seeds)}")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be nonnegative, got {tuple(self.seeds)}")
         if (self.lhat is None) == (self.lhat_scale is None):
             raise ConfigError("exactly one of lhat / lhat_scale is required")
         name = "lhat" if self.lhat_scale is None else "lhat_scale"
@@ -220,15 +223,12 @@ def _finite(values: np.ndarray, fallback: float) -> np.ndarray:
     return out
 
 
-def emit_svg(aggregates: List[Aggregate], path: str, title: str = "",
-             x_label: str = "directional-derivative queries",
-             y_label: str = "log10 relative error") -> str:
+def emit_svg(aggregates: List[Aggregate], path: str) -> str:
     """Single self-contained chart: one mean polyline and one shaded
-    confidence band per aggregate. Labels and the title are XML-escaped."""
+    confidence band per aggregate, whose label is XML-escaped."""
     if not aggregates:
         raise ConfigError("no aggregates to plot")
     from html import escape  # imported here: runs that plot nothing skip its 0.4 MB of RSS
-    title, x_label, y_label = (escape(t, quote=False) for t in (title, x_label, y_label))
     all_y = np.concatenate([np.concatenate([a.lo, a.hi]) for a in aggregates])
     finite_y = all_y[np.isfinite(all_y)]
     y_min = float(finite_y.min()) if finite_y.size else -1.0
@@ -262,11 +262,10 @@ def emit_svg(aggregates: List[Aggregate], path: str, title: str = "",
         parts.append(f'<line x1="{_ML - 5}" y1="{sy(yv):.1f}" x2="{_ML}" y2="{sy(yv):.1f}" '
                      f'stroke="black"/>')
         parts.append(f'<text x="{_ML - 8}" y="{sy(yv) + 4:.1f}" text-anchor="end">{yv:.3g}</text>')
-    parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" text-anchor="middle">{x_label}</text>')
+    parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_H - 12}" text-anchor="middle">'
+                 'directional-derivative queries</text>')
     parts.append(f'<text x="16" y="{(_MT + _H - _MB) / 2}" text-anchor="middle" '
-                 f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">{y_label}</text>')
-    if title:
-        parts.append(f'<text x="{(_ML + _W - _MR) / 2}" y="{_MT - 4}" text-anchor="middle">{title}</text>')
+                 f'transform="rotate(-90 16 {(_MT + _H - _MB) / 2})">log10 relative error</text>')
 
     for k, agg in enumerate(aggregates):
         color = _PALETTE[k % len(_PALETTE)]

@@ -10,6 +10,7 @@ from functools import partial
 from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
+from numbers import Integral
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Optional
@@ -131,6 +132,15 @@ def require_finite_positive(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
+def require_int_at_least(name: str, value, floor: int) -> None:
+    """ConfigError unless ``value`` is an integer, not a float, at or above ``floor``."""
+    if not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < floor:
+        bound = "nonnegative" if floor == 0 else f">= {floor}"
+        raise ConfigError(f"{name} must be {bound}, got {value}")
+
+
 def check_oracle_options(mode: str, mu: float) -> None:
     """ConfigError unless ``mode`` is an oracle mode and ``mu`` finite and positive."""
     require_finite_positive("mu", mu)
@@ -156,8 +166,7 @@ class ObjectiveSpec:
     x0: Optional[Array] = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        require_int_at_least("dim", self.dim, 1)
         if self.x0 is not None and len(self.x0) != self.dim:
             raise ConfigError(f"x0 has length {len(self.x0)}, expected {self.dim}")
         if self.x0 is not None and not np.isfinite(self.x0).all():

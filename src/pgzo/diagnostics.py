@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .ars import ArsConfig, alpha_beta_gamma, run_ars
-from .core import Array, ConfigError, RngHandle, sample_unit_sphere
+from .core import Array, ConfigError, RngHandle, require_int_at_least, sample_unit_sphere
 from .frames import (OrthonormalFrame, ProbeSet, _dot, build_frame, build_frames, cos_sq,
                      g2_unbiased, g2_variance_reduced, subspace_estimate)
 from .greedy import GreedyConfig, run_greedy, run_greedy_lockstep
@@ -28,6 +28,8 @@ from .testfns import bench_function
 # 0.3.31) the AC02-AC05 shapes ran as fast with 16384 as with 32768 and
 # slower with 65536; at (101, 10) blocks of 64 frames raised peak RSS 1.5 MB.
 MC_BLOCK_VALUES = 16384
+_BOUND_SLACK = 0.2  # check_theorem_bounds: multiplicative slack on the plain-frame rates
+_LEMMA36_TOL = 1e-9  # check_lemma36: the rounding by which D_t may miss its bound
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,7 @@ def mc_g2_moments(d: int, q: int, D: float, n_samples: int, rng: RngHandle,
     variance-reduced one keeps them uniform and uses the prior as a control
     variate.
     """
-    if n_samples < 1:
-        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
+    require_int_at_least("n_samples", n_samples, 1)
     grad = 2.0 * sample_unit_sphere(rng, d)
     prior = _prior_with_quality(grad, D, rng)
     acc = np.zeros(d)
@@ -163,12 +164,11 @@ def subspace_optimality_margin(d: int, q: int, n_vectors: int, rng: RngHandle,
 
 
 def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
-                  seed: int, tol: float = 1e-9) -> tuple[int, List[DriftSample]]:
+                  seed: int) -> tuple[int, List[DriftSample]]:
     """Count violations of D_t >= (1 - L/L̂)^2 C_{t-1} along a History-PRGF
     run on the diagonal quadratic with an exact oracle. Zero on quadratics
     whenever L̂ >= L."""
-    if iterations < 2:
-        raise ConfigError(f"iterations must be >= 2 to pair C_(t-1) with D_t, got {iterations}")
+    require_int_at_least("iterations", iterations, 2)  # to pair C_(t-1) with D_t
     fn = bench_function("f2", d)
     L = fn.L
     cfg = GreedyConfig(L_hat=L_hat_mult * L, q=q, algo="history_prgf",
@@ -178,7 +178,7 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
     c_col, d_col = trace.column("C_t"), trace.column("D_t")
     c_prev, c_t, d_t = c_col[:iterations - 1], c_col[1:iterations], d_col[1:iterations]
     paired = ~(np.isnan(c_prev) | np.isnan(d_t))  # t = 1 .. iterations-1 where both are set
-    violations = int(np.count_nonzero(d_t[paired] < a * c_prev[paired] - tol))
+    violations = int(np.count_nonzero(d_t[paired] < a * c_prev[paired] - _LEMMA36_TOL))
     samples = list(map(DriftSample, c_t[paired].tolist(), d_t[paired].tolist(),
                        (np.flatnonzero(paired) + 1).tolist()))
     return violations, samples
@@ -200,8 +200,7 @@ def _log_every(T_values: Sequence[int]) -> int:
 
 
 def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int],
-                         L_hat_mult: float = 1.0, historical: bool = False,
-                         slack: float = 0.2) -> List[BoundCheck]:
+                         L_hat_mult: float = 1.0, historical: bool = False) -> List[BoundCheck]:
     """Seed-averaged delta_T against the applicable convergence bound on the
     diagonal quadratic.
 
@@ -235,8 +234,8 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
             bound = 2.0 * np.exp(-0.1 * (q / d) * (tau / L) * T) * delta0
             checks.append(BoundCheck("history_factor2_rate", T, mean, float(bound)))
         else:
-            bound_strong = delta0 * np.exp(-(tau / L_prime) * (q / d) * T) * (1.0 + slack)
-            bound_smooth = 2.0 * L_prime * (d / q) * R * R / (T + 1) * (1.0 + slack)
+            bound_strong = delta0 * np.exp(-(tau / L_prime) * (q / d) * T) * (1.0 + _BOUND_SLACK)
+            bound_smooth = 2.0 * L_prime * (d / q) * R * R / (T + 1) * (1.0 + _BOUND_SLACK)
             checks.append(BoundCheck("strongly_convex_rate", T, mean, float(bound_strong)))
             checks.append(BoundCheck("smooth_convex_rate", T, mean, float(bound_smooth)))
     return checks
@@ -260,9 +259,9 @@ def check_ars_bound(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int
     alpha_t gamma_t/(gamma_t + alpha_t taû) and m_{t+1} = (1 - lambda_t) m_t +
     lambda_t y_t - (theta/alpha_t) g2 with lambda_t = alpha_t taû/gamma_{t+1},
     give E Phi_{t+1} <= (1 - alpha_t) E Phi_t for Phi_t = f(x_t) - f* +
-    gamma_t/2 ||m_t - x*||^2 whenever L̂ >= L and taû <= tau. With m_0 = x_0:
+    gamma_t/2 ||m_t - x*||^2 whenever L̂ >= L and taû <= tau. With m_0 = x_0 and gamma_0 = L̂:
 
-        E[f(x_T) - f*] <= psi_T (f(x_0) - f* + gamma_0/2 ||x_0 - x*||^2),
+        E[f(x_T) - f*] <= psi_T (f(x_0) - f* + L̂/2 ||x_0 - x*||^2),
         psi_T = prod_{t<T} (1 - alpha_t).
 
     theta is fixed, so alpha_t and psi_T follow from ``alpha_beta_gamma``
@@ -278,9 +277,9 @@ def check_ars_bound(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int
     cfg = ArsConfig(L_hat=fn.L, q=q, algo="ars", budget=T_max * q, oracle_mode="exact",
                     tau_hat=tau_hat_mult * fn.tau, log_every=log_every)
     traces = [run_ars(fn.as_objective(), cfg, seed) for seed in seeds]
-    phi0 = fn.eval(fn.x0) - fn.f_star + cfg.gamma0 / 2.0 * float(fn.x0 @ fn.x0)
+    phi0 = fn.eval(fn.x0) - fn.f_star + cfg.L_hat / 2.0 * float(fn.x0 @ fn.x0)
     theta = q * q / (cfg.L_hat * d * d)
-    psi, gamma = [1.0], cfg.gamma0
+    psi, gamma = [1.0], cfg.L_hat
     for _ in range(T_max):
         alpha, _, gamma = alpha_beta_gamma(theta, gamma, cfg.tau_hat)
         psi.append(psi[-1] * (1.0 - alpha))

@@ -10,13 +10,13 @@ loop (``trace.run_loop``) hands each step its prior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
-                   require_finite_positive)
+                   require_finite_positive, require_int_at_least)
 from .frames import (ProbeSet, _dot, build_frame, build_frames, cos_sq, probe,
                      subspace_estimate)
 from .trace import RunOptions, RunTrace, StepRow, run_loop
@@ -41,8 +41,8 @@ class GreedyConfig(RunOptions):
                               f"expected one of {tuple(self.ALGOS)}")
         require_finite_positive("L_hat", self.L_hat)
         super().__post_init__()
-        if self.q < 1:
-            raise ConfigError(f"q must be >= 1, got {self.q}")
+        require_int_at_least("q", self.q, 1)
+        require_int_at_least("budget", self.budget, 0)
 
     @property
     def prior_source(self) -> str:
@@ -58,7 +58,7 @@ class GreedyState:
     """x (d,) and the historical prior, or (n, d) for a stack of n seeds."""
     x: Array
     prior: Optional[Array] = None
-    iteration: int = 0
+    iteration: int = field(init=False, default=0)
 
 
 def _adopt_prior(g1: Array, prior: Array) -> Array:

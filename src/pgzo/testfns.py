@@ -9,13 +9,13 @@ f4  Huber-like composition of r = sqrt(f2): quadratic near the optimum,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import (Array, ConfigError, ObjectiveSpec, RngHandle, flapack, l2_norm,
-                   sample_unit_sphere)
+                   require_int_at_least, sample_unit_sphere)
 
 FUNCTION_IDS = ("f1", "f2", "f3", "f4")
 
@@ -136,8 +136,7 @@ _FACTORIES = {"f1": _make_f1, "f2": _make_f2, "f3": _make_f3, "f4": _make_f4}
 def bench_function(name: str, d: int) -> BenchFunction:
     if name not in _FACTORIES:
         raise ConfigError(f"unknown function {name!r}, expected one of {FUNCTION_IDS}")
-    if d < 2:
-        raise ConfigError(f"benchmark functions need d >= 2, got {d}")
+    require_int_at_least("d", d, 2)
     return _FACTORIES[name](d)
 
 
@@ -151,11 +150,10 @@ class BiasedPriorGen:
     rng: RngHandle
     dim: int
     noise_norm: float = 1.5
-    b: Array = None
+    b: Array = field(init=False)
 
     def __post_init__(self):
-        if self.b is None:
-            self.b = sample_unit_sphere(self.rng, self.dim)
+        self.b = sample_unit_sphere(self.rng, self.dim)
 
     def __call__(self, grad: Array) -> Array:
         n = self.noise_norm * sample_unit_sphere(self.rng, self.dim)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (DEFAULT_MU, Array, ConfigError, NormalStream, ObjectiveSpec,
                    OracleFailureError, OracleHandle, RngHandle, UnsupportedDiagnosticError,
-                   check_oracle_options, sample_unit_sphere)
+                   check_oracle_options, require_int_at_least, sample_unit_sphere)
 
 # Runs whose block (queries per iteration times d) reaches this draw their
 # normals through a NormalStream; smaller runs draw directly. Starting the
@@ -108,9 +108,9 @@ class RunTrace:
     f0: Optional[float] = None
     f_star: Optional[float] = None
     rows: TraceRows = field(default_factory=TraceRows)
-    reached_queries: Optional[int] = None
-    restarts: int = 0
-    guess_passes: list = field(default_factory=list)  # pars_est bookkeeping
+    reached_queries: Optional[int] = field(init=False, default=None)
+    restarts: int = field(init=False, default=0)
+    guess_passes: list = field(init=False, default_factory=list)  # pars_est bookkeeping
 
     def __post_init__(self):
         if not isinstance(self.rows, TraceRows):
@@ -167,8 +167,7 @@ class RunOptions:
 
     def __post_init__(self):
         check_oracle_options(self.oracle_mode, self.mu)
-        if self.log_every < 1:
-            raise ConfigError(f"log_every must be >= 1, got {self.log_every}")
+        require_int_at_least("log_every", self.log_every, 1)
         if self.target_log10 is not None and math.isnan(self.target_log10):
             raise ConfigError("target_log10 must not be NaN")
         if self.stop_on_target and self.target_log10 is None:
@@ -280,10 +279,11 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
                         dd_before, fn_before)
             finish(0, state.x)
         else:
+            live_oracles, live_rngs = oracles, rngs  # the handles of the seeds in live
             while True:
                 # a seed whose own run would stop here leaves the stack; the seeds
                 # of a greedy stack spend alike, so their budgets end together
-                if oracles[live[0]].dd_queries + cost > budget:
+                if live_oracles[0].dd_queries + cost > budget:
                     ending = live
                 elif config.stop_on_target:
                     ending = [i for i in live if traces[i].reached_queries is not None]
@@ -297,15 +297,15 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
                     if not stay:
                         break
                     live = [live[j] for j in stay]
+                    live_oracles, live_rngs = [oracles[i] for i in live], [rngs[i] for i in live]
                     state.x = state.x[stay]
                     if state.prior is not None:
                         state.prior = state.prior[stay]
                 points = state.x  # x_t of each seed; the step sets a new state.x
-                before = [(oracles[i].dd_queries, oracles[i].fn_evals) for i in live]
+                before = [(o.dd_queries, o.fn_evals) for o in live_oracles]
                 prior = (np.array([feeds[i](x) for i, x in zip(live, points)]) if external
                          else state.prior)
-                rows = step(state, [oracles[i] for i in live], config, [rngs[i] for i in live],
-                            prior)
+                rows = step(state, live_oracles, config, live_rngs, prior)
                 for i, row, x_here, (dd_before, fn_before) in zip(live, rows, points, before):
                     log_row(traces[i], oracles[i], row, x_here, dd_before, fn_before)
     except OracleFailureError as exc:

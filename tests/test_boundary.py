@@ -11,7 +11,7 @@ import pytest
 from pgzo.ars import ArsConfig, run_ars
 from pgzo.bench import RunConfig
 from pgzo.core import (ConfigError, ObjectiveSpec, OracleHandle, UnsupportedDiagnosticError,
-                       require_finite_positive)
+                       require_finite_positive, require_int_at_least)
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
 
@@ -36,7 +36,7 @@ def test_greedy_config_rejects_non_finite_L_hat(value):
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-@pytest.mark.parametrize("name", ["L_hat", "tau_hat", "gamma0"])
+@pytest.mark.parametrize("name", ["L_hat", "tau_hat"])
 def test_ars_config_rejects_non_finite(name, value):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
         ArsConfig(**{"L_hat": 1.0, "q": 2, "budget": 10, name: value})
@@ -103,6 +103,45 @@ def test_config_rejects_bad_oracle_options_when_built(family, options, match):
     run = {"function": "f2", "dim": 10, "algo": "rgf", "lhat": 1.0}
     with pytest.raises(ConfigError, match=match):
         family(q=2, budget=10, **(run if family is RunConfig else {"L_hat": 1.0}), **options)
+
+
+@pytest.mark.parametrize("family", [GreedyConfig, ArsConfig, RunConfig])
+@pytest.mark.parametrize("settings,match", [
+    *(({"budget": value}, "budget must be an integer") for value in
+      [math.nan, math.inf, -math.inf, 2.5]),
+    ({"budget": -1}, "budget must be nonnegative"),
+    ({"q": 2.5}, "q must be an integer"),
+    ({"q": math.nan}, "q must be an integer"),
+    ({"q": 0}, "q must be >= 1"),
+])
+def test_config_rejects_a_budget_or_q_that_is_no_count(family, settings, match):
+    # counts: a budget of inf would never end a run, one of NaN would end it
+    # before its first step, and a fractional q fails inside numpy
+    run = {"function": "f2", "dim": 10, "algo": "rgf", "lhat": 1.0}
+    with pytest.raises(ConfigError, match=match):
+        family(**{"q": 2, "budget": 10, **(run if family is RunConfig else {"L_hat": 1.0}),
+                  **settings})
+
+
+@pytest.mark.parametrize("settings,match", [
+    ({"seeds": (0.5,)}, "seeds must be an integer, got 0.5"),
+    ({"seeds": "01"}, "seeds must be an integer, got '0'"),
+    ({"seeds": (0, 1.0)}, "seeds must be an integer, got 1.0"),
+    ({"seeds": (3, -1)}, "seeds must be nonnegative"),
+    ({"dim": 10.5}, "dim must be an integer"),
+    ({"dim": math.nan}, "dim must be an integer"),
+    ({"dim": 0}, "dim must be >= 1"),
+])
+def test_run_config_rejects_seeds_and_dims_that_are_no_counts(settings, match):
+    with pytest.raises(ConfigError, match=match):
+        RunConfig(**{"function": "f2", "dim": 10, "algo": "rgf", "q": 2, "budget": 10,
+                     "lhat": 1.0, **settings})
+
+
+def test_require_int_at_least_takes_numpy_integers():
+    require_int_at_least("n", np.int64(3), 3)
+    with pytest.raises(ConfigError, match="n must be an integer"):
+        require_int_at_least("n", np.float64(3.0), 1)
 
 
 @pytest.mark.parametrize("algo", ["rgf", "history_prgf"])

@@ -62,6 +62,18 @@ def test_config_file_stop_on_target_needs_target(tmp_path, capsys):
     assert not os.path.exists(out + ".csv")
 
 
+def test_config_file_with_gamma0_is_a_config_error(tmp_path, capsys):
+    # gamma starts at L-hat; a file that still sets gamma0 is told so, not run
+    cfg = tmp_path / "gamma0.cfg"
+    cfg.write_text("function = f2\ndim = 10\nalgo = ars\nq = 2\nlhat_scale = 1\n"
+                   "budget = 100\ngamma0 = 1.0\n")
+    out = str(tmp_path / "gamma0")
+    assert main(["--config", str(cfg), "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "gamma0" in err
+    assert not os.path.exists(out + ".csv")
+
+
 def test_config_file_label_escaped_in_svg(tmp_path):
     cfg = tmp_path / "label.cfg"
     cfg.write_text("function = f2\ndim = 10\nalgo = rgf\nq = 2\nlhat_scale = 1\n"
@@ -200,12 +212,11 @@ ARS_F1 = ["--function", "f1", "--dim", "10", "--algo", "ars", "--q", "2", "--bud
     (ARS_F1 + ["--lhat", "inf"], "lhat must be finite"),
     (ARS_F1 + ["--lhat-scale", "nan"], "lhat_scale must be finite"),
     (ARS_F1 + ["--lhat-scale", "1", "--mu", "nan"], "mu must be finite"),
-    (ARS_F1 + ["--lhat-scale", "1", "--gamma0", "nan"], "gamma0 must be finite"),
     (ARS_F1 + ["--lhat-scale", "1", "--tau-hat", "nan"], "tau_hat must be finite"),
     # settings a greedy algorithm does not read, and a seed given twice
     (["--function", "f2", "--dim", "10", "--algo", "rgf", "--q", "2", "--budget", "100",
-      "--lhat-scale", "1", "--tau-hat", "nan", "--gamma0", "nan", "--restart"],
-     "does not read tau_hat, gamma0, restart"),
+      "--lhat-scale", "1", "--tau-hat", "nan", "--restart"],
+     "does not read tau_hat, restart"),
     (ARS_F1 + ["--lhat-scale", "1", "--seeds", "0,0"], "repeated seeds"),
     (ARS_F1 + ["--lhat-scale", "1", "--seeds=-1"], "seeds must be nonnegative"),
     # flags are text until the one parser reads them, so no value exits through argparse

@@ -134,7 +134,7 @@ def test_stack_needs_one_handle_per_frame():
 def test_an_ars_step_refuses_a_stack():
     fn = bench_function("f2", 10)
     cfg = ArsConfig(L_hat=fn.L, q=3, algo="ars", budget=60)
-    new_state = lambda x0: ArsState(x=x0, m=x0.copy(), gamma=cfg.gamma0)  # noqa: E731
+    new_state = lambda x0: ArsState(x=x0, m=x0.copy(), gamma=cfg.L_hat)  # noqa: E731
     with pytest.raises(ConfigError, match="^ars: its steps run one seed at a time"):
         run_loop(fn.as_objective(), cfg, [0, 1], new_state, _step_ars, None)
     with pytest.raises(ConfigError, match="^ars: its steps run one seed at a time"):

@@ -167,6 +167,13 @@ def test_mc_batch_times_perfbench_bound_check_shapes():
     assert ab.SUITES["mc_batch"].match == ("result",)
 
 
+def test_timing_suites_default_to_ten_pairs():
+    # a gain counts only if it wins nine of ten pairs; six could not resolve
+    # a 20 % change in mc_batch
+    for name in ("algos", "mc_batch", "perfbench"):
+        assert ab.SUITES[name].pairs == 10
+
+
 def test_mc_batch_digests_each_result_and_any_difference_fails(tmp_path):
     # stub sides whose Monte-Carlo "check" returns a float one ulp apart
     trees = stub_trees(tmp_path, {"base": 1.0, "head": 1.0, "ulp": math.nextafter(1.0, 2.0)})

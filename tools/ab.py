@@ -97,7 +97,7 @@ class Suite:
     better: dict           # metric -> "lower" | "higher": summarized per side, pairs won counted
     match: tuple = ()      # keys that must be equal on both sides in every pair
     same: tuple = ()       # keys reported as equal or not on both sides, never required to be
-    pairs: int = 6
+    pairs: int = 10        # a gain must win nine of ten pairs, so no fewer
     perfbench: bool = False  # each side's tree also holds this checkout's perfbench/
 
 
@@ -296,8 +296,7 @@ def perfbench_cases(trace: int) -> dict:
 SUITES = {
     "algos": Suite({f"{algo} d={d}": probe(ALGOS_RUN, [algo, d, *ALGOS[algo]])
                     for algo, d in ALGOS_CASES},
-                   {"us_per_iter": "lower", "dd_queries_per_s": "higher", "max_rss_mb": "lower"},
-                   pairs=10),
+                   {"us_per_iter": "lower", "dd_queries_per_s": "higher", "max_rss_mb": "lower"}),
     "import": Suite({case: probe(IMPORT, [batch, SCIPY_LOADED])
                      for case, batch in IMPORT_CASES.items()},
                     {"seconds": "lower", "max_rss_mb": "lower"}, same=tuple(SCIPY_LOADED),
@@ -309,7 +308,7 @@ SUITES = {
     "preset": Suite({case: probe(PRESET, argv) for case, argv in PRESET_CASES.items()},
                     {"seconds": "lower", "max_rss_mb": "lower"}, match=("sha256",), pairs=4),
     "perfbench": Suite(perfbench_cases(0), {m["name"]: m["better"] for m in MANIFEST["end_to_end"]},
-                       match=PERFBENCH_MATCH, pairs=10, perfbench=True),
+                       match=PERFBENCH_MATCH, perfbench=True),
     "perfbench-trace": Suite(perfbench_cases(1), {}, match=PERFBENCH_MATCH, same=LAYER_COUNTS,
                              pairs=1, perfbench=True),
 }
