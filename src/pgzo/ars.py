@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, ClassVar, List, Optional
 
 import numpy as np
@@ -88,7 +89,8 @@ class ArsConfig(GreedyConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 <= self.tau_hat <= self.L_hat:  # gamma falls from L_hat toward tau_hat
+        # gamma falls from L_hat toward tau_hat
+        if not (isinstance(self.tau_hat, Real) and 0.0 <= self.tau_hat <= self.L_hat):
             raise ConfigError(f"tau_hat must be finite, nonnegative and <= L_hat={self.L_hat}, "
                               f"got {self.tau_hat}")
 

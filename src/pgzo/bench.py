@@ -57,7 +57,8 @@ class RunConfig(RunOptions):
         if self.prior not in (None, implied):
             raise ConfigError(f"algo {self.algo!r} runs with prior={implied!r}, got {self.prior!r}")
         self.prior = implied
-        if self.tau_hat != "true" and not isinstance(self.tau_hat, numbers.Real):
+        if self.tau_hat != "true" and (not isinstance(self.tau_hat, numbers.Real)
+                                       or isinstance(self.tau_hat, bool)):
             raise ConfigError(f"tau_hat must be a number or 'true', got {self.tau_hat!r}")
         unread = [k for k, v in _ARS_SETTINGS.items() if getattr(self, k) != v]
         if unread and self.algo not in ARS_ALGOS:
@@ -66,8 +67,8 @@ class RunConfig(RunOptions):
         require_int_at_least("dim", self.dim, 1)
         require_int_at_least("q", self.q, 1)
         require_int_at_least("budget", self.budget, 0)
-        if len(self.seeds) < 1:
-            raise ConfigError("need at least one seed")
+        if not isinstance(self.seeds, (Sequence, np.ndarray)) or len(self.seeds) < 1:
+            raise ConfigError(f"seeds must be a non-empty sequence of integers, got {self.seeds!r}")
         for seed in self.seeds:
             require_int_at_least("seeds", seed, 0)
         if len(set(self.seeds)) != len(self.seeds):

@@ -10,7 +10,7 @@ from functools import partial
 from importlib import import_module
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Optional
@@ -126,15 +126,16 @@ class ConfigError(ValueError):
 
 
 def require_finite_positive(name: str, value: float) -> None:
-    """ConfigError unless ``value`` is finite and above zero; NaN fails the
-    comparison."""
-    if not 0.0 < value < math.inf:
+    """ConfigError unless ``value`` is a real number, finite and above zero;
+    NaN fails the comparison."""
+    if not (isinstance(value, Real) and 0.0 < value < math.inf):
         raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
 def require_int_at_least(name: str, value, floor: int) -> None:
-    """ConfigError unless ``value`` is an integer, not a float, at or above ``floor``."""
-    if not isinstance(value, Integral):
+    """ConfigError unless ``value`` is an integer, not a float or a bool, at or
+    above ``floor``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if value < floor:
         bound = "nonnegative" if floor == 0 else f">= {floor}"
@@ -167,10 +168,11 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         require_int_at_least("dim", self.dim, 1)
-        if self.x0 is not None and len(self.x0) != self.dim:
-            raise ConfigError(f"x0 has length {len(self.x0)}, expected {self.dim}")
-        if self.x0 is not None and not np.isfinite(self.x0).all():
-            raise ConfigError("x0 must be finite")
+        x0 = None if self.x0 is None else np.asarray(self.x0)
+        if x0 is not None and not (x0.shape == (self.dim,) and x0.dtype.kind in "biuf"
+                                   and np.isfinite(x0).all()):
+            raise ConfigError(f"x0 must be {self.dim} finite real numbers, got {x0.dtype} "
+                              f"of shape {x0.shape}")
 
 
 class NormalStream:

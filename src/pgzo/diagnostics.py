@@ -149,7 +149,8 @@ def subspace_optimality_margin(d: int, q: int, n_vectors: int, rng: RngHandle,
     """Worst observed cos^2 margin of the projection direction over random
     in-subspace unit vectors; nonnegative up to rounding if the projection
     is optimal."""
-    if n_trials < 1 or n_vectors < 1:
+    if not all(isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
+               for n in (n_trials, n_vectors)):
         raise ConfigError(f"n_trials and n_vectors must be >= 1, got {n_trials} and {n_vectors}")
     worst = np.inf
     for _ in range(n_trials):

@@ -170,9 +170,9 @@ def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -
 
 def probe(oracle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
     """One directional-derivative query per frame vector (prior included).
-    For a stack of frames, ``oracle`` and ``x`` hold one ``OracleHandle``
-    and one point per frame, and each oracle is charged for its own frame.
-    An exact oracle's products are then taken for the whole stack at once,
+    For a stack of frames, ``oracle`` and ``x`` hold one exact-mode
+    ``OracleHandle`` and one point per frame, and each oracle is charged for
+    its own frame. The products are then taken for the whole stack at once,
     each frame's bit for bit as its own oracle takes them."""
     rows = frame._rows
     if isinstance(oracle, OracleHandle):
@@ -185,11 +185,10 @@ def probe(oracle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
     first = oracle[0]
     if frame.dim != first.objective.dim:
         raise ConfigError(f"frame dim {frame.dim} != oracle dim {first.objective.dim}")
-    if first.mode == "exact":
-        grads = np.array([o.exact_gradient(xi, len(r)) for o, xi, r in zip(oracle, x, rows)])
-        vals = (rows @ grads[:, :, None])[..., 0]
-    else:
-        vals = np.array([o.directional_derivatives(xi, r) for o, xi, r in zip(oracle, x, rows)])
+    if first.mode != "exact":
+        raise ConfigError("a stack of frames is probed only by exact oracles")
+    grads = np.array([o.exact_gradient(xi, len(r)) for o, xi, r in zip(oracle, x, rows)])
+    vals = (rows @ grads[:, :, None])[..., 0]
     if frame.prior is None:
         return ProbeSet(frame, None, vals)
     return ProbeSet(frame, vals[:, :1], vals[:, 1:])

@@ -15,7 +15,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
+from .core import (Array, ConfigError, ObjectiveSpec, RngHandle,
                    require_finite_positive, require_int_at_least)
 from .frames import (ProbeSet, _dot, build_frame, build_frames, cos_sq, probe,
                      subspace_estimate)
@@ -73,12 +73,6 @@ def _adopt_prior(g1: Array, prior: Array) -> Array:
         return np.where((0.0 < n) & (n < math.inf), g1 / n, prior)
 
 
-def _true_gradient(oracle: OracleHandle, x: Array) -> Array:
-    """The true gradient at x: the one an exact probe just answered from, or
-    an uncounted read."""
-    return oracle.last_grad if oracle.last_grad is not None else oracle.gradient_at(x)
-
-
 def descend(state, oracle, config, rng, point: Array,
             prior: Optional[Array]) -> tuple[ProbeSet, Array, float, float]:
     """The descent step both families take: probe a frame around ``prior`` at
@@ -88,10 +82,11 @@ def descend(state, oracle, config, rng, point: Array,
     Returns the probes, g1, and C_t and D_t (NaN unless
     ``config.diagnostics``).
 
-    For a stack of n seeds, ``oracle`` and ``rng`` are lists of the seeds'
-    handles, ``point``, ``prior`` and ``state``'s arrays hold one row per
-    seed, and g1, C_t and D_t one value or row per seed."""
-    if single := isinstance(rng, RngHandle):
+    For a stack of n seeds (``trace.run_loop``), ``oracle`` and ``rng`` are
+    lists of the seeds' exact oracles and handles, ``point``, ``prior`` and
+    ``state``'s arrays hold one row per seed, and g1 one row per seed; a
+    stack records no diagnostics."""
+    if isinstance(rng, RngHandle):
         frame = build_frame(rng, point.shape[-1], config.q, prior)
     else:
         frame = build_frames(rng, point.shape[-1], config.q, len(rng), prior)
@@ -99,8 +94,7 @@ def descend(state, oracle, config, rng, point: Array,
     g1 = subspace_estimate(probes)
     c_t = d_t = math.nan
     if config.diagnostics:
-        grad = (_true_gradient(oracle, point) if single
-                else np.array([_true_gradient(o, x) for o, x in zip(oracle, point)]))
+        grad = oracle.last_grad if oracle.last_grad is not None else oracle.gradient_at(point)
         c_t = cos_sq(grad, g1)
         d_t = cos_sq(grad, frame.prior) if prior is not None else d_t
     state.x = point - g1 / config.L_hat
@@ -113,13 +107,11 @@ def descend(state, oracle, config, rng, point: Array,
 def greedy_step(state: GreedyState, oracle, config: GreedyConfig, rng, prior=None):
     """One frame probe around ``prior`` and descent update from x_t; mutates
     ``state`` and returns row t's ``StepRow``, or one per seed of a stack
-    (see ``descend``)."""
+    (see ``descend``), whose exact oracles paid for no f(x_t)."""
     _, _, c_t, d_t = descend(state, oracle, config, rng, state.x, prior)
     if not isinstance(oracle, list):
         return StepRow(oracle.last_base_f, c_t, d_t)
-    n = len(oracle)
-    c_t, d_t = ([v] * n if isinstance(v, float) else v.tolist() for v in (c_t, d_t))
-    return list(map(StepRow, [o.last_base_f for o in oracle], c_t, d_t))
+    return [StepRow(None)] * len(oracle)
 
 
 def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
@@ -132,11 +124,14 @@ def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
     return run_loop(objective, config, seed, GreedyState, greedy_step, prior_feed)
 
 
-def run_greedy_lockstep(objective: ObjectiveSpec, config: GreedyConfig, seeds: Sequence[int],
-                        prior_feeds: Optional[Sequence[Callable[[Array], Array]]] = None
-                        ) -> list[RunTrace]:
-    """``run_greedy(objective, config, seed, prior_feeds[i])`` for every
-    ``seeds[i]``, run as one stack: each iteration steps every seed still
-    running at once. Returns one trace per seed, in order, each equal to the
-    one ``run_greedy`` returns (see ``trace.run_loop``)."""
-    return run_loop(objective, config, list(seeds), GreedyState, greedy_step, prior_feeds)
+def run_greedy_lockstep(objective: ObjectiveSpec, config: GreedyConfig,
+                        seeds: Sequence[int]) -> list[RunTrace]:
+    """``run_greedy(objective, config, seed)`` for every seed, run as one
+    stack: each iteration steps every seed at once. Returns one trace per
+    seed, in order, each equal to the one ``run_greedy`` returns.
+
+    Only an exact-oracle ``rgf`` or ``history_prgf`` run with no
+    diagnostics and no target stacks (see ``trace.run_loop``); that is all
+    ``diagnostics.check_theorem_bounds`` runs. With the fd oracle a stack
+    lost to single runs at d >= 256 (README, "Seeds in lockstep")."""
+    return run_loop(objective, config, list(seeds), GreedyState, greedy_step, None)

@@ -6,6 +6,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -168,8 +169,9 @@ class RunOptions:
     def __post_init__(self):
         check_oracle_options(self.oracle_mode, self.mu)
         require_int_at_least("log_every", self.log_every, 1)
-        if self.target_log10 is not None and math.isnan(self.target_log10):
-            raise ConfigError("target_log10 must not be NaN")
+        target = self.target_log10
+        if target is not None and (not isinstance(target, Real) or math.isnan(target)):
+            raise ConfigError(f"target_log10 must be a number, not NaN, got {target!r}")
         if self.stop_on_target and self.target_log10 is None:
             raise ConfigError("stop_on_target needs a target_log10")
 
@@ -195,33 +197,35 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
     ``OracleFailureError`` is raised again with the algorithm, the iteration
     and the dd-queries spent in its message.
 
-    ``seed`` is one seed, or a list of seeds run in lockstep as one stack
-    (only where ``config.LOCKSTEP``; otherwise a ConfigError), with
-    ``prior_feed`` a list of one feed per seed or None. Each seed keeps its
-    own ``RngHandle``, which draws directly, its own ``OracleHandle``, feed
-    and trace; ``state`` and the priors hold one row per seed still running,
-    ``step`` gets the lists of their handles and returns one ``StepRow`` per
-    seed, and a seed leaves the stack where its own run would end, with the
-    same final row. Returns the list of traces, each equal to the one its
-    seed's own run returns. A failure ends the whole stack, with the
-    message its seed's own run would give.
+    ``seed`` is one seed, or a list of seeds run in lockstep as one stack,
+    as ``diagnostics.check_theorem_bounds`` runs them: a ``config.LOCKSTEP``
+    step (``rgf``, ``history_prgf``) with an exact oracle and no external
+    prior, diagnostics or target; any other stack is a ConfigError before
+    any evaluation. Each seed keeps its own ``RngHandle`` (drawing directly),
+    ``OracleHandle`` and trace; ``state`` holds one row per seed, ``step``
+    takes the lists of handles and returns one ``StepRow`` per seed, and the
+    seeds, which spend alike, end at the budget together. Returns the list
+    of traces, each equal to its seed's own run's; a failure ends the stack
+    with the message that seed's own run gives.
     """
     stack = isinstance(seed, list)
     seeds = seed if stack else [seed]
-    feeds = prior_feed if stack and prior_feed is not None else [prior_feed] * len(seeds)
     cost, budget = config.queries_per_iteration, config.budget
+    external = config.prior_source == "external"
     if stack and not config.LOCKSTEP:
         raise ConfigError(f"{config.algo}: its steps run one seed at a time, not a stack")
     if not seeds:
         raise ConfigError("a stack needs at least one seed")
+    if stack and (external or config.oracle_mode != "exact" or config.diagnostics
+                  or config.target_log10 is not None):
+        raise ConfigError(f"{config.algo}: a stack runs with an exact oracle and no external "
+                          "prior, diagnostics or target")
     if budget < cost:
         raise ConfigError(f"{config.algo}: budget {budget} is below one iteration's cost {cost}")
     if objective.x0 is None:
         raise ConfigError("the objective has no x0 to start from")
-    external = config.prior_source == "external"
-    if external and (prior_feed is None or len(feeds) != len(seeds)):
-        raise ConfigError(f"{config.algo}: an external prior requires a prior_feed callable "
-                          "per seed")
+    if external and prior_feed is None:
+        raise ConfigError(f"{config.algo}: an external prior requires a prior_feed callable")
     if config.diagnostics and objective.true_gradient is None:
         raise UnsupportedDiagnosticError(f"{config.algo}: diagnostics need a true_gradient")
     target_log10, log_every = config.target_log10, config.log_every
@@ -230,7 +234,6 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
     if not stack and cost * objective.dim >= READ_AHEAD_MIN_BLOCK:
         rngs[0].stream = NormalStream(rngs[0].gen.bit_generator)
     traces = []
-    live = list(range(len(seeds)))  # indices of the seeds still running, as stacked
 
     def log_row(trace, oracle, row: StepRow, x_here: Array, dd_before: int, fn_before: int):
         """A seed's row t from the record of its step from x_t."""
@@ -247,14 +250,6 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
         if target_log10 is not None:
             trace.mark_reached(target_log10, f_here, dd_before)
 
-    def finish(i: int, x: Array) -> None:
-        """Seed i's final row, at x."""
-        oracle, trace = oracles[i], traces[i]
-        f_final = oracle.peek_function_value(x)
-        trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
-        if target_log10 is not None:
-            trace.mark_reached(target_log10, f_final, oracle.dd_queries)
-
     try:
         x0 = np.array(objective.x0, dtype=float)
         state = new_state(np.tile(x0, (len(seeds), 1)) if stack else x0)
@@ -267,53 +262,33 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
             if target_log10 is not None:
                 traces[-1].mark_reached(target_log10, f0, 0)
 
+        oracle = oracles[0]  # a stack's seeds spend alike, so the first speaks for all
         if not stack:
-            oracle, rng, trace, feed = oracles[0], rngs[0], traces[0], feeds[0]
+            rng, trace = rngs[0], traces[0]
             while oracle.dd_queries + cost <= budget:
                 if config.stop_on_target and trace.reached_queries is not None:
                     break
                 x_here = state.x
                 dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
-                prior = feed(x_here) if external else state.prior
+                prior = prior_feed(x_here) if external else state.prior
                 log_row(trace, oracle, step(state, oracle, config, rng, prior), x_here,
                         dd_before, fn_before)
-            finish(0, state.x)
         else:
-            live_oracles, live_rngs = oracles, rngs  # the handles of the seeds in live
-            while True:
-                # a seed whose own run would stop here leaves the stack; the seeds
-                # of a greedy stack spend alike, so their budgets end together
-                if live_oracles[0].dd_queries + cost > budget:
-                    ending = live
-                elif config.stop_on_target:
-                    ending = [i for i in live if traces[i].reached_queries is not None]
-                else:
-                    ending = ()
-                if ending:
-                    for i, x in zip(live, state.x):
-                        if i in ending:
-                            finish(i, x)
-                    stay = [j for j, i in enumerate(live) if i not in ending]
-                    if not stay:
-                        break
-                    live = [live[j] for j in stay]
-                    live_oracles, live_rngs = [oracles[i] for i in live], [rngs[i] for i in live]
-                    state.x = state.x[stay]
-                    if state.prior is not None:
-                        state.prior = state.prior[stay]
-                points = state.x  # x_t of each seed; the step sets a new state.x
-                before = [(o.dd_queries, o.fn_evals) for o in live_oracles]
-                prior = (np.array([feeds[i](x) for i, x in zip(live, points)]) if external
-                         else state.prior)
-                rows = step(state, live_oracles, config, live_rngs, prior)
-                for i, row, x_here, (dd_before, fn_before) in zip(live, rows, points, before):
-                    log_row(traces[i], oracles[i], row, x_here, dd_before, fn_before)
+            while oracle.dd_queries + cost <= budget:
+                points, dd_before, fn_before = state.x, oracle.dd_queries, oracle.fn_evals
+                rows = step(state, oracles, config, rngs, state.prior)  # sets a new state.x
+                for trace, seed_oracle, row, x in zip(traces, oracles, rows, points):
+                    log_row(trace, seed_oracle, row, x, dd_before, fn_before)
+        for trace, oracle, x in zip(traces, oracles, state.x if stack else [state.x]):
+            f_final = oracle.peek_function_value(x)
+            trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
+            if target_log10 is not None:
+                trace.mark_reached(target_log10, f_final, oracle.dd_queries)
     except OracleFailureError as exc:
-        # the seeds of a greedy stack have spent alike when a step starts; the
-        # one that failed was not charged for the call that failed
-        spent = min(oracles[i].dd_queries for i in live)
+        # the failing call was not charged, and a stack fails only in an
+        # uncharged read of f, after every seed has paid for the step
         raise OracleFailureError(f"{config.algo} at iteration {state.iteration} after "
-                                 f"{spent} dd-queries: {exc}", exc.point) from exc
+                                 f"{oracles[0].dd_queries} dd-queries: {exc}", exc.point) from exc
     finally:
         if rngs[0].stream is not None:
             rngs[0].stream.close()

@@ -1,8 +1,10 @@
 """Bad numbers fail at the boundary as ConfigError: non-finite or
-non-positive settings, a missing or non-finite x0 and a NaN target. C_t/D_t
+non-positive settings, settings of the wrong type (a bool is no count), a
+missing, misshapen or non-finite x0 and a NaN target. C_t/D_t
 are recorded only when asked, and asking without a true gradient fails before
 any evaluation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,6 +18,7 @@ from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
 
 NON_FINITE = [math.nan, math.inf]
+RUN = {"function": "f2", "dim": 10, "algo": "rgf", "q": 2, "budget": 10, "lhat": 1.0}
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, -math.inf] + NON_FINITE)
@@ -72,6 +75,22 @@ def test_run_config_rejects_a_tau_hat_that_is_no_number(value):
 def test_objective_rejects_non_finite_x0(value):
     with pytest.raises(ConfigError, match="x0"):
         ObjectiveSpec(dim=2, eval=lambda x: 0.0, x0=np.array([0.0, value]))
+
+
+@pytest.mark.parametrize("x0", [np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(3), "ab",
+                                [0.0, "a"]])
+def test_objective_rejects_an_x0_that_is_no_vector_of_dim_numbers(x0):
+    # a (2, 3) x0 has length 2, yet a run from it fails only at "frame dim 3 != oracle dim 2"
+    with pytest.raises(ConfigError, match="x0"):
+        ObjectiveSpec(dim=2, eval=lambda x: 0.0, x0=x0)
+
+
+def test_objective_takes_a_list_x0():
+    fn = bench_function("f2", 6)
+    obj = fn.as_objective()
+    cfg = GreedyConfig(L_hat=fn.L, q=3, budget=30)
+    listed = run_greedy(dataclasses.replace(obj, x0=fn.x0.tolist()), cfg, 0)
+    assert listed.rows == run_greedy(obj, cfg, 0).rows
 
 
 @pytest.mark.parametrize("family", ["greedy", "ars"])
@@ -136,6 +155,27 @@ def test_run_config_rejects_seeds_and_dims_that_are_no_counts(settings, match):
     with pytest.raises(ConfigError, match=match):
         RunConfig(**{"function": "f2", "dim": 10, "algo": "rgf", "q": 2, "budget": 10,
                      "lhat": 1.0, **settings})
+
+
+@pytest.mark.parametrize("family,settings,match", [
+    (RunConfig, {"seeds": 3}, "seeds must be a non-empty sequence of integers, got 3"),
+    (RunConfig, {"mu": "1"}, "mu must be finite and positive"),
+    (RunConfig, {"lhat": "2"}, "lhat must be finite and positive"),
+    (RunConfig, {"target_log10": "x"}, "target_log10 must be a number"),
+    (GreedyConfig, {"L_hat": "1"}, "L_hat must be finite and positive"),
+    (ArsConfig, {"tau_hat": "0"}, "tau_hat must be finite"),
+    (RunConfig, {"log_every": True}, "log_every must be an integer, got True"),
+    (GreedyConfig, {"q": True}, "q must be an integer, got True"),
+    (RunConfig, {"budget": True}, "budget must be an integer, got True"),
+    (RunConfig, {"dim": True}, "dim must be an integer, got True"),
+    (RunConfig, {"seeds": (True,)}, "seeds must be an integer, got True"),
+    (RunConfig, {"algo": "ars", "tau_hat": True}, "tau_hat must be a number or 'true'"),
+])
+def test_a_setting_of_the_wrong_type_is_a_config_error(family, settings, match):
+    # unchecked, each raises a bare TypeError, or a bool counts as 1
+    run = RUN if family is RunConfig else {"L_hat": 1.0, "q": 2, "budget": 10}
+    with pytest.raises(ConfigError, match=match):
+        family(**{**run, **settings})
 
 
 def test_require_int_at_least_takes_numpy_integers():

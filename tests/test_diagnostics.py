@@ -345,7 +345,8 @@ def test_prior_quality_outside_unit_interval_is_a_config_error(D):
         mc_prgf_drift(20, 4, D, 1000, RngHandle(0))
 
 
-@pytest.mark.parametrize("kwargs", [{"n_trials": 0}, {"n_vectors": 0}, {"n_trials": -2}])
+@pytest.mark.parametrize("kwargs", [{"n_trials": 0}, {"n_vectors": 0}, {"n_trials": -2},
+                                    {"n_trials": 2.5}, {"n_vectors": 1.5}, {"n_trials": True}])
 def test_optimality_margin_needs_trials_and_vectors(kwargs):
     args = dict({"n_vectors": 100, "n_trials": 20}, **kwargs)
     with pytest.raises(ConfigError, match="n_trials and n_vectors"):

@@ -1,17 +1,18 @@
 """A stack of seeds run in lockstep (``greedy.run_greedy_lockstep``) gives
-every seed the trace its own ``run_greedy`` gives: the same rows, target
-crossing, restarts and guess passes, bit for bit. Seeds leave the stack at
-different iterations when their targets stop them, a rejected frame inside
-the stack is redrawn from its own seed's stream, and the ARS steps refuse a
-stack."""
+every seed the trace its own ``run_greedy`` gives, bit for bit, and a
+rejected frame inside the stack is redrawn from its own seed's stream. A
+stack runs only what ``diagnostics.check_theorem_bounds`` runs: ``rgf`` or
+``history_prgf`` with an exact oracle and no external prior, diagnostics or
+target. Any other stack, the ARS steps among them, is refused before any
+evaluation: with the fd oracle a stack lost to single runs at d >= 256, so
+presets and benchmarks run seed by seed (README, "Seeds in lockstep")."""
 
 import numpy as np
 import pytest
 
 import pgzo.trace
 from pgzo.ars import ArsConfig, ArsState, _step_ars
-from pgzo.bench import biased_prior_feed
-from pgzo.core import ConfigError, OracleFailureError, OracleHandle, RngHandle
+from pgzo.core import ConfigError, ObjectiveSpec, OracleFailureError, OracleHandle, RngHandle
 from pgzo.frames import build_frame, build_frames
 from pgzo.greedy import GreedyConfig, run_greedy, run_greedy_lockstep
 from pgzo.testfns import bench_function
@@ -21,58 +22,35 @@ from test_frames import TapeRng
 SEEDS = [0, 1, 2, 3, 4]
 
 
-def feeds(fn, algo, seeds):
-    """One biased prior feed per seed for ``prgf``, on the stream
-    ``bench.run_single`` gives it; None for the other algorithms."""
-    if algo != "prgf":
-        return None
-    return [biased_prior_feed(fn, RngHandle(s + 0x9E3779B9)) for s in seeds]
-
-
 def outcome(trace):
     return trace.seed, trace.rows, trace.reached_queries, trace.restarts, trace.guess_passes
 
 
 def assert_stack_equals_own_runs(fn, cfg, seeds):
-    stacked = run_greedy_lockstep(fn.as_objective(), cfg, seeds, feeds(fn, cfg.algo, seeds))
-    own = [run_greedy(fn.as_objective(), cfg, s, None if f is None else f[0])
-           for s, f in zip(seeds, [feeds(fn, cfg.algo, [s]) for s in seeds])]
+    stacked = run_greedy_lockstep(fn.as_objective(), cfg, seeds)
+    own = [run_greedy(fn.as_objective(), cfg, s) for s in seeds]
     assert [outcome(tr) for tr in stacked] == [outcome(tr) for tr in own]
     return stacked
 
 
-# The settings of the extended digest's run matrix (tools/preset_digest.py):
-# at its d=40 no seed reaches the target within the budget; at d=10, q=3
-# every seed stops on it, each at its own iteration.
+@pytest.mark.parametrize("log_every", [1, 3])
 @pytest.mark.parametrize("d,q", [(10, 3), (40, 5)])
-@pytest.mark.parametrize("mode", ["fd", "exact"])
 @pytest.mark.parametrize("function", ["f1", "f2"])
-@pytest.mark.parametrize("algo", ["rgf", "prgf", "history_prgf"])
-def test_stacked_runs_equal_their_own_runs(algo, function, mode, d, q):
+@pytest.mark.parametrize("algo", ["rgf", "history_prgf"])
+def test_stacked_runs_equal_their_own_runs(algo, function, d, q, log_every):
     fn = bench_function(function, d)
-    cfg = GreedyConfig(L_hat=fn.L, q=q, algo=algo, budget=2400, oracle_mode=mode,
-                       diagnostics=True, log_every=3, target_log10=-3.0, stop_on_target=True)
+    cfg = GreedyConfig(L_hat=fn.L, q=q, algo=algo, budget=2400, oracle_mode="exact",
+                       log_every=log_every)
     stacked = assert_stack_equals_own_runs(fn, cfg, SEEDS)
-    ends = {tr.rows[-1][0] for tr in stacked}
-    if d == 10:
-        assert all(tr.reached_queries is not None for tr in stacked)
-        assert len(ends) > 1  # seeds left the stack at different iterations
-    else:
-        assert ends == {2400 // cfg.queries_per_iteration}
+    assert {tr.rows[-1][0] for tr in stacked} == {2400 // cfg.queries_per_iteration}
 
 
-@pytest.mark.parametrize("algo", ["rgf", "prgf", "history_prgf"])
+@pytest.mark.parametrize("algo", ["rgf", "history_prgf"])
 def test_a_stack_of_one_seed_is_its_own_run(algo):
     fn = bench_function("f2", 12)
-    cfg = GreedyConfig(L_hat=fn.L, q=3, algo=algo, budget=400, diagnostics=True)
+    cfg = GreedyConfig(L_hat=fn.L, q=3, algo=algo, budget=400, oracle_mode="exact")
     [trace] = assert_stack_equals_own_runs(fn, cfg, [7])
     assert trace.seed == 7
-
-
-def test_unthinned_stack_without_diagnostics_equals_own_runs():
-    fn = bench_function("f2", 30)
-    cfg = GreedyConfig(L_hat=fn.L, q=5, algo="history_prgf", budget=600, oracle_mode="exact")
-    assert_stack_equals_own_runs(fn, cfg, list(range(6)))
 
 
 @pytest.mark.parametrize("algo", ["rgf", "history_prgf"])
@@ -147,12 +125,26 @@ def test_an_empty_stack_is_a_config_error():
         run_greedy_lockstep(fn.as_objective(), GreedyConfig(L_hat=fn.L, q=3, budget=60), [])
 
 
-def test_an_external_stack_needs_a_feed_per_seed():
+@pytest.mark.parametrize("algo,options", [
+    ("prgf", {"oracle_mode": "exact"}),
+    ("rgf", {}),  # the fd oracle
+    ("history_prgf", {"oracle_mode": "exact", "diagnostics": True}),
+    ("rgf", {"oracle_mode": "exact", "target_log10": -3.0}),
+    ("rgf", {"oracle_mode": "exact", "target_log10": -3.0, "stop_on_target": True}),
+])
+def test_a_stack_other_than_the_bound_checks_is_refused_before_any_evaluation(algo, options):
     fn = bench_function("f2", 10)
-    cfg = GreedyConfig(L_hat=fn.L, q=3, algo="prgf", budget=60)
-    for given in (None, feeds(fn, "prgf", [0])):
-        with pytest.raises(ConfigError, match="^prgf: .*requires a prior_feed"):
-            run_greedy_lockstep(fn.as_objective(), cfg, [0, 1], given)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return fn.eval(x)
+    obj = ObjectiveSpec(dim=10, eval=counted, true_gradient=fn.grad, f_star=fn.f_star, x0=fn.x0)
+    cfg = GreedyConfig(L_hat=fn.L, q=3, algo=algo, budget=60, **options)
+    with pytest.raises(ConfigError, match=f"^{algo}: a stack runs with an exact oracle and no "
+                                          "external prior, diagnostics or target$"):
+        run_greedy_lockstep(obj, cfg, [0, 1])
+    assert calls == []
 
 
 def test_stack_charges_each_seed_its_own_oracle(monkeypatch):
