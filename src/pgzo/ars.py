@@ -90,7 +90,8 @@ class ArsConfig(GreedyConfig):
     def __post_init__(self):
         super().__post_init__()
         # gamma falls from L_hat toward tau_hat
-        if not (isinstance(self.tau_hat, Real) and 0.0 <= self.tau_hat <= self.L_hat):
+        if not (isinstance(self.tau_hat, Real) and not isinstance(self.tau_hat, bool)
+                and 0.0 <= self.tau_hat <= self.L_hat):
             raise ConfigError(f"tau_hat must be finite, nonnegative and <= L_hat={self.L_hat}, "
                               f"got {self.tau_hat}")
 

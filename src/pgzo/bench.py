@@ -130,6 +130,21 @@ def _values_for_aggregation(trace: RunTrace) -> np.ndarray:
     return v
 
 
+# stdtrit(df, 0.975), the 97.5 % Student-t quantile, for df = 1 ... 30: the
+# values scipy.special returns, bit for bit (tests/test_bench.py checks each).
+# With them a batch of 2 to 31 seeds aggregates without loading scipy's
+# special-function extensions, which added 3 MB to a batch run's peak RSS;
+# every batch pgzo and perfbench run fits (presets 10 seeds, perfbench 2-8).
+T975 = (12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+        2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+        2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+        2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+        2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+        2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+        2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+        2.045229642132703, 2.0422724563012378)
+
+
 def aggregate_traces(traces: List[RunTrace], label: str = "") -> Aggregate:
     """Resample traces onto the union of their query grids (last value carried
     forward) and form the seed mean with a 95% t-interval. A trace that
@@ -151,11 +166,10 @@ def aggregate_traces(traces: List[RunTrace], label: str = "") -> Aggregate:
     mean = mat.mean(axis=0)
     if n > 1:
         # stdtrit is the Student-t inverse CDF that stats.t.ppf wraps (same
-        # bits), taken from scipy.special's ufunc extension without its
-        # package init; loaded here, so that runs which aggregate nothing
-        # skip even that.
-        stdtrit = load_special_ufuncs().stdtrit
-        half = stdtrit(n - 1, 0.975) * mat.std(axis=0, ddof=1) / math.sqrt(n)
+        # bits). Past 31 seeds it comes from scipy.special's ufunc extension,
+        # without its package init, loaded only here.
+        t = T975[n - 2] if n <= len(T975) + 1 else load_special_ufuncs().stdtrit(n - 1, 0.975)
+        half = t * mat.std(axis=0, ddof=1) / math.sqrt(n)
     else:
         half = np.zeros_like(mean)
     return Aggregate(grid=grid, mean=mean, lo=mean - half, hi=mean + half,

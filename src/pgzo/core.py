@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from importlib import import_module
@@ -65,8 +64,8 @@ flapack = _load_flapack()
 
 def load_special_ufuncs():
     """scipy's compiled special-function ufuncs (``bench`` takes the Student-t
-    quantile ``stdtrit`` from them), loaded without running ``scipy.special``'s
-    init.
+    quantile ``stdtrit`` from them past 31 seeds; ``bench.T975`` holds its
+    values below), loaded without running ``scipy.special``'s init.
 
     That init imports 56 scipy modules, the array-API layer among them; after
     numpy and scipy it took 0.2-0.3 s and added 24 MB of peak RSS, the
@@ -126,9 +125,9 @@ class ConfigError(ValueError):
 
 
 def require_finite_positive(name: str, value: float) -> None:
-    """ConfigError unless ``value`` is a real number, finite and above zero;
-    NaN fails the comparison."""
-    if not (isinstance(value, Real) and 0.0 < value < math.inf):
+    """ConfigError unless ``value`` is a real number, not a bool, finite and
+    above zero; NaN fails the comparison."""
+    if not (isinstance(value, Real) and not isinstance(value, bool) and 0.0 < value < math.inf):
         raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
@@ -168,7 +167,10 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         require_int_at_least("dim", self.dim, 1)
-        x0 = None if self.x0 is None else np.asarray(self.x0)
+        try:
+            x0 = None if self.x0 is None else np.asarray(self.x0)
+        except ValueError as exc:  # a ragged sequence
+            raise ConfigError(f"x0 must be {self.dim} finite real numbers: {exc}") from None
         if x0 is not None and not (x0.shape == (self.dim,) and x0.dtype.kind in "biuf"
                                    and np.isfinite(x0).all()):
             raise ConfigError(f"x0 must be {self.dim} finite real numbers, got {x0.dtype} "
@@ -189,6 +191,9 @@ class NormalStream:
     """
 
     def __init__(self, bit_generator: np.random.BitGenerator):
+        # imported here: runs that draw directly skip its 0.6 MB of RSS and
+        # 5 ms of import after numpy, most of it ``logging``
+        from concurrent.futures import ThreadPoolExecutor
         self._draw = partial(np.random.Generator(bit_generator).standard_normal, READ_AHEAD_CHUNK)
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="pgzo-normals")
         self._ahead = [self._pool.submit(self._draw) for _ in range(READ_AHEAD_DEPTH)]

@@ -17,8 +17,9 @@ from .ars import ArsConfig, alpha_beta_gamma, run_ars
 from .core import Array, ConfigError, RngHandle, require_int_at_least, sample_unit_sphere
 from .frames import (OrthonormalFrame, ProbeSet, _dot, build_frame, build_frames, cos_sq,
                      g2_unbiased, g2_variance_reduced, subspace_estimate)
-from .greedy import GreedyConfig, run_greedy, run_greedy_lockstep
+from .greedy import GreedyConfig, greedy_step, run_greedy, run_greedy_lockstep
 from .testfns import bench_function
+from .trace import StepRow
 
 
 # Frame values per block of Monte-Carlo samples, (q + 1) * d per frame with
@@ -173,11 +174,16 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
     fn = bench_function("f2", d)
     L = fn.L
     cfg = GreedyConfig(L_hat=L_hat_mult * L, q=q, algo="history_prgf",
-                       budget=iterations * (q + 1), oracle_mode="exact", diagnostics=True)
-    trace = run_greedy(fn.as_objective(), cfg, seed)
+                       budget=iterations * (q + 1), oracle_mode="exact", diagnostics=True,
+                       log_every=iterations)
+    # C_t and D_t from the steps' own records: the trace keeps rows 0 and T
+    # only, so the run reads f(x_t) at those two alone
+    rows: List[StepRow] = []
+    run_greedy(fn.as_objective(), cfg, seed,
+               step=lambda *args: rows.append(greedy_step(*args)) or rows[-1])
     a = (1.0 - 1.0 / L_hat_mult) ** 2
-    c_col, d_col = trace.column("C_t"), trace.column("D_t")
-    c_prev, c_t, d_t = c_col[:iterations - 1], c_col[1:iterations], d_col[1:iterations]
+    c_col, d_col = np.array([(r.C, r.D) for r in rows]).T
+    c_prev, c_t, d_t = c_col[:-1], c_col[1:], d_col[1:]
     paired = ~(np.isnan(c_prev) | np.isnan(d_t))  # t = 1 .. iterations-1 where both are set
     violations = int(np.count_nonzero(d_t[paired] < a * c_prev[paired] - _LEMMA36_TOL))
     samples = list(map(DriftSample, c_t[paired].tolist(), d_t[paired].tolist(),

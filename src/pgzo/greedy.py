@@ -115,13 +115,16 @@ def greedy_step(state: GreedyState, oracle, config: GreedyConfig, rng, prior=Non
 
 
 def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
-               prior_feed: Optional[Callable[[Array], Array]] = None) -> RunTrace:
+               prior_feed: Optional[Callable[[Array], Array]] = None,
+               step: Callable = greedy_step) -> RunTrace:
     """Iterate greedy_step until the dd-query budget is exhausted.
 
     Row t's f-value reuses the base evaluation made by the step's own finite
     differences; only the first and last rows need uncharged diagnostic reads.
+    ``step`` stands in for ``greedy_step`` with its signature:
+    ``diagnostics.check_lemma36`` passes one that keeps every ``StepRow``.
     """
-    return run_loop(objective, config, seed, GreedyState, greedy_step, prior_feed)
+    return run_loop(objective, config, seed, GreedyState, step, prior_feed)
 
 
 def run_greedy_lockstep(objective: ObjectiveSpec, config: GreedyConfig,

@@ -170,7 +170,8 @@ class RunOptions:
         check_oracle_options(self.oracle_mode, self.mu)
         require_int_at_least("log_every", self.log_every, 1)
         target = self.target_log10
-        if target is not None and (not isinstance(target, Real) or math.isnan(target)):
+        if target is not None and (not isinstance(target, Real) or isinstance(target, bool)
+                                   or math.isnan(target)):
             raise ConfigError(f"target_log10 must be a number, not NaN, got {target!r}")
         if self.stop_on_target and self.target_log10 is None:
             raise ConfigError("stop_on_target needs a target_log10")

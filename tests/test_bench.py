@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgzo.bench import (ALGO_PRIORS, CSV_HEADER, Aggregate, RunConfig, aggregate_traces,
+from pgzo import bench
+from pgzo.bench import (ALGO_PRIORS, CSV_HEADER, T975, Aggregate, RunConfig, aggregate_traces,
                         emit_csv, emit_svg, preset, read_csv, run_batch, run_single)
 from pgzo.core import ConfigError
 from pgzo.trace import RunTrace
@@ -229,6 +230,32 @@ def test_band_half_width_is_the_t_quantile_bit_for_bit(n):
     np.testing.assert_array_equal(agg.lo, agg.mean - half)
 
 
+def test_t_quantile_table_is_scipy_stdtrit_bit_for_bit():
+    from scipy import special
+    assert len(T975) == 30
+    for df, t in enumerate(T975, start=1):
+        assert t == float(special.stdtrit(df, 0.975)), f"df={df}"
+
+
+@pytest.mark.parametrize("n,loads", [(2, False), (31, False), (32, True)])
+def test_band_beyond_the_table_takes_scipy_stdtrit_bit_for_bit(monkeypatch, n, loads):
+    # up to 31 seeds the quantile comes from T975; past it, from scipy.special
+    from scipy import stats
+    calls = []
+    load = bench.load_special_ufuncs
+    monkeypatch.setattr(bench, "load_special_ufuncs", lambda: calls.append(1) or load())
+    rng = np.random.default_rng(n)
+    traces = [RunTrace(seed=s, rows=[(0, q, 0, math.nan, v, math.nan, math.nan, math.nan)
+                                     for q, v in zip((0, 4, 8), rng.normal(size=3))])
+              for s in range(n)]
+    agg = aggregate_traces(traces)
+    mat = np.array([tr.column("log10_rel_err") for tr in traces])
+    half = stats.t.ppf(0.975, n - 1) * mat.std(axis=0, ddof=1) / math.sqrt(n)
+    np.testing.assert_array_equal(agg.hi, agg.mean + half)
+    np.testing.assert_array_equal(agg.lo, agg.mean - half)
+    assert bool(calls) is loads
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 IMPORT_GUARD = """
@@ -239,7 +266,8 @@ from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
 
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.special", "scipy._lib._array_api", "scipy.stats")
+    return [m for m in ("scipy.linalg", "scipy.special", "scipy.special._ufuncs",
+                        "scipy._lib._array_api", "scipy.stats", "concurrent.futures")
             if m in sys.modules]
 
 after_import = loaded()
@@ -269,9 +297,11 @@ def test_scipy_stats_never_loaded(tmp_path):
     # The import, a library run (f1 takes its constants from LAPACK, the run
     # builds frames), a Monte-Carlo check and a CLI run, which aggregates two
     # seeds, load none of scipy.linalg, scipy.special, the array-API layer
-    # their inits share or scipy.stats: pgzo loads scipy's LAPACK and
-    # special-function extensions directly. The aggregate would also execute
-    # any lazy import of scipy.stats.
+    # their inits share or scipy.stats: pgzo loads scipy's LAPACK extension
+    # directly. The two-seed band takes its t-quantile from bench.T975, so
+    # not even scipy.special's ufunc extension loads, and no run here reads
+    # ahead, so neither does concurrent.futures. The aggregate would also
+    # execute any lazy import of scipy.stats.
     after_import, after_library, after_run = json.loads(
         run_fresh(IMPORT_GUARD, str(tmp_path / "run")))
     assert after_import == [], f"importing pgzo loaded {after_import}"

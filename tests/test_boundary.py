@@ -21,7 +21,7 @@ NON_FINITE = [math.nan, math.inf]
 RUN = {"function": "f2", "dim": 10, "algo": "rgf", "q": 2, "budget": 10, "lhat": 1.0}
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, -math.inf] + NON_FINITE)
+@pytest.mark.parametrize("value", [0.0, -1.0, -math.inf, True] + NON_FINITE)
 def test_require_finite_positive_rejects(value):
     with pytest.raises(ConfigError, match="x must be finite and positive"):
         require_finite_positive("x", value)
@@ -78,7 +78,7 @@ def test_objective_rejects_non_finite_x0(value):
 
 
 @pytest.mark.parametrize("x0", [np.zeros((2, 3)), np.zeros((2, 1)), np.zeros(3), "ab",
-                                [0.0, "a"]])
+                                [0.0, "a"], [[1, 2], [3]]])
 def test_objective_rejects_an_x0_that_is_no_vector_of_dim_numbers(x0):
     # a (2, 3) x0 has length 2, yet a run from it fails only at "frame dim 3 != oracle dim 2"
     with pytest.raises(ConfigError, match="x0"):
@@ -170,9 +170,16 @@ def test_run_config_rejects_seeds_and_dims_that_are_no_counts(settings, match):
     (RunConfig, {"dim": True}, "dim must be an integer, got True"),
     (RunConfig, {"seeds": (True,)}, "seeds must be an integer, got True"),
     (RunConfig, {"algo": "ars", "tau_hat": True}, "tau_hat must be a number or 'true'"),
+    (GreedyConfig, {"L_hat": True}, "L_hat must be finite and positive, got True"),
+    (GreedyConfig, {"mu": True}, "mu must be finite and positive, got True"),
+    (ArsConfig, {"L_hat": 2.0, "tau_hat": True}, "tau_hat must be finite, nonnegative"),
+    (RunConfig, {"lhat": True}, "lhat must be finite and positive, got True"),
+    (RunConfig, {"lhat": None, "lhat_scale": 1.0, "mu": True},
+     "mu must be finite and positive, got True"),
+    (GreedyConfig, {"target_log10": True}, "target_log10 must be a number, not NaN, got True"),
 ])
 def test_a_setting_of_the_wrong_type_is_a_config_error(family, settings, match):
-    # unchecked, each raises a bare TypeError, or a bool counts as 1
+    # unchecked, each raises a bare TypeError, or a bool counts as 1 or 1.0
     run = RUN if family is RunConfig else {"L_hat": 1.0, "q": 2, "budget": 10}
     with pytest.raises(ConfigError, match=match):
         family(**{**run, **settings})

@@ -21,9 +21,10 @@ Suites:
   import           cold import of pgzo, pgzo.bench, pgzo.cli and
                    pgzo.diagnostics, alone (case import) and followed by a
                    2-seed run_from_settings batch that aggregates (case
-                   cli_batch): seconds, peak RSS and whether the package
+                   cli_batch): seconds, peak RSS, whether the package
                    inits of scipy.stats, scipy.linalg, scipy.special and
-                   scipy._lib._array_api ran
+                   scipy._lib._array_api ran, and whether scipy.special's
+                   ufunc extension and concurrent.futures were loaded
   mc_batch         microseconds per sample or iteration and peak RSS of
                    the Monte-Carlo shapes of perfbench's contracts_small_d,
                    of check_lemma36(100, 5, 10, 1000) and of its two
@@ -130,10 +131,14 @@ seconds = time.perf_counter() - t0
 out = {"us_per_iter": seconds / trace.rows[-1][0] * 1e6,
        "dd_queries_per_s": trace.rows[-1][1] / seconds}
 """
-# import-suite key -> the scipy module whose presence after the import it reports
-SCIPY_LOADED = {"scipy_stats_loaded": "scipy.stats", "scipy_linalg_loaded": "scipy.linalg",
-                "scipy_special_loaded": "scipy.special",
-                "scipy_array_api_loaded": "scipy._lib._array_api"}
+# import-suite key -> the module whose presence after the case it reports: the
+# package inits pgzo avoids, scipy.special's ufunc extension and the
+# read-ahead helper's concurrent.futures
+MODULES_LOADED = {"scipy_stats_loaded": "scipy.stats", "scipy_linalg_loaded": "scipy.linalg",
+                  "scipy_special_loaded": "scipy.special",
+                  "scipy_array_api_loaded": "scipy._lib._array_api",
+                  "scipy_special_ufuncs_loaded": "scipy.special._ufuncs",
+                  "concurrent_futures_loaded": "concurrent.futures"}
 # import-suite case -> the settings of the CLI batch it runs after the import,
 # if any; the batch writes its CSV and SVG into the side's tree
 IMPORT_CASES = {"import": None,
@@ -232,7 +237,7 @@ elif fname == "lemma_run":
         d, q, mult, iterations = fargs
         fn = bench_function("f2", d)
         cfg = GreedyConfig(L_hat=mult * fn.L, q=q, algo="history_prgf", oracle_mode="exact",
-                           budget=iterations * (q + 1), diagnostics=True)
+                           budget=iterations * (q + 1), diagnostics=True, log_every=iterations)
         trace = run_greedy(fn.as_objective(), cfg, kwargs["seed"])
         return trace.rows[-1][0], trace.rows
 else:
@@ -297,9 +302,9 @@ SUITES = {
     "algos": Suite({f"{algo} d={d}": probe(ALGOS_RUN, [algo, d, *ALGOS[algo]])
                     for algo, d in ALGOS_CASES},
                    {"us_per_iter": "lower", "dd_queries_per_s": "higher", "max_rss_mb": "lower"}),
-    "import": Suite({case: probe(IMPORT, [batch, SCIPY_LOADED])
+    "import": Suite({case: probe(IMPORT, [batch, MODULES_LOADED])
                      for case, batch in IMPORT_CASES.items()},
-                    {"seconds": "lower", "max_rss_mb": "lower"}, same=tuple(SCIPY_LOADED),
+                    {"seconds": "lower", "max_rss_mb": "lower"}, same=tuple(MODULES_LOADED),
                     pairs=12),
     "mc_batch": Suite({name: probe(MC_BATCH, spec) for name, spec in MC_CASES.items()},
                       {"us_per_unit": "lower", "max_rss_mb": "lower"}, match=("result",)),
