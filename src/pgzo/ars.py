@@ -85,7 +85,6 @@ class ArsConfig(GreedyConfig):
 
     ALGOS: ClassVar[dict] = {"ars": "none", "pars_naive": "external", "pars_impl": "external",
                              "pars_est": "external", "history_pars": "historical"}
-    LOCKSTEP: ClassVar[bool] = False  # the steps run one seed at a time
 
     def __post_init__(self):
         super().__post_init__()

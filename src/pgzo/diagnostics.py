@@ -14,10 +14,11 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .ars import ArsConfig, alpha_beta_gamma, run_ars
-from .core import Array, ConfigError, RngHandle, require_int_at_least, sample_unit_sphere
+from .core import (Array, ConfigError, OracleFailureError, RngHandle, require_finite_positive,
+                   require_int_at_least, sample_unit_sphere)
 from .frames import (OrthonormalFrame, ProbeSet, _dot, build_frame, build_frames, cos_sq,
                      g2_unbiased, g2_variance_reduced, subspace_estimate)
-from .greedy import GreedyConfig, greedy_step, run_greedy, run_greedy_lockstep
+from .greedy import GreedyConfig, _adopt_prior, greedy_step, run_greedy
 from .testfns import bench_function
 from .trace import StepRow
 
@@ -87,12 +88,17 @@ def _add_in_order(total, terms: Array):
     return np.add.accumulate(np.concatenate([np.asarray(total)[None], terms]))[-1]
 
 
+def _require_counts(**counts) -> None:
+    """ConfigError unless each count is an integer, not a float or a bool, >= 1."""
+    for name, value in counts.items():
+        require_int_at_least(name, value, 1)
+
+
 def _mc_drift(d: int, q: int, n_samples: int, rng: RngHandle,
               D_fixed: Optional[float]) -> tuple[float, float]:
     """MC mean/stderr of C_t against a fixed random gradient, over plain
     frames, or over prior-guided ones when ``D_fixed`` is the prior quality."""
-    if n_samples < 1000:
-        raise ConfigError("use at least 1000 samples")
+    require_int_at_least("n_samples", n_samples, 1000)
     grad = sample_unit_sphere(rng, d)
     prior = None if D_fixed is None else _prior_with_quality(grad, D_fixed, rng)
     cs = np.empty(n_samples)
@@ -104,6 +110,7 @@ def _mc_drift(d: int, q: int, n_samples: int, rng: RngHandle,
 
 def mc_rgf_drift(d: int, q: int, n_samples: int, rng: RngHandle) -> tuple[float, float]:
     """MC mean/stderr of C_t for plain random frames against a fixed gradient."""
+    _require_counts(d=d, q=q)
     if q > d:
         raise ConfigError(f"q={q} exceeds d={d}")
     return _mc_drift(d, q, n_samples, rng, None)
@@ -112,6 +119,7 @@ def mc_rgf_drift(d: int, q: int, n_samples: int, rng: RngHandle) -> tuple[float,
 def mc_prgf_drift(d: int, q: int, D_fixed: float, n_samples: int,
                   rng: RngHandle) -> tuple[float, float]:
     """MC mean/stderr of C_t for prior-guided frames at fixed prior quality D."""
+    _require_counts(d=d, q=q)
     if q > d - 1:
         raise ConfigError(f"q={q} must satisfy q <= d-1={d - 1}")
     return _mc_drift(d, q, n_samples, rng, D_fixed)
@@ -125,7 +133,7 @@ def mc_g2_moments(d: int, q: int, D: float, n_samples: int, rng: RngHandle,
     variance-reduced one keeps them uniform and uses the prior as a control
     variate.
     """
-    require_int_at_least("n_samples", n_samples, 1)
+    _require_counts(d=d, q=q, n_samples=n_samples)
     grad = 2.0 * sample_unit_sphere(rng, d)
     prior = _prior_with_quality(grad, D, rng)
     acc = np.zeros(d)
@@ -153,6 +161,7 @@ def subspace_optimality_margin(d: int, q: int, n_vectors: int, rng: RngHandle,
     if not all(isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
                for n in (n_trials, n_vectors)):
         raise ConfigError(f"n_trials and n_vectors must be >= 1, got {n_trials} and {n_vectors}")
+    _require_counts(d=d, q=q)
     worst = np.inf
     for _ in range(n_trials):
         grad = sample_unit_sphere(rng, d) * rng.gen.uniform(0.5, 2.0)
@@ -171,6 +180,7 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
     run on the diagonal quadratic with an exact oracle. Zero on quadratics
     whenever L̂ >= L."""
     require_int_at_least("iterations", iterations, 2)  # to pair C_(t-1) with D_t
+    require_int_at_least("seed", seed, 0)
     fn = bench_function("f2", d)
     L = fn.L
     cfg = GreedyConfig(L_hat=L_hat_mult * L, q=q, algo="history_prgf",
@@ -201,9 +211,18 @@ def _delta_at(trace, T: int, f_star: float) -> float:
 def _log_every(T_values: Sequence[int]) -> int:
     """gcd(T_values): a bound check logs only the rows it reads, at each T and the
     last; ConfigError unless T_values is a non-empty sequence of positive integers."""
-    if len(T_values) == 0 or not all(isinstance(T, Integral) and T >= 1 for T in T_values):
+    if len(T_values) == 0 or not all(isinstance(T, Integral) and not isinstance(T, bool)
+                                     and T >= 1 for T in T_values):
         raise ConfigError(f"T_values must be positive integers, got {T_values!r}")
     return math.gcd(*T_values)
+
+
+def _require_bound_seeds(seeds: Sequence[int]) -> None:
+    """ConfigError unless ``seeds`` is a sequence of at least 20 integers >= 0."""
+    if not isinstance(seeds, (Sequence, np.ndarray)) or len(seeds) < 20:
+        raise ConfigError(f"bound checks need at least 20 seeds, got {seeds!r}")
+    for seed in seeds:
+        require_int_at_least("seeds", seed, 0)
 
 
 def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int],
@@ -215,23 +234,48 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
     smooth-convex rate 2 L' (d/q) R^2 / (T+1), both with multiplicative
     slack. Historical prior at a conservative learning rate: the factor-2
     bound with rate 0.1 (q/d)(tau/L), valid for T >= 5 d/q.
+
+    The seeds run as one stack of exact-oracle ``rgf`` or ``history_prgf``
+    runs: each iteration builds every seed's frame from its own handle
+    (``build_frames``) and takes every seed's step at once, so x_T is bit for
+    bit the iterate of the seed's own ``run_greedy``. f is read only at each
+    T; a non-finite f(x_T) raises OracleFailureError naming the algorithm, T
+    and the dd-queries spent, as the seed's own run does.
     """
-    if len(seeds) < 20:
-        raise ConfigError("bound checks need at least 20 seeds")
-    log_every = _log_every(T_values)
+    _require_bound_seeds(seeds)
+    _log_every(T_values)  # checks T_values; the stack logs no rows
+    fn = bench_function("f2", d)
+    require_int_at_least("q", q, 1)
+    require_finite_positive("L_hat_mult", L_hat_mult)
     if historical and min(T_values) < 5 * d / q:
         raise ConfigError(f"historical-prior bound needs T >= 5d/q, got T={min(T_values)}")
-    fn = bench_function("f2", d)
-    obj = fn.as_objective()
     L, tau = fn.L, fn.tau
     L_hat = L_hat_mult * L
     L_prime = L / (1.0 - (1.0 - L / L_hat) ** 2) if L_hat > L else L
-    T_max = max(T_values)
-    cfg = GreedyConfig(L_hat=L_hat, q=q, algo="history_prgf" if historical else "rgf",
-                       budget=T_max * (q + 1 if historical else q), oracle_mode="exact",
-                       log_every=log_every)
-    traces = run_greedy_lockstep(obj, cfg, seeds)
-    deltas = {T: [_delta_at(trace, T, fn.f_star) for trace in traces] for T in T_values}
+    algo, cost = ("history_prgf", q + 1) if historical else ("rgf", q)
+    rngs = [RngHandle(seed) for seed in seeds]
+    n = len(rngs)
+    x = np.tile(fn.x0, (n, 1))
+    prior = np.array([sample_unit_sphere(rng, d) for rng in rngs]) if historical else None
+    deltas = {}
+    for t in range(1, max(T_values) + 1):
+        frames = build_frames(rngs, d, q, n, prior)
+        grads = np.array([fn.grad(xi) for xi in x])
+        vals = (frames.stacked() @ grads[:, :, None])[..., 0]  # each row's exact probes
+        g1 = subspace_estimate(ProbeSet(frames, vals[:, :1], vals[:, 1:]) if historical
+                               else ProbeSet(frames, None, vals))
+        x -= g1 / L_hat
+        if historical:
+            prior = _adopt_prior(g1, prior)
+        if t in T_values:
+            deltas[t] = []
+            for xi in x:
+                f = fn.eval(xi)
+                if not math.isfinite(f):
+                    raise OracleFailureError(f"{algo} at iteration {t} after {t * cost} "
+                                             f"dd-queries: objective returned non-finite "
+                                             f"value {f}", xi)
+                deltas[t].append(f - fn.f_star)
     delta0 = fn.eval(fn.x0) - fn.f_star
     R = float(d)  # farthest sublevel point puts all mass on the flattest axis
     checks: List[BoundCheck] = []
@@ -274,8 +318,7 @@ def check_ars_bound(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int
     theta is fixed, so alpha_t and psi_T follow from ``alpha_beta_gamma``
     alone. The bound has no slack.
     """
-    if len(seeds) < 20:
-        raise ConfigError("bound checks need at least 20 seeds")
+    _require_bound_seeds(seeds)
     log_every = _log_every(T_values)
     if not 0.0 <= tau_hat_mult <= 1.0:
         raise ConfigError(f"the bound needs 0 <= taû <= tau, got tau_hat_mult={tau_hat_mult}")

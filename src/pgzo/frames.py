@@ -81,9 +81,10 @@ def build_frames(rng, d: int, q: int, n: Optional[int],
     the prior).
 
     ``rng`` is one ``RngHandle``, which draws the n frames in turn, or a
-    sequence of n handles, one per frame (the seeds of a lockstep run).
-    ``prior`` is one (d,) prior for every frame or, with one handle per
-    frame, an (n, d) stack of them, one per frame.
+    sequence of n handles, one per frame: the seeds that
+    ``diagnostics.check_theorem_bounds`` steps at once. ``prior`` is one
+    (d,) prior for every frame or, with one handle per frame, an (n, d)
+    stack of them, one per frame.
 
     The prior is only normalized, never rotated; the random directions are
     made orthogonal to it and to each other. Gaussian draws are used directly
@@ -168,30 +169,14 @@ def build_frame(rng: RngHandle, d: int, q: int, prior: Optional[Array] = None) -
     return build_frames(rng, d, q, None, prior)
 
 
-def probe(oracle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
-    """One directional-derivative query per frame vector (prior included).
-    For a stack of frames, ``oracle`` and ``x`` hold one exact-mode
-    ``OracleHandle`` and one point per frame, and each oracle is charged for
-    its own frame. The products are then taken for the whole stack at once,
-    each frame's bit for bit as its own oracle takes them."""
-    rows = frame._rows
-    if isinstance(oracle, OracleHandle):
-        if frame.dim != oracle.objective.dim:
-            raise ConfigError(f"frame dim {frame.dim} != oracle dim {oracle.objective.dim}")
-        vals = oracle.directional_derivatives(x, rows)
-        if frame.prior is None:
-            return ProbeSet(frame, None, vals)
-        return ProbeSet(frame, vals.item(0), vals[1:])
-    first = oracle[0]
-    if frame.dim != first.objective.dim:
-        raise ConfigError(f"frame dim {frame.dim} != oracle dim {first.objective.dim}")
-    if first.mode != "exact":
-        raise ConfigError("a stack of frames is probed only by exact oracles")
-    grads = np.array([o.exact_gradient(xi, len(r)) for o, xi, r in zip(oracle, x, rows)])
-    vals = (rows @ grads[:, :, None])[..., 0]
+def probe(oracle: OracleHandle, x: Array, frame: OrthonormalFrame) -> ProbeSet:
+    """One directional-derivative query per frame vector (prior included)."""
+    if frame.dim != oracle.objective.dim:
+        raise ConfigError(f"frame dim {frame.dim} != oracle dim {oracle.objective.dim}")
+    vals = oracle.directional_derivatives(x, frame._rows)
     if frame.prior is None:
         return ProbeSet(frame, None, vals)
-    return ProbeSet(frame, vals[:, :1], vals[:, 1:])
+    return ProbeSet(frame, vals.item(0), vals[1:])
 
 
 def _dot(a: Array, b: Array) -> Array:

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .core import (Array, ConfigError, ObjectiveSpec, RngHandle,
+from .core import (Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle,
                    require_finite_positive, require_int_at_least)
-from .frames import (ProbeSet, _dot, build_frame, build_frames, cos_sq, probe,
-                     subspace_estimate)
+from .frames import ProbeSet, _dot, build_frame, cos_sq, probe, subspace_estimate
 from .trace import RunOptions, RunTrace, StepRow, run_loop
 
 
@@ -33,7 +32,6 @@ class GreedyConfig(RunOptions):
 
     # the family's algorithms by the prior they probe with
     ALGOS: ClassVar[dict] = {"rgf": "none", "prgf": "external", "history_prgf": "historical"}
-    LOCKSTEP: ClassVar[bool] = True  # the steps run a stack of seeds (see trace.run_loop)
 
     def __post_init__(self):
         if self.algo not in self.ALGOS:
@@ -55,16 +53,16 @@ class GreedyConfig(RunOptions):
 
 @dataclass
 class GreedyState:
-    """x (d,) and the historical prior, or (n, d) for a stack of n seeds."""
+    """x and the historical prior, each (d,)."""
     x: Array
     prior: Optional[Array] = None
     iteration: int = field(init=False, default=0)
 
 
 def _adopt_prior(g1: Array, prior: Array) -> Array:
-    """g1/‖g1‖ where 0 < ‖g1‖ < inf, else the old prior; row by row for a
-    stack. A zero estimate has no direction, and one that overflowed would
-    make a zero prior."""
+    """g1/‖g1‖ where 0 < ‖g1‖ < inf, else the old prior; row by row for the
+    (n, d) stack of ``diagnostics.check_theorem_bounds``. A zero estimate has
+    no direction, and one that overflowed would make a zero prior."""
     if g1.ndim == 1:
         n = math.sqrt(g1 @ g1)  # l2_norm(g1)
         return g1 / n if 0.0 < n < math.inf else prior
@@ -73,23 +71,15 @@ def _adopt_prior(g1: Array, prior: Array) -> Array:
         return np.where((0.0 < n) & (n < math.inf), g1 / n, prior)
 
 
-def descend(state, oracle, config, rng, point: Array,
+def descend(state, oracle: OracleHandle, config, rng: RngHandle, point: Array,
             prior: Optional[Array]) -> tuple[ProbeSet, Array, float, float]:
     """The descent step both families take: probe a frame around ``prior`` at
     ``point``, set ``state.x = point - g1/L̂`` and count the iteration. The
     historical prior (``state.prior``, which ``run_loop`` sets for it alone)
     becomes g1/‖g1‖. Greedy descends from x_t, the ARS family from y_t.
     Returns the probes, g1, and C_t and D_t (NaN unless
-    ``config.diagnostics``).
-
-    For a stack of n seeds (``trace.run_loop``), ``oracle`` and ``rng`` are
-    lists of the seeds' exact oracles and handles, ``point``, ``prior`` and
-    ``state``'s arrays hold one row per seed, and g1 one row per seed; a
-    stack records no diagnostics."""
-    if isinstance(rng, RngHandle):
-        frame = build_frame(rng, point.shape[-1], config.q, prior)
-    else:
-        frame = build_frames(rng, point.shape[-1], config.q, len(rng), prior)
+    ``config.diagnostics``)."""
+    frame = build_frame(rng, len(point), config.q, prior)
     probes = probe(oracle, point, frame)
     g1 = subspace_estimate(probes)
     c_t = d_t = math.nan
@@ -104,14 +94,12 @@ def descend(state, oracle, config, rng, point: Array,
     return probes, g1, c_t, d_t
 
 
-def greedy_step(state: GreedyState, oracle, config: GreedyConfig, rng, prior=None):
+def greedy_step(state: GreedyState, oracle: OracleHandle, config: GreedyConfig,
+                rng: RngHandle, prior: Optional[Array] = None) -> StepRow:
     """One frame probe around ``prior`` and descent update from x_t; mutates
-    ``state`` and returns row t's ``StepRow``, or one per seed of a stack
-    (see ``descend``), whose exact oracles paid for no f(x_t)."""
+    ``state`` and returns row t's ``StepRow``."""
     _, _, c_t, d_t = descend(state, oracle, config, rng, state.x, prior)
-    if not isinstance(oracle, list):
-        return StepRow(oracle.last_base_f, c_t, d_t)
-    return [StepRow(None)] * len(oracle)
+    return StepRow(oracle.last_base_f, c_t, d_t)
 
 
 def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
@@ -125,16 +113,3 @@ def run_greedy(objective: ObjectiveSpec, config: GreedyConfig, seed: int,
     ``diagnostics.check_lemma36`` passes one that keeps every ``StepRow``.
     """
     return run_loop(objective, config, seed, GreedyState, step, prior_feed)
-
-
-def run_greedy_lockstep(objective: ObjectiveSpec, config: GreedyConfig,
-                        seeds: Sequence[int]) -> list[RunTrace]:
-    """``run_greedy(objective, config, seed)`` for every seed, run as one
-    stack: each iteration steps every seed at once. Returns one trace per
-    seed, in order, each equal to the one ``run_greedy`` returns.
-
-    Only an exact-oracle ``rgf`` or ``history_prgf`` run with no
-    diagnostics and no target stacks (see ``trace.run_loop``); that is all
-    ``diagnostics.check_theorem_bounds`` runs. With the fd oracle a stack
-    lost to single runs at d >= 256 (README, "Seeds in lockstep")."""
-    return run_loop(objective, config, list(seeds), GreedyState, greedy_step, None)

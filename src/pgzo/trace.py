@@ -177,8 +177,8 @@ class RunOptions:
             raise ConfigError("stop_on_target needs a target_log10")
 
 
-def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: Callable,
-             prior_feed):
+def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
+             step: Callable, prior_feed: Optional[Callable[[Array], Array]]) -> RunTrace:
     """Step from x0 while another iteration of ``config.queries_per_iteration``
     queries fits ``config.budget``.
 
@@ -196,101 +196,62 @@ def run_loop(objective: ObjectiveSpec, config, seed, new_state: Callable, step: 
     per iteration times d) reaches ``READ_AHEAD_MIN_BLOCK`` draws its normals
     through a NormalStream, closed before it returns or raises. An
     ``OracleFailureError`` is raised again with the algorithm, the iteration
-    and the dd-queries spent in its message.
-
-    ``seed`` is one seed, or a list of seeds run in lockstep as one stack,
-    as ``diagnostics.check_theorem_bounds`` runs them: a ``config.LOCKSTEP``
-    step (``rgf``, ``history_prgf``) with an exact oracle and no external
-    prior, diagnostics or target; any other stack is a ConfigError before
-    any evaluation. Each seed keeps its own ``RngHandle`` (drawing directly),
-    ``OracleHandle`` and trace; ``state`` holds one row per seed, ``step``
-    takes the lists of handles and returns one ``StepRow`` per seed, and the
-    seeds, which spend alike, end at the budget together. Returns the list
-    of traces, each equal to its seed's own run's; a failure ends the stack
-    with the message that seed's own run gives.
+    and the dd-queries spent in its message. ``seed`` is one integer >= 0; any
+    other value, a list of seeds among them, is a ConfigError.
     """
-    stack = isinstance(seed, list)
-    seeds = seed if stack else [seed]
+    require_int_at_least("seed", seed, 0)
     cost, budget = config.queries_per_iteration, config.budget
-    external = config.prior_source == "external"
-    if stack and not config.LOCKSTEP:
-        raise ConfigError(f"{config.algo}: its steps run one seed at a time, not a stack")
-    if not seeds:
-        raise ConfigError("a stack needs at least one seed")
-    if stack and (external or config.oracle_mode != "exact" or config.diagnostics
-                  or config.target_log10 is not None):
-        raise ConfigError(f"{config.algo}: a stack runs with an exact oracle and no external "
-                          "prior, diagnostics or target")
     if budget < cost:
         raise ConfigError(f"{config.algo}: budget {budget} is below one iteration's cost {cost}")
     if objective.x0 is None:
         raise ConfigError("the objective has no x0 to start from")
+    external = config.prior_source == "external"
     if external and prior_feed is None:
         raise ConfigError(f"{config.algo}: an external prior requires a prior_feed callable")
     if config.diagnostics and objective.true_gradient is None:
         raise UnsupportedDiagnosticError(f"{config.algo}: diagnostics need a true_gradient")
     target_log10, log_every = config.target_log10, config.log_every
-    oracles = [OracleHandle(objective, mu=config.mu, mode=config.oracle_mode) for _ in seeds]
-    rngs = [RngHandle(s) for s in seeds]
-    if not stack and cost * objective.dim >= READ_AHEAD_MIN_BLOCK:
-        rngs[0].stream = NormalStream(rngs[0].gen.bit_generator)
-    traces = []
-
-    def log_row(trace, oracle, row: StepRow, x_here: Array, dd_before: int, fn_before: int):
-        """A seed's row t from the record of its step from x_t."""
-        t = state.iteration - 1
-        if row.restarted:
-            trace.restarts += 1
-        if row.guess_passes is not None:
-            trace.guess_passes.append(row.guess_passes)
-        if not (logged := t % log_every == 0) and target_log10 is None:
-            return  # row t is dropped and no target reads f(x_t)
-        f_here = row.f if row.f is not None else oracle.peek_function_value(x_here)
-        if logged:
-            trace.append(t, dd_before, fn_before, f_here, row.C, row.D, row.theta)
-        if target_log10 is not None:
-            trace.mark_reached(target_log10, f_here, dd_before)
-
+    oracle = OracleHandle(objective, mu=config.mu, mode=config.oracle_mode)
+    rng = RngHandle(seed)
+    if cost * objective.dim >= READ_AHEAD_MIN_BLOCK:
+        rng.stream = NormalStream(rng.gen.bit_generator)
     try:
-        x0 = np.array(objective.x0, dtype=float)
-        state = new_state(np.tile(x0, (len(seeds), 1)) if stack else x0)
+        state = new_state(np.array(objective.x0, dtype=float))
         if config.prior_source == "historical":
-            priors = [sample_unit_sphere(rng, objective.dim) for rng in rngs]
-            state.prior = np.array(priors) if stack else priors[0]
-        for s, oracle in zip(seeds, oracles):
-            f0 = oracle.peek_function_value(x0)
-            traces.append(RunTrace(seed=s, f0=f0, f_star=objective.f_star))
-            if target_log10 is not None:
-                traces[-1].mark_reached(target_log10, f0, 0)
+            state.prior = sample_unit_sphere(rng, objective.dim)
+        f0 = oracle.peek_function_value(state.x)
+        trace = RunTrace(seed=seed, f0=f0, f_star=objective.f_star)
+        if target_log10 is not None:
+            trace.mark_reached(target_log10, f0, 0)
 
-        oracle = oracles[0]  # a stack's seeds spend alike, so the first speaks for all
-        if not stack:
-            rng, trace = rngs[0], traces[0]
-            while oracle.dd_queries + cost <= budget:
-                if config.stop_on_target and trace.reached_queries is not None:
-                    break
-                x_here = state.x
-                dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
-                prior = prior_feed(x_here) if external else state.prior
-                log_row(trace, oracle, step(state, oracle, config, rng, prior), x_here,
-                        dd_before, fn_before)
-        else:
-            while oracle.dd_queries + cost <= budget:
-                points, dd_before, fn_before = state.x, oracle.dd_queries, oracle.fn_evals
-                rows = step(state, oracles, config, rngs, state.prior)  # sets a new state.x
-                for trace, seed_oracle, row, x in zip(traces, oracles, rows, points):
-                    log_row(trace, seed_oracle, row, x, dd_before, fn_before)
-        for trace, oracle, x in zip(traces, oracles, state.x if stack else [state.x]):
-            f_final = oracle.peek_function_value(x)
-            trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
+        while oracle.dd_queries + cost <= budget:
+            if config.stop_on_target and trace.reached_queries is not None:
+                break
+            x_here = state.x
+            dd_before, fn_before = oracle.dd_queries, oracle.fn_evals
+            prior = prior_feed(x_here) if external else state.prior
+            row = step(state, oracle, config, rng, prior)
+            if row.restarted:
+                trace.restarts += 1
+            if row.guess_passes is not None:
+                trace.guess_passes.append(row.guess_passes)
+            t = state.iteration - 1  # index of the iterate the step started from
+            if not (logged := t % log_every == 0) and target_log10 is None:
+                continue  # row t is dropped and no target reads f(x_t)
+            f_here = row.f if row.f is not None else oracle.peek_function_value(x_here)
+            if logged:
+                trace.append(t, dd_before, fn_before, f_here, row.C, row.D, row.theta)
             if target_log10 is not None:
-                trace.mark_reached(target_log10, f_final, oracle.dd_queries)
+                trace.mark_reached(target_log10, f_here, dd_before)
+        f_final = oracle.peek_function_value(state.x)
     except OracleFailureError as exc:
-        # the failing call was not charged, and a stack fails only in an
-        # uncharged read of f, after every seed has paid for the step
+        # the failing call was not charged
         raise OracleFailureError(f"{config.algo} at iteration {state.iteration} after "
-                                 f"{oracles[0].dd_queries} dd-queries: {exc}", exc.point) from exc
+                                 f"{oracle.dd_queries} dd-queries: {exc}", exc.point) from exc
     finally:
-        if rngs[0].stream is not None:
-            rngs[0].stream.close()
-    return traces if stack else traces[0]
+        if rng.stream is not None:
+            rng.stream.close()
+    trace.append(state.iteration, oracle.dd_queries, oracle.fn_evals, f_final)
+    if target_log10 is not None:
+        trace.mark_reached(target_log10, f_final, oracle.dd_queries)
+    return trace

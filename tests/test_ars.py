@@ -38,6 +38,13 @@ def test_theta_domain_checked():
         theta_from_D(1.1, 5, 60, 2.0)
 
 
+def test_an_ars_run_takes_one_seed():
+    fn = bench_function("f2", 10)
+    cfg = ArsConfig(L_hat=fn.L, q=3, algo="ars", budget=60, oracle_mode="exact")
+    with pytest.raises(ConfigError, match=r"^seed must be an integer, got \[0, 1\]$"):
+        run_ars(fn.as_objective(), cfg, [0, 1])
+
+
 def test_alpha_golden_ratio_case():
     # theta*gamma = 1, tau=0: alpha solves alpha^2 + alpha - 1 = 0
     alpha, beta, gamma_next = alpha_beta_gamma(0.5, 2.0, 0.0)

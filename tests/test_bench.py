@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pgzo import bench
 from pgzo.bench import (ALGO_PRIORS, CSV_HEADER, T975, Aggregate, RunConfig, aggregate_traces,
                         emit_csv, emit_svg, preset, read_csv, run_batch, run_single)
 from pgzo.core import ConfigError
@@ -237,13 +236,10 @@ def test_t_quantile_table_is_scipy_stdtrit_bit_for_bit():
         assert t == float(special.stdtrit(df, 0.975)), f"df={df}"
 
 
-@pytest.mark.parametrize("n,loads", [(2, False), (31, False), (32, True)])
-def test_band_beyond_the_table_takes_scipy_stdtrit_bit_for_bit(monkeypatch, n, loads):
+@pytest.mark.parametrize("n", [2, 31, 32])
+def test_band_beyond_the_table_takes_scipy_stdtrit_bit_for_bit(n):
     # up to 31 seeds the quantile comes from T975; past it, from scipy.special
     from scipy import stats
-    calls = []
-    load = bench.load_special_ufuncs
-    monkeypatch.setattr(bench, "load_special_ufuncs", lambda: calls.append(1) or load())
     rng = np.random.default_rng(n)
     traces = [RunTrace(seed=s, rows=[(0, q, 0, math.nan, v, math.nan, math.nan, math.nan)
                                      for q, v in zip((0, 4, 8), rng.normal(size=3))])
@@ -253,17 +249,17 @@ def test_band_beyond_the_table_takes_scipy_stdtrit_bit_for_bit(monkeypatch, n, l
     half = stats.t.ppf(0.975, n - 1) * mat.std(axis=0, ddof=1) / math.sqrt(n)
     np.testing.assert_array_equal(agg.hi, agg.mean + half)
     np.testing.assert_array_equal(agg.lo, agg.mean - half)
-    assert bool(calls) is loads
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 IMPORT_GUARD = """
-import json, sys
+import json, math, sys
 import pgzo, pgzo.bench, pgzo.cli, pgzo.diagnostics
 from pgzo.core import RngHandle
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
+from pgzo.trace import RunTrace
 
 def loaded():
     return [m for m in ("scipy.linalg", "scipy.special", "scipy.special._ufuncs",
@@ -278,7 +274,11 @@ after_library = loaded()
 pgzo.cli.run_from_settings({"function": "f2", "dim": 12, "algo": "rgf", "q": 3,
                             "lhat_scale": 1.0, "budget": 60, "seeds": (0, 1),
                             "out": sys.argv[1]})
-print(json.dumps([after_import, after_library, loaded()]))
+after_run = loaded()
+pgzo.bench.aggregate_traces([RunTrace(seed=s, rows=[(0, 0, 0, math.nan, v, math.nan, math.nan,
+                                                     math.nan) for v in (0.0, 0.5 * s)])
+                             for s in range(31)])
+print(json.dumps([after_import, after_library, after_run, loaded()]))
 """
 
 
@@ -298,67 +298,18 @@ def test_scipy_stats_never_loaded(tmp_path):
     # builds frames), a Monte-Carlo check and a CLI run, which aggregates two
     # seeds, load none of scipy.linalg, scipy.special, the array-API layer
     # their inits share or scipy.stats: pgzo loads scipy's LAPACK extension
-    # directly. The two-seed band takes its t-quantile from bench.T975, so
-    # not even scipy.special's ufunc extension loads, and no run here reads
-    # ahead, so neither does concurrent.futures. The aggregate would also
-    # execute any lazy import of scipy.stats.
-    after_import, after_library, after_run = json.loads(
+    # directly. The two-seed band, and that of 31 synthetic traces, the most
+    # the table serves, take their t-quantile from bench.T975, so not even
+    # scipy.special's ufunc extension loads, and no run here reads ahead, so
+    # neither does concurrent.futures. The aggregates would also execute any
+    # lazy import of scipy.stats.
+    after_import, after_library, after_run, after_31 = json.loads(
         run_fresh(IMPORT_GUARD, str(tmp_path / "run")))
     assert after_import == [], f"importing pgzo loaded {after_import}"
     assert after_library == [], f"a library run or check loaded {after_library}"
     assert after_run == [], f"a CLI run loaded {after_run}"
+    assert after_31 == [], f"aggregating 31 traces loaded {after_31}"
     assert (tmp_path / "run.csv").is_file()
-
-
-# Aggregate 2, 3 and 10 synthetic traces with scipy.special imported before
-# or after pgzo, then use scipy.special and scipy.stats as a caller would.
-SPECIAL_INTEROP = """
-import json, math, sys
-import numpy as np
-if sys.argv[1] == "scipy_first":
-    import scipy.special
-from pgzo.bench import aggregate_traces
-from pgzo.core import load_special_ufuncs
-from pgzo.trace import RunTrace
-rng = np.random.default_rng(5)
-bands = {}
-for n in (2, 3, 10):
-    traces = [RunTrace(seed=s, rows=[(0, q, 0, math.nan, v, math.nan, math.nan, math.nan)
-                                     for q, v in zip((0, 4, 8), rng.normal(size=3))])
-              for s in range(n)]
-    agg = aggregate_traces(traces)
-    mat = np.array([tr.column("log10_rel_err") for tr in traces])
-    bands[n] = (agg, mat)
-ufuncs = load_special_ufuncs()
-placeholder_left = "scipy.special" in sys.modules and not hasattr(sys.modules["scipy.special"],
-                                                                  "__file__")
-import scipy.special
-from scipy import stats
-band_is_ppf = [bool(np.array_equal(agg.hi - agg.mean, stats.t.ppf(0.975, n - 1)
-                                   * mat.std(axis=0, ddof=1) / math.sqrt(n)))
-               for n, (agg, mat) in bands.items()]
-print(json.dumps({"placeholder_left": placeholder_left,
-                  "init_ran": scipy.special.__file__.endswith("__init__.py"),
-                  "same": [scipy.special._ufuncs is ufuncs,
-                           scipy.special.stdtrit is ufuncs.stdtrit],
-                  "ppf": [float(stats.t.ppf(0.975, df)) == float(ufuncs.stdtrit(df, 0.975))
-                          for df in (1, 2, 9)],
-                  "band_is_ppf": band_is_ppf}))
-"""
-
-
-@pytest.mark.parametrize("order", ["pgzo_first", "scipy_first"])
-def test_scipy_special_after_an_aggregate_is_the_one_pgzo_used(order):
-    # pgzo loads scipy.special's ufuncs under a placeholder package that it
-    # removes again; a later import of scipy.special runs the real init and
-    # hands out the same stdtrit, and scipy.stats' t quantile equals the
-    # band's. If scipy.special came first, pgzo takes its ufuncs as they are.
-    out = json.loads(run_fresh(SPECIAL_INTEROP, order))
-    assert out["placeholder_left"] is False
-    assert out["init_ran"] is True
-    assert out["same"] == [True, True]
-    assert out["ppf"] == [True] * 3
-    assert out["band_is_ppf"] == [True] * 3
 
 
 def test_no_module_imports_scipy_stats():

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import pgzo.diagnostics
+import pgzo.trace
 from pgzo.ars import ArsConfig, run_ars
-from pgzo.core import ConfigError, OracleHandle, RngHandle, sample_unit_sphere
+from pgzo.core import ConfigError, OracleFailureError, OracleHandle, RngHandle, sample_unit_sphere
 from pgzo.diagnostics import (DriftSample, _prior_with_quality, check_ars_bound, check_lemma36,
                               check_theorem_bounds,
                               mc_g2_moments, mc_prgf_drift, mc_rgf_drift,
@@ -15,6 +16,7 @@ from pgzo.frames import (ProbeSet, build_frame, build_frames, cos_sq, g2_unbiase
                          g2_variance_reduced, subspace_estimate)
 from pgzo.greedy import GreedyConfig, run_greedy
 from pgzo.testfns import bench_function
+from test_frames import TapeRng
 
 
 def test_rgf_drift_small():
@@ -138,17 +140,84 @@ def _per_seed_deltas(d, q, T_values, seeds, L_hat_mult=1.0, historical=False):
 
 
 # perfbench's two shapes: the plain rates at T=100, and the historical
-# factor-2 bound at L̂ = 50 L
-@pytest.mark.parametrize("T_values,kwargs", [([100], {}),
-                                             ([50, 100], {"L_hat_mult": 50.0, "historical": True})])
-def test_bound_checks_equal_their_per_seed_loop(T_values, kwargs):
+# factor-2 bound at L̂ = 50 L; then smaller and larger shapes, at T_values
+# whose gcd is above 1
+@pytest.mark.parametrize("d,q,T_values,kwargs", [
+    (50, 5, [100], {}),
+    (50, 5, [50, 100], {"L_hat_mult": 50.0, "historical": True}),
+    (10, 3, [20, 30], {}),
+    (10, 3, [20, 30], {"historical": True}),
+    (40, 5, [60, 90], {}),
+    (40, 5, [40, 80], {"L_hat_mult": 50.0, "historical": True}),
+])
+def test_bound_checks_equal_their_per_seed_loop(d, q, T_values, kwargs):
     seeds = range(20, 40)
-    checks = check_theorem_bounds(50, 5, T_values, seeds, **kwargs)
-    means = [float(np.mean(deltas)) for deltas in _per_seed_deltas(50, 5, T_values, seeds,
+    checks = check_theorem_bounds(d, q, T_values, seeds, **kwargs)
+    means = [float(np.mean(deltas)) for deltas in _per_seed_deltas(d, q, T_values, seeds,
                                                                        **kwargs)]
     per_T = 1 if kwargs else 2  # the plain rates check each T twice
     assert [c.T for c in checks] == [T for T in T_values for _ in range(per_T)]
     assert [c.observed for c in checks] == [m for m in means for _ in range(per_T)]
+
+
+@pytest.mark.parametrize("historical", [False, True])
+def test_a_rejected_frame_in_the_bound_checks_is_redrawn_from_its_seed(historical, monkeypatch):
+    # q = d (q = d-1 with a prior): each seed's normals come from a tape whose
+    # blocks at ``bad`` are rank deficient, so the stack redraws some frames
+    d, T = 4, 20
+    q = d - historical
+    bad = {1: (0,), 2: (3, 4), 3: (1, 5, 6), 4: (3,)}  # 2 and 4 redraw together
+    tapes = {}
+
+    def tape_rng(seed):
+        # the historical prior's first d values sit at the tape's head, so a
+        # block boundary may fall inside it; only the frames need to be bad
+        tapes[seed] = TapeRng(seed, q, d, 200, bad.get(seed, ()))
+        return tapes[seed]
+    monkeypatch.setattr(pgzo.diagnostics, "RngHandle", tape_rng)
+    monkeypatch.setattr(pgzo.trace, "RngHandle", tape_rng)
+    checks = check_theorem_bounds(d, q, [T], range(20), historical=historical)
+    used = {s: tape.used for s, tape in tapes.items()}
+    [means] = _per_seed_deltas(d, q, [T], range(20), historical=historical)
+    assert {c.observed for c in checks} == {float(np.mean(means))}
+    assert used == {s: tape.used for s, tape in tapes.items()}
+    if not historical:  # each rejected block cost one more block of draws
+        assert used == {s: (T + len(bad.get(s, ()))) * q * d for s in range(20)}
+
+
+@pytest.mark.parametrize("historical", [False, True])
+def test_64_rejects_of_one_seed_fail_the_bound_checks(historical, monkeypatch):
+    # seed 7's frames are all rank deficient: its 64th redraw raises as its
+    # own run's would; 63 rejected blocks are redrawn and the check runs on
+    d, T = 4, 20
+    q = d - historical
+
+    def tape_rng(n_bad):
+        return lambda seed: TapeRng(seed, q, d, 200, range(n_bad) if seed == 7 else ())
+    monkeypatch.setattr(pgzo.diagnostics, "RngHandle", tape_rng(64))
+    with pytest.raises(ConfigError, match="orthonormal frame"):
+        check_theorem_bounds(d, q, [T], range(20), historical=historical)
+    monkeypatch.setattr(pgzo.diagnostics, "RngHandle", tape_rng(63))
+    assert [c.T for c in check_theorem_bounds(d, q, [T], range(20), historical=historical)] \
+        == [T] * (1 if historical else 2)
+
+
+def test_a_failing_seed_fails_the_bound_check_with_its_own_runs_message():
+    # History-PRGF at L̂ = L/4 overflows: its run reads a non-finite f(x_T)
+    fn = bench_function("f2", 30)
+    cfg = GreedyConfig(L_hat=fn.L / 4, q=5, algo="history_prgf", budget=400 * 6,
+                       oracle_mode="exact", log_every=400)
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(20):
+            try:
+                run_greedy(fn.as_objective(), cfg, seed)
+            except OracleFailureError as exc:
+                messages.append(str(exc))
+        with pytest.raises(OracleFailureError) as stacked:
+            check_theorem_bounds(30, 5, [100, 400], range(20), L_hat_mult=0.25, historical=True)
+    assert str(stacked.value) == messages[0]
+    assert messages[0].startswith("history_prgf at iteration 400 after 2400 dd-queries: ")
 
 
 def test_historical_bound_needs_large_T():
@@ -204,6 +273,8 @@ def f2_evals(monkeypatch):
     (check_theorem_bounds, [], {}),
     (check_theorem_bounds, [60, 0], {}),
     (check_theorem_bounds, [60, 2.5], {}),
+    (check_theorem_bounds, [True], {}),
+    (check_ars_bound, [60, True], {}),
     (check_ars_bound, [], {}),
     (check_ars_bound, [-60], {}),
     (check_ars_bound, (60.0,), {}),
@@ -214,17 +285,47 @@ def test_bound_checks_reject_bad_T_values_before_evaluating(f2_evals, check, T_v
     assert f2_evals == {"eval": 0, "grad": 0}
 
 
-# (check, T_values, kwargs, rows logged per seed before the final row)
-@pytest.mark.parametrize("check,T_values,kwargs,logged", [
-    (check_theorem_bounds, [60, 90], {}, 3),         # gcd 30: rows 0, 30, 60
-    (check_theorem_bounds, [50, 100], {"L_hat_mult": 50.0, "historical": True}, 2),
-    (check_ars_bound, (40, 100), {}, 5),             # gcd 20: rows 0, 20, ..., 80
+# (check, T_values, kwargs, f evaluations): f(x0) once for the bound, and per seed
+@pytest.mark.parametrize("check,T_values,kwargs,evals", [
+    (check_theorem_bounds, [60, 90], {}, 20 * 2 + 1),  # the stack reads f(x_T) at each T
+    (check_theorem_bounds, [50, 100], {"L_hat_mult": 50.0, "historical": True}, 20 * 2 + 1),
+    # each run f(x0), its logged rows at gcd 20 (0, 20, ..., 80) and its final row
+    (check_ars_bound, (40, 100), {}, 20 * (1 + 5 + 1) + 1),
 ])
 def test_thinned_bound_checks_evaluate_f_only_at_logged_rows(f2_evals, check, T_values, kwargs,
-                                                              logged):
+                                                              evals):
     check(30, 5, T_values, seeds=range(20), **kwargs)
-    # per seed f(x0), each logged row and the final row; once more for the bound
-    assert f2_evals["eval"] == 20 * (1 + logged + 1) + 1
+    assert f2_evals["eval"] == evals
+
+
+@pytest.mark.parametrize("historical", [False, True])
+def test_the_bound_checks_take_one_gradient_per_seed_iteration_and_build_no_oracle(
+        f2_evals, historical, monkeypatch):
+    # the stack reads each seed's exact probes from one fn.grad per iteration,
+    # and f only at each T and at x0, without an OracleHandle or a trace
+    built = []
+    init = OracleHandle.__post_init__
+
+    def record(self):
+        init(self)
+        built.append(self)
+    monkeypatch.setattr(OracleHandle, "__post_init__", record)
+    check_theorem_bounds(10, 3, [20, 30], range(20), historical=historical)
+    assert built == []
+    assert f2_evals == {"eval": 20 * 2 + 1, "grad": 30 * 20}
+
+
+@pytest.mark.parametrize("check", [check_theorem_bounds, check_ars_bound])
+@pytest.mark.parametrize("seeds,match", [
+    (range(-1, 19), "seeds must be nonnegative, got -1"),
+    ([0.5, *range(1, 20)], "seeds must be an integer, got 0.5"),
+    ([True, *range(1, 20)], "seeds must be an integer, got True"),
+    (20, "bound checks need at least 20 seeds, got 20"),
+])
+def test_bound_checks_reject_bad_seeds_before_evaluating(f2_evals, check, seeds, match):
+    with pytest.raises(ConfigError, match=match):
+        check(30, 5, [60], seeds=seeds)
+    assert f2_evals == {"eval": 0, "grad": 0}
 
 
 def test_ars_bound_check_equals_its_per_seed_loop_logging_every_row():
@@ -351,6 +452,23 @@ def test_optimality_margin_needs_trials_and_vectors(kwargs):
     args = dict({"n_vectors": 100, "n_trials": 20}, **kwargs)
     with pytest.raises(ConfigError, match="n_trials and n_vectors"):
         subspace_optimality_margin(5, 2, args["n_vectors"], RngHandle(0), n_trials=args["n_trials"])
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: mc_rgf_drift(20, 4, 1000.5, RngHandle(0)), "n_samples must be an integer"),
+    (lambda: mc_rgf_drift(20, 4.0, 1000, RngHandle(0)), "q must be an integer"),
+    (lambda: mc_rgf_drift(20, 4, 999, RngHandle(0)), "n_samples must be >= 1000"),
+    (lambda: mc_prgf_drift(20.0, 4, 0.5, 1000, RngHandle(0)), "d must be an integer"),
+    (lambda: mc_g2_moments(20, True, 0.5, 100, RngHandle(0)), "q must be an integer"),
+    (lambda: subspace_optimality_margin(5, 2.0, 100, RngHandle(0)), "q must be an integer"),
+    (lambda: check_lemma36(20, 4, 10.0, 100, seed=-1), "seed must be nonnegative"),
+    (lambda: check_theorem_bounds(30, 5.0, [60], range(20)), "q must be an integer"),
+    (lambda: check_theorem_bounds(30, 5, [60], range(20), L_hat_mult=math.nan),
+     "L_hat_mult must be finite and positive"),
+])
+def test_diagnostics_reject_counts_of_the_wrong_type(call, match):
+    with pytest.raises(ConfigError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("iterations", [0, 1])

@@ -226,6 +226,38 @@ def test_build_frames_rejects_empty_batch():
         build_frames(RngHandle(0), 5, 2, 0)
 
 
+# One handle per frame, as diagnostics.check_theorem_bounds steps its seeds:
+# each frame is its own handle's build_frame, redrawn from that handle.
+
+@pytest.mark.parametrize("kind", ["none", "shared", "per_frame"])
+def test_stacked_frames_equal_each_seeds_own_frame(kind):
+    d, q = 9, 4
+    bad = [(), (0,), (0, 1), (), (2,)]
+    priors = np.array([RngHandle(100 + i).gen.standard_normal(d) for i in range(5)])
+    prior = {"none": None, "shared": priors[0], "per_frame": priors}[kind]
+    own_priors = {"none": [None] * 5, "shared": [priors[0]] * 5, "per_frame": priors}[kind]
+    handles = [TapeRng(i, q, d, 80, b) for i, b in enumerate(bad)]
+    singles = [TapeRng(i, q, d, 80, b) for i, b in enumerate(bad)]
+    stack = build_frames(handles, d, q, 5, prior=prior)
+    own = [build_frame(rng, d, q, p).stacked() for rng, p in zip(singles, own_priors)]
+    np.testing.assert_array_equal(stack.stacked(), own)
+    assert [h.used for h in handles] == [s.used for s in singles]
+
+
+def test_64_rejects_of_one_seed_raise_in_a_stack():
+    d, q = 9, 4
+    handles = [TapeRng(0, q, d, 80), TapeRng(1, q, d, 80, bad=range(64))]
+    with pytest.raises(ConfigError, match="orthonormal frame"):
+        build_frames(handles, d, q, 2)
+    handles = [TapeRng(0, q, d, 80), TapeRng(1, q, d, 80, bad=range(63))]
+    assert build_frames(handles, d, q, 2).stacked().shape == (2, q, d)
+
+
+def test_stack_needs_one_handle_per_frame():
+    with pytest.raises(ConfigError, match="2 random handles for 3 frames"):
+        build_frames([RngHandle(0), RngHandle(1)], 5, 2, 3)
+
+
 def reference_cholqr_frame(seed, d, q, prior):
     """build_frame written out step by step, one temporary per operation:
     draw, np.outer projection, Gram, dpotrf, dtrtri, matmul."""

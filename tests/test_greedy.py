@@ -89,6 +89,29 @@ def test_budget_below_one_iteration_rejected():
         run_greedy(fn.as_objective(), cfg, seed=0)
 
 
+# a run takes one seed: a list of seeds (what the removed lockstep stack
+# took) would otherwise seed one generator from all of them
+@pytest.mark.parametrize("algo", ["rgf", "history_prgf"])
+@pytest.mark.parametrize("seed,message", [
+    ([0, 1], "seed must be an integer, got [0, 1]"),
+    (-1, "seed must be nonnegative, got -1"),
+    (True, "seed must be an integer, got True"),
+])
+def test_a_run_takes_one_nonnegative_integer_seed_before_any_evaluation(algo, seed, message):
+    fn = bench_function("f2", 10)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return fn.eval(x)
+    obj = ObjectiveSpec(dim=10, eval=counted, true_gradient=fn.grad, f_star=fn.f_star, x0=fn.x0)
+    cfg = GreedyConfig(L_hat=fn.L, q=3, algo=algo, budget=60, oracle_mode="exact")
+    with pytest.raises(ConfigError) as exc:
+        run_greedy(obj, cfg, seed)
+    assert str(exc.value) == message
+    assert calls == []
+
+
 def test_external_prior_requires_feed():
     fn = bench_function("f2", 10)
     cfg = GreedyConfig(L_hat=2.0, q=5, algo="prgf", budget=60)
