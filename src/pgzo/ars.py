@@ -21,12 +21,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, ClassVar, List, Optional
 
 import numpy as np
 
-from .core import Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle
+from .core import Array, ConfigError, ObjectiveSpec, OracleHandle, RngHandle, is_real
 from .frames import (_unit_prior, build_frame, estimate_Dt, estimate_grad_norm_sq, g2_unbiased,
                      probe)
 from .greedy import GreedyConfig, GreedyState, descend
@@ -89,8 +88,7 @@ class ArsConfig(GreedyConfig):
     def __post_init__(self):
         super().__post_init__()
         # gamma falls from L_hat toward tau_hat
-        if not (isinstance(self.tau_hat, Real) and not isinstance(self.tau_hat, bool)
-                and 0.0 <= self.tau_hat <= self.L_hat):
+        if not (is_real(self.tau_hat) and 0.0 <= self.tau_hat <= self.L_hat):
             raise ConfigError(f"tau_hat must be finite, nonnegative and <= L_hat={self.L_hat}, "
                               f"got {self.tau_hat}")
 

@@ -4,14 +4,14 @@ emit CSV traces and self-contained SVG convergence plots."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .ars import ArsConfig, run_ars
-from .core import ConfigError, RngHandle, require_finite_positive, require_int_at_least
+from .core import (ConfigError, RngHandle, is_real, require_finite_positive,
+                   require_int_at_least, require_seeds)
 from .greedy import GreedyConfig, run_greedy
 from .testfns import bench_function, biased_prior_feed
 from .trace import COLUMNS, RunOptions, RunTrace
@@ -56,8 +56,7 @@ class RunConfig(RunOptions):
         if self.prior not in (None, implied):
             raise ConfigError(f"algo {self.algo!r} runs with prior={implied!r}, got {self.prior!r}")
         self.prior = implied
-        if self.tau_hat != "true" and (not isinstance(self.tau_hat, numbers.Real)
-                                       or isinstance(self.tau_hat, bool)):
+        if self.tau_hat != "true" and not is_real(self.tau_hat):
             raise ConfigError(f"tau_hat must be a number or 'true', got {self.tau_hat!r}")
         unread = [k for k, v in _ARS_SETTINGS.items() if getattr(self, k) != v]
         if unread and self.algo not in ARS_ALGOS:
@@ -66,12 +65,7 @@ class RunConfig(RunOptions):
         require_int_at_least("dim", self.dim, 1)
         require_int_at_least("q", self.q, 1)
         require_int_at_least("budget", self.budget, 0)
-        if not isinstance(self.seeds, (Sequence, np.ndarray)) or len(self.seeds) < 1:
-            raise ConfigError(f"seeds must be a non-empty sequence of integers, got {self.seeds!r}")
-        for seed in self.seeds:
-            require_int_at_least("seeds", seed, 0)
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"repeated seeds in {tuple(self.seeds)}")
+        require_seeds(self.seeds, 1, "seeds must be a non-empty sequence of integers")
         if (self.lhat is None) == (self.lhat_scale is None):
             raise ConfigError("exactly one of lhat / lhat_scale is required")
         name = "lhat" if self.lhat_scale is None else "lhat_scale"

@@ -10,7 +10,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from importlib.util import module_from_spec, spec_from_loader
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -84,10 +84,16 @@ class ConfigError(ValueError):
     """An algorithm/benchmark configuration violates a precondition."""
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number and not a bool (``numbers.Real``
+    takes ``True`` as 1)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def require_finite_positive(name: str, value: float) -> None:
-    """ConfigError unless ``value`` is a real number, not a bool, finite and
-    above zero; NaN fails the comparison."""
-    if not (isinstance(value, Real) and not isinstance(value, bool) and 0.0 < value < math.inf):
+    """ConfigError unless ``value`` is real, finite and above zero; NaN fails
+    the comparison."""
+    if not (is_real(value) and 0.0 < value < math.inf):
         raise ConfigError(f"{name} must be finite and positive, got {value}")
 
 
@@ -99,6 +105,18 @@ def require_int_at_least(name: str, value, floor: int) -> None:
     if value < floor:
         bound = "nonnegative" if floor == 0 else f">= {floor}"
         raise ConfigError(f"{name} must be {bound}, got {value}")
+
+
+def require_seeds(seeds: Sequence[int], at_least: int, needs: str) -> None:
+    """ConfigError unless ``seeds`` is a sequence of at least ``at_least``
+    integers >= 0, none repeated: a seed average is a sample mean only over
+    distinct seeds. ``needs`` begins the message of a short or missing list."""
+    if not isinstance(seeds, (Sequence, np.ndarray)) or len(seeds) < at_least:
+        raise ConfigError(f"{needs}, got {seeds!r}")
+    for seed in seeds:
+        require_int_at_least("seeds", seed, 0)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"repeated seeds in {tuple(seeds)}")
 
 
 def check_oracle_options(mode: str, mu: float) -> None:
@@ -204,6 +222,8 @@ class RngHandle:
     stream: Optional[NormalStream] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        # SFC64 would take a list of seeds as entropy for one stream
+        require_int_at_least("seed", self.seed, 0)
         # SFC64 over the default PCG64: same statistical quality, measurably
         # faster normal generation on the single-core benchmark hosts.
         self.gen = np.random.Generator(np.random.SFC64(self.seed))

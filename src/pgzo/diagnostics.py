@@ -7,15 +7,14 @@ none of it is charged to oracle query counters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from numbers import Integral
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .ars import ArsConfig, alpha_beta_gamma, run_ars
-from .core import (Array, ConfigError, OracleFailureError, RngHandle, require_finite_positive,
-                   require_int_at_least, sample_unit_sphere)
+from .core import (Array, ConfigError, OracleFailureError, RngHandle, is_real,
+                   require_finite_positive, require_int_at_least, require_seeds,
+                   sample_unit_sphere)
 from .frames import (OrthonormalFrame, ProbeSet, _dot, build_frame, build_frames, cos_sq,
                      g2_unbiased, g2_variance_reduced, subspace_estimate)
 from .greedy import GreedyConfig, _adopt_prior, greedy_step, run_greedy
@@ -34,15 +33,13 @@ _BOUND_SLACK = 0.2  # check_theorem_bounds: multiplicative slack on the plain-fr
 _LEMMA36_TOL = 1e-9  # check_lemma36: the rounding by which D_t may miss its bound
 
 
-@dataclass(frozen=True)
-class DriftSample:
+class DriftSample(NamedTuple):
     C_t: float
     D_t: float
     iteration: int
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     name: str
     T: int
     observed: float
@@ -61,7 +58,7 @@ def _exact_probes(frame: OrthonormalFrame, grad: Array) -> ProbeSet:
 
 def _prior_with_quality(grad: Array, D: float, rng: RngHandle) -> Array:
     """Unit vector whose squared cosine with ``grad`` is exactly D."""
-    if not 0.0 <= D <= 1.0:
+    if not (is_real(D) and 0.0 <= D <= 1.0):
         raise ConfigError(f"prior quality D must lie in [0, 1], got {D}")
     g_hat = grad / np.linalg.norm(grad)
     while True:
@@ -158,10 +155,7 @@ def subspace_optimality_margin(d: int, q: int, n_vectors: int, rng: RngHandle,
     """Worst observed cos^2 margin of the projection direction over random
     in-subspace unit vectors; nonnegative up to rounding if the projection
     is optimal."""
-    if not all(isinstance(n, Integral) and not isinstance(n, bool) and n >= 1
-               for n in (n_trials, n_vectors)):
-        raise ConfigError(f"n_trials and n_vectors must be >= 1, got {n_trials} and {n_vectors}")
-    _require_counts(d=d, q=q)
+    _require_counts(n_trials=n_trials, n_vectors=n_vectors, d=d, q=q)
     worst = np.inf
     for _ in range(n_trials):
         grad = sample_unit_sphere(rng, d) * rng.gen.uniform(0.5, 2.0)
@@ -180,7 +174,7 @@ def check_lemma36(d: int, q: int, L_hat_mult: float, iterations: int,
     run on the diagonal quadratic with an exact oracle. Zero on quadratics
     whenever L̂ >= L."""
     require_int_at_least("iterations", iterations, 2)  # to pair C_(t-1) with D_t
-    require_int_at_least("seed", seed, 0)
+    require_finite_positive("L_hat_mult", L_hat_mult)
     fn = bench_function("f2", d)
     L = fn.L
     cfg = GreedyConfig(L_hat=L_hat_mult * L, q=q, algo="history_prgf",
@@ -211,18 +205,10 @@ def _delta_at(trace, T: int, f_star: float) -> float:
 def _log_every(T_values: Sequence[int]) -> int:
     """gcd(T_values): a bound check logs only the rows it reads, at each T and the
     last; ConfigError unless T_values is a non-empty sequence of positive integers."""
-    if len(T_values) == 0 or not all(isinstance(T, Integral) and not isinstance(T, bool)
-                                     and T >= 1 for T in T_values):
-        raise ConfigError(f"T_values must be positive integers, got {T_values!r}")
+    if not isinstance(T_values, (Sequence, np.ndarray)) or len(T_values) == 0:
+        raise ConfigError(f"T_values must be a non-empty sequence, got {T_values!r}")
+    _require_counts(**{f"T_values[{i}]": T for i, T in enumerate(T_values)})
     return math.gcd(*T_values)
-
-
-def _require_bound_seeds(seeds: Sequence[int]) -> None:
-    """ConfigError unless ``seeds`` is a sequence of at least 20 integers >= 0."""
-    if not isinstance(seeds, (Sequence, np.ndarray)) or len(seeds) < 20:
-        raise ConfigError(f"bound checks need at least 20 seeds, got {seeds!r}")
-    for seed in seeds:
-        require_int_at_least("seeds", seed, 0)
 
 
 def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int],
@@ -242,7 +228,7 @@ def check_theorem_bounds(d: int, q: int, T_values: Sequence[int], seeds: Sequenc
     T; a non-finite f(x_T) raises OracleFailureError naming the algorithm, T
     and the dd-queries spent, as the seed's own run does.
     """
-    _require_bound_seeds(seeds)
+    require_seeds(seeds, 20, "bound checks need at least 20 seeds")
     _log_every(T_values)  # checks T_values; the stack logs no rows
     fn = bench_function("f2", d)
     require_int_at_least("q", q, 1)
@@ -318,9 +304,9 @@ def check_ars_bound(d: int, q: int, T_values: Sequence[int], seeds: Sequence[int
     theta is fixed, so alpha_t and psi_T follow from ``alpha_beta_gamma``
     alone. The bound has no slack.
     """
-    _require_bound_seeds(seeds)
+    require_seeds(seeds, 20, "bound checks need at least 20 seeds")
     log_every = _log_every(T_values)
-    if not 0.0 <= tau_hat_mult <= 1.0:
+    if not (is_real(tau_hat_mult) and 0.0 <= tau_hat_mult <= 1.0):
         raise ConfigError(f"the bound needs 0 <= taû <= tau, got tau_hat_mult={tau_hat_mult}")
     fn = bench_function("f2", d)
     T_max = max(T_values)

@@ -6,14 +6,13 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass, field
-from numbers import Real
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .core import (DEFAULT_MU, Array, ConfigError, NormalStream, ObjectiveSpec,
                    OracleFailureError, OracleHandle, RngHandle, UnsupportedDiagnosticError,
-                   check_oracle_options, require_int_at_least, sample_unit_sphere)
+                   check_oracle_options, is_real, require_int_at_least, sample_unit_sphere)
 
 # Runs whose block (queries per iteration times d) reaches this draw their
 # normals through a NormalStream; smaller runs draw directly. Starting the
@@ -170,8 +169,7 @@ class RunOptions:
         check_oracle_options(self.oracle_mode, self.mu)
         require_int_at_least("log_every", self.log_every, 1)
         target = self.target_log10
-        if target is not None and (not isinstance(target, Real) or isinstance(target, bool)
-                                   or math.isnan(target)):
+        if target is not None and (not is_real(target) or math.isnan(target)):
             raise ConfigError(f"target_log10 must be a number, not NaN, got {target!r}")
         if self.stop_on_target and self.target_log10 is None:
             raise ConfigError("stop_on_target needs a target_log10")
@@ -196,10 +194,9 @@ def run_loop(objective: ObjectiveSpec, config, seed: int, new_state: Callable,
     per iteration times d) reaches ``READ_AHEAD_MIN_BLOCK`` draws its normals
     through a NormalStream, closed before it returns or raises. An
     ``OracleFailureError`` is raised again with the algorithm, the iteration
-    and the dd-queries spent in its message. ``seed`` is one integer >= 0; any
-    other value, a list of seeds among them, is a ConfigError.
+    and the dd-queries spent in its message. ``seed`` is one integer >= 0;
+    ``RngHandle`` refuses any other value, a list among them, before f is read.
     """
-    require_int_at_least("seed", seed, 0)
     cost, budget = config.queries_per_iteration, config.budget
     if budget < cost:
         raise ConfigError(f"{config.algo}: budget {budget} is below one iteration's cost {cost}")

@@ -232,6 +232,20 @@ def test_sample_unit_sphere_basics():
     assert abs(np.linalg.norm(u) - 1.0) < 1e-12
 
 
+# unchecked, SFC64 takes a list as entropy for one stream, and -1 or 1.5 raise
+# a bare ValueError or TypeError
+@pytest.mark.parametrize("seed,message", [
+    ([0, 1], "seed must be an integer, got [0, 1]"),
+    (-1, "seed must be nonnegative, got -1"),
+    (1.5, "seed must be an integer, got 1.5"),
+    (True, "seed must be an integer, got True"),
+])
+def test_a_handle_takes_one_nonnegative_integer_seed(seed, message):
+    with pytest.raises(ConfigError) as exc:
+        RngHandle(seed)
+    assert str(exc.value) == message
+
+
 def test_sample_unit_sphere_deterministic():
     a = sample_unit_sphere(RngHandle(7), 10)
     b = sample_unit_sphere(RngHandle(7), 10)

@@ -278,6 +278,8 @@ def f2_evals(monkeypatch):
     (check_ars_bound, [], {}),
     (check_ars_bound, [-60], {}),
     (check_ars_bound, (60.0,), {}),
+    (check_theorem_bounds, 60, {}),
+    (check_ars_bound, 60, {}),
 ])
 def test_bound_checks_reject_bad_T_values_before_evaluating(f2_evals, check, T_values, kwargs):
     with pytest.raises(ConfigError):
@@ -321,6 +323,8 @@ def test_the_bound_checks_take_one_gradient_per_seed_iteration_and_build_no_orac
     ([0.5, *range(1, 20)], "seeds must be an integer, got 0.5"),
     ([True, *range(1, 20)], "seeds must be an integer, got True"),
     (20, "bound checks need at least 20 seeds, got 20"),
+    ([0] * 20, "repeated seeds"),                 # one seed's delta_T as a "20-seed mean"
+    ([*range(19), 0], "repeated seeds"),
 ])
 def test_bound_checks_reject_bad_seeds_before_evaluating(f2_evals, check, seeds, match):
     with pytest.raises(ConfigError, match=match):
@@ -436,7 +440,7 @@ def test_g2_moments_need_a_sample(n):
         mc_g2_moments(20, 4, 0.5, n, RngHandle(0))
 
 
-@pytest.mark.parametrize("D", [-0.1, 1.5, math.nan])
+@pytest.mark.parametrize("D", [-0.1, 1.5, math.nan, True, "0.5"])
 def test_prior_quality_outside_unit_interval_is_a_config_error(D):
     with pytest.raises(ConfigError, match="prior quality"):
         mc_g2_moments(20, 4, D, 100, RngHandle(0))
@@ -450,7 +454,7 @@ def test_prior_quality_outside_unit_interval_is_a_config_error(D):
                                     {"n_trials": 2.5}, {"n_vectors": 1.5}, {"n_trials": True}])
 def test_optimality_margin_needs_trials_and_vectors(kwargs):
     args = dict({"n_vectors": 100, "n_trials": 20}, **kwargs)
-    with pytest.raises(ConfigError, match="n_trials and n_vectors"):
+    with pytest.raises(ConfigError, match="n_(trials|vectors) must be"):
         subspace_optimality_margin(5, 2, args["n_vectors"], RngHandle(0), n_trials=args["n_trials"])
 
 
@@ -465,10 +469,20 @@ def test_optimality_margin_needs_trials_and_vectors(kwargs):
     (lambda: check_theorem_bounds(30, 5.0, [60], range(20)), "q must be an integer"),
     (lambda: check_theorem_bounds(30, 5, [60], range(20), L_hat_mult=math.nan),
      "L_hat_mult must be finite and positive"),
+    # a bool is no multiple of L or tau, and a string none either
+    (lambda: check_lemma36(20, 4, True, 10, 0), "L_hat_mult must be finite and positive, got True"),
+    (lambda: check_lemma36(20, 4, "2", 10, 0), "L_hat_mult must be finite and positive, got 2"),
+    (lambda: check_lemma36(20, 4, 10.0, 100, seed=[0, 1]),
+     "seed must be an integer, got \\[0, 1\\]"),
+    (lambda: check_ars_bound(30, 5, [60], range(20), tau_hat_mult=True),
+     "tau_hat_mult=True"),
+    (lambda: check_ars_bound(30, 5, [60], range(20), tau_hat_mult="0.5"),
+     "tau_hat_mult=0.5"),
 ])
-def test_diagnostics_reject_counts_of_the_wrong_type(call, match):
+def test_diagnostics_reject_counts_of_the_wrong_type(f2_evals, call, match):
     with pytest.raises(ConfigError, match=match):
         call()
+    assert f2_evals == {"eval": 0, "grad": 0}
 
 
 @pytest.mark.parametrize("iterations", [0, 1])

@@ -159,11 +159,13 @@ def test_algos_probe_reports_both_rates(tmp_path):
 def test_mc_batch_times_perfbench_bound_check_shapes():
     plain = ab.MC_CASES["theorem_bounds(50,5)"]
     hist = ab.MC_CASES["theorem_bounds(50,5,hist)"]
+    ars = ab.MC_CASES["ars_bound(30,5)"]  # Tier-1's check_ars_bound shape
     assert plain[:2] == ("check_theorem_bounds", [50, 5, [100]])
     assert hist[:2] == ("check_theorem_bounds", [50, 5, [50, 100]])
-    assert plain[3] == {"seeds": list(range(20))}
+    assert ars[:2] == ("check_ars_bound", [30, 5, [40, 100]])
+    assert plain[3] == ars[3] == {"seeds": list(range(20))}
     assert hist[3] == {"seeds": list(range(20)), "L_hat_mult": 50.0, "historical": True}
-    assert plain[4] == hist[4] == 20 * 100  # seed-iterations
+    assert plain[4] == hist[4] == ars[4] == 20 * 100  # seed-iterations
     assert ab.SUITES["mc_batch"].match == ("result",)
 
 
@@ -216,16 +218,18 @@ MC_OPCODE_CASES = {"mc_rgf_drift(50,5)", "mc_prgf_drift(101,10)", "mc_g2_moments
                    "mc_g2_moments(20,4,vr)"}
 
 
+BOUND_CASES = ("theorem_bounds(50,5)", "theorem_bounds(50,5,hist)", "ars_bound(30,5)")
+
+
 def test_opcodes_suite_counts_every_algorithm_and_the_contract_shapes():
     assert set(ab.SUITES["opcodes"].cases) == ({f"{a} d=500" for a in ab.ALGOS}
-                                               | {"check_lemma36(100,5)", "check_lemma36(100,5) run",
-                                                  "theorem_bounds(50,5)",
-                                                  "theorem_bounds(50,5,hist)"}
+                                               | {"check_lemma36(100,5)",
+                                                  "check_lemma36(100,5) run", *BOUND_CASES}
                                                | MC_OPCODE_CASES)
     assert ab.SUITES["opcodes"].match == ("result",)
-    for name in ("theorem_bounds(50,5)", "theorem_bounds(50,5,hist)"):
+    for name in BOUND_CASES:
         fname, short, long, kwargs, units = ab.OPCODES_CASES[name]
-        # perfbench's shape, extended by T's that keep the rows each seed logs
+        # mc_batch's shape, extended by T's that keep the gcd each seed logs at
         assert (fname, short, kwargs) == (ab.MC_CASES[name][0], ab.MC_CASES[name][1],
                                           ab.MC_CASES[name][3])
         assert math.gcd(*short[2]) == math.gcd(*long[2])

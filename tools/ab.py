@@ -27,16 +27,18 @@ Suites:
                    ufunc extension and concurrent.futures were loaded
   mc_batch         microseconds per sample or iteration and peak RSS of
                    the Monte-Carlo shapes of perfbench's contracts_small_d,
-                   of check_lemma36(100, 5, 10, 1000) and of its two
-                   check_theorem_bounds shapes over 20 seeds; the SHA-256
-                   of the result's repr must be the same on both sides
+                   of check_lemma36(100, 5, 10, 1000), of its two
+                   check_theorem_bounds shapes and of check_ars_bound(30, 5,
+                   (40, 100)), each over 20 seeds; the SHA-256 of the
+                   result's repr must be the same on both sides
   opcodes          Python opcodes (sys.settrace opcode events of the main
                    thread) per iteration of one run of each of the eight
                    algorithms at d = 500 (f2, L-hat = L, fd oracle, a
                    target, log_every 512, presets' q), per iteration of
                    check_lemma36(100, 5, 10) and of the run it makes,
                    alone, per seed-iteration of perfbench's two
-                   check_theorem_bounds shapes, and per sample of its
+                   check_theorem_bounds shapes and of check_ars_bound(30,
+                   5, (40, 100)), and per sample of its
                    Monte-Carlo shapes (mc_rgf_drift(50, 5),
                    mc_prgf_drift(101, 10), mc_g2_moments(20, 4) plain and
                    variance-reduced; 1000 and 3000 samples): the difference
@@ -173,6 +175,8 @@ MC_CASES = {
     "theorem_bounds(50,5,hist)": (
         "check_theorem_bounds", [50, 5, [50, 100]], [50, 5, [50]],
         {"seeds": BOUND_SEEDS, "L_hat_mult": 50.0, "historical": True}, 20 * 100),
+    "ars_bound(30,5)": ("check_ars_bound", [30, 5, [40, 100]], [30, 5, [40]],
+                        {"seeds": BOUND_SEEDS}, 20 * 100),
 }
 MC_BATCH = """
 import hashlib
@@ -218,6 +222,9 @@ OPCODES_CASES = {
            ("mc_g2_moments(20,4)", "mc_g2_moments", [20, 4, 0.5], {}),
            ("mc_g2_moments(20,4,vr)", "mc_g2_moments", [20, 4, 0.5],
             {"variance_reduced": True}))},
+    # runs of 100 and 200 iterations, both logging every gcd = 20 iterations
+    "ars_bound(30,5)": ("check_ars_bound", [30, 5, [40, 100]], [30, 5, [40, 100, 200]],
+                        {"seeds": BOUND_SEEDS}, 20 * 100),
 }
 OPCODES = """
 import hashlib
